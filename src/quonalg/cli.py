@@ -106,6 +106,15 @@ def _parse_multiset(text):
         raise UsageError(str(exc)) from exc
 
 
+def _parse_rational_arg(text):
+    try:
+        return parse_rational(text)
+    except ZeroDivisionError as exc:
+        raise UsageError(f"zero denominator in {text!r}") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _parse_word_arg(text, m, what):
     try:
         word = parse_word(text)
@@ -154,7 +163,13 @@ def cmd_gram(args):
     return 0
 
 
+def _require_positive_n(args):
+    if args.n < 1:
+        raise UsageError(f"{args.command} needs --n >= 1")
+
+
 def cmd_det(args):
+    _require_positive_n(args)
     _guard_size(args.m**args.n * factorial(args.n), "regular block")
     fact = det_factorization(args.m, args.n)
     expanded = fact.expand()
@@ -200,6 +215,7 @@ def cmd_det(args):
 
 
 def cmd_inverse(args):
+    _require_positive_n(args)
     _guard_size(args.m**args.n * factorial(args.n), "regular block")
     inv = inverse_closed_form(args.m, args.n)
     ordered = sorted(inv.terms.items(), key=lambda item: str(item[0]))
@@ -235,21 +251,20 @@ def cmd_posdef(args):
     if (args.q is None) == (args.scan is None):
         raise UsageError("posdef needs exactly one of --q or --scan lo:hi:steps")
     if args.q is not None:
-        try:
-            point = parse_rational(args.q)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        point = _parse_rational_arg(args.q)
         block = build_gram(args.m, tuple(range(1, args.n + 1)))
         reports = [certify_block(block, point)]
     else:
         pieces = args.scan.split(":")
         if len(pieces) != 3:
             raise UsageError("--scan expects lo:hi:steps")
+        lo, hi = _parse_rational_arg(pieces[0]), _parse_rational_arg(pieces[1])
         try:
-            lo, hi = parse_rational(pieces[0]), parse_rational(pieces[1])
             steps = int(pieces[2])
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        if steps < 1:
+            raise UsageError("--scan steps must be >= 1")
         reports = scan(args.m, args.n, lo, hi, steps)
     rows = []
     block = build_gram(args.m, tuple(range(1, args.n + 1)))

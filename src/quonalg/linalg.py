@@ -1,19 +1,21 @@
 """Fraction-free exact linear algebra over ZZ[q] and over the rationals.
 
-Determinants are computed by Bareiss elimination, whose intermediate entries
-are minors of the input matrix, so every division is exact in the base ring.
-For polynomial matrices the elimination runs on the image of the matrix
-under q -> 2**stride (balanced-digit Kronecker packing): all three Bareiss
-operations (multiply, subtract, exact divide) commute with that ring map,
-and the stride is chosen from an a-priori minor bound so the final integer
-unpacks to the true determinant.  A plain Bareiss over Polynomial values is
-kept for cross-checking.
+Every elimination is one Bareiss loop, ``_bareiss``: its entries are minors
+of the input, so every division is exact, and its pivots are the leading
+principal minors of the row-permuted input.  The caller supplies the exact
+division and the zero test, so packed integers and plain Polynomial values
+share the control flow but keep separate ring arithmetic and stay oracles
+for each other.  Polynomial determinants run on the image of the matrix
+under q -> 2**stride (balanced-digit Kronecker packing; the proof is in
+``poly_det``).  Leading minors of a rational matrix come from one pass over
+an integer matrix with one common scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import isqrt, lcm
+from operator import attrgetter, not_
 
 from .exact_arith import (
     Polynomial,
@@ -24,68 +26,76 @@ from .exact_arith import (
 )
 
 
-def _bareiss_int(rows):
-    """Determinant of a square matrix of Python ints, destructively.
+def _bareiss(rows, divexact, is_zero, swap=True):
+    """One fraction-free elimination pass over a square matrix, destructively.
 
-    Fraction-free elimination with row pivoting; every interior division is
-    exact (checked).
+    Returns ``(sign, pivots)``: pivot k is the (k+1)-th leading principal
+    minor of the matrix with its rows permuted, ``sign`` the sign of that
+    permutation.  With ``swap``, a zero pivot is replaced by the first row
+    below it with a nonzero entry in its column.  Without ``swap``, or when
+    no such row exists, the pass stops with fewer pivots than rows, and the
+    next leading minor is zero.
     """
     n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k]:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            row_i = rows[i]
+    sign, prev, pivots = 1, None, []
+    for k in range(n):
+        row_k = rows[k]
+        if is_zero(row_k[k]):
+            below = (i for i in range(k + 1, n) if not is_zero(rows[i][k]))
+            i = next(below, None) if swap else None
+            if i is None:
+                break
+            row_k, rows[i] = rows[i], row_k
+            rows[k] = row_k
+            sign = -sign
+        pivot = row_k[k]
+        pivots.append(pivot)
+        for row_i in rows[k + 1 :]:
             head = row_i[k]
-            row_k = rows[k]
+            row_i[k] = None  # never read again; dropping it keeps memory flat
             for j in range(k + 1, n):
                 num = pivot * row_i[j] - head * row_k[j]
-                quot, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("inexact division in Bareiss step")
-                row_i[j] = quot
-            row_i[k] = 0
+                row_i[j] = num if prev is None else divexact(num, prev)
         prev = pivot
-    return sign * rows[n - 1][n - 1]
+    return sign, pivots
 
 
-def _minor_coeff_bound(rows):
-    """Certified bound on any coefficient of any minor of a polynomial matrix.
+def _det(rows, divexact, is_zero, zero):
+    """Determinant of a nonempty square matrix by ``_bareiss``, destructively."""
+    sign, pivots = _bareiss(rows, divexact, is_zero)
+    if len(pivots) < len(rows):
+        return zero
+    return pivots[-1] if sign > 0 else -pivots[-1]
 
-    On the unit circle each entry is bounded in modulus by its l1 coefficient
-    norm h, so Hadamard bounds any k-minor value by (sqrt(k) h)**k, and every
-    coefficient of the minor polynomial is at most that maximum modulus.
+
+def _int_divexact(num, den):
+    quot, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("inexact division in Bareiss step")
+    return quot
+
+
+def _int_det(rows):
+    return _det(rows, _int_divexact, not_, 0)
+
+
+def _stride(rows):
+    """Bits per packed coefficient: B.bit_length() + 1 (see ``poly_det``).
+
+    B bounds every coefficient of every minor.  On the unit circle each entry
+    is bounded in modulus by its l1 coefficient norm h, so Hadamard bounds a
+    k-minor by (sqrt(k) h)**k <= ceil(sqrt(n**n)) h**n = B, and no
+    coefficient of a polynomial exceeds its maximum modulus there.
     """
     n = len(rows)
-    h = 1
-    for row in rows:
-        for p in row:
-            norm = sum(abs(c) for c in p.coeffs)
-            if norm > h:
-                h = norm
-    return _isqrt_pow(n, n) * h**n
+    h = max([1] + [sum(map(abs, p.coeffs)) for row in rows for p in row])
+    return ((isqrt(n**n - 1) + 1) * h**n).bit_length() + 1
 
 
-def _isqrt_pow(base, exponent):
-    """Integer upper bound for base**(exponent/2)."""
-    out = base**(exponent // 2)
-    if exponent % 2:
-        root = 1
-        while root * root < base:
-            root += 1
-        out *= root
-    return out
+def _packed_det(rows, stride):
+    """Determinant of the image of ``rows`` under q -> 2**stride, unpacked."""
+    packed = [[_pack_coeffs(p.coeffs, stride) for p in row] for row in rows]
+    return Polynomial(_unpack_int(_int_det(packed), stride))
 
 
 def poly_det(rows, method="packed"):
@@ -93,6 +103,20 @@ def poly_det(rows, method="packed"):
 
     ``method`` chooses between the packed-integer Bareiss (default) and the
     plain Bareiss over Polynomial values used for cross-checks.
+
+    Why the packed stride s = B.bit_length() + 1 of ``_stride`` suffices.
+    phi: q -> 2**s is a ring homomorphism ZZ[q] -> ZZ.  Run Bareiss over
+    ZZ[q] and, side by side, over the images.  A polynomial step computes
+    c = (p*a - h*b) / prev, exactly in ZZ[q], so phi(p)*phi(a) -
+    phi(h)*phi(b) = phi(prev)*phi(c): the integer division is exact too and
+    yields phi(c).  The un-reduced numerator may have coefficients up to
+    2*B**2, but it is never unpacked.  Every entry either run tests against
+    zero or returns, pivots included, is a minor of the input, with
+    coefficients of modulus at most B < 2**(s-1).  Balanced base-2**s digits
+    represent such a polynomial uniquely, so phi maps it to zero only if it
+    is zero: both runs pick the same pivots, and the integer run ends with
+    phi(det), whose balanced digits are the coefficients of det.  The final
+    degree check guards the bound itself.
     """
     n = len(rows)
     if n == 0:
@@ -100,43 +124,15 @@ def poly_det(rows, method="packed"):
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     if method == "plain":
-        return _poly_det_plain([list(r) for r in rows])
-    bound = _minor_coeff_bound(rows)
-    # Stride must hold a difference of two products of minors.
-    stride = (2 * bound * bound).bit_length() + 2
-    packed = [[_pack_coeffs(p.coeffs, stride) for p in row] for row in rows]
-    det = _bareiss_int(packed)
-    result = Polynomial(_unpack_int(det, stride))
+        rows = [list(r) for r in rows]
+        return _det(rows, Polynomial.divexact, attrgetter("is_zero"), Polynomial.zero())
+    result = _packed_det(rows, _stride(rows))
     max_degree = sum(
         max((p.degree for p in row if not p.is_zero), default=0) for row in rows
     )
     if not result.is_zero and result.degree > max_degree:
         raise ArithmeticError("packed determinant exceeded its degree bound")
     return result
-
-
-def _poly_det_plain(rows):
-    n = len(rows)
-    sign = 1
-    prev = Polynomial.one()
-    for k in range(n - 1):
-        if rows[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not rows[i][k].is_zero:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero()
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            head = rows[i][k]
-            for j in range(k + 1, n):
-                rows[i][j] = (pivot * rows[i][j] - head * rows[k][j]).divexact(prev)
-            rows[i][k] = Polynomial.zero()
-        prev = pivot
-    det = rows[n - 1][n - 1]
-    return -det if sign < 0 else det
 
 
 def rational_det(rows, method="packed"):
@@ -153,35 +149,37 @@ def rational_det(rows, method="packed"):
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-        lcm = Polynomial.one()
+        lcm_den = Polynomial.one()
         for entry in row:
-            lcm = poly_lcm(lcm, entry.den)
-        cleared.append(
-            [entry.num * lcm.divexact(entry.den) for entry in row]
-        )
-        scale = scale * lcm
+            if not entry.is_polynomial:
+                lcm_den = poly_lcm(lcm_den, entry.den)
+        cleared.append([entry.num * lcm_den.divexact(entry.den) for entry in row])
+        scale = scale * lcm_den
     return RationalFunction(poly_det(cleared, method=method), scale)
 
 
-def leading_minors(rows):
-    """Exact leading principal minors of a square matrix of Fractions.
+def leading_minors(rows, scale=1):
+    """Exact leading principal minors of the rational matrix ``rows / scale``.
 
-    Entry [k-1] of the result is the determinant of the top-left k-by-k
-    submatrix.  Denominators are cleared by one common scale, each minor is
-    computed by integer Bareiss, and the scale is divided back out, so the
-    values are exact.
+    ``rows`` is a square matrix of ints or Fractions, ``scale`` a positive
+    int; entry [k-1] of the result is the Fraction determinant of the
+    top-left k-by-k submatrix.  One common denominator clears the matrix to
+    integers, and one Bareiss pass without row swaps gives every minor as a
+    pivot.  After a zero pivot, each later minor takes its own elimination.
     """
     n = len(rows)
-    scale = 1
+    den = 1
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-        for entry in row:
-            d = Fraction(entry).denominator
-            scale = scale * d // gcd(scale, d)
-    ints = [[int(Fraction(e) * scale) for e in row] for row in rows]
-    minors = []
-    for k in range(1, n + 1):
-        sub = [row[:k] for row in ints[:k]]
-        minors.append(Fraction(_bareiss_int(sub), scale**k))
-    return minors
+        den = lcm(den, *(entry.denominator for entry in row))
+
+    def cleared(k):
+        return [[e.numerator * (den // e.denominator) for e in row[:k]] for row in rows[:k]]
+
+    _, minors = _bareiss(cleared(n), _int_divexact, not_, swap=False)
+    if len(minors) < n:
+        minors.append(0)
+        minors += [_int_det(cleared(k)) for k in range(len(minors) + 1, n + 1)]
+    scale *= den
+    return [Fraction(value, scale**k) for k, value in enumerate(minors, 1)]

@@ -1,11 +1,13 @@
 """Exact positive-definiteness certificates for Gram blocks at rational q.
 
 A block evaluated at an exact rational point is a symmetric matrix of
-Fractions; its leading principal minors decide definiteness (Sylvester):
+rationals; its leading principal minors decide definiteness (Sylvester):
 all positive means positive definite.  A zero minor with no negative minor
-before it is reported as singular, anything else as indefinite.  Minors are
-computed by integer fraction-free elimination after clearing one common
-denominator, so there are no tolerances anywhere.
+before it is reported as singular, anything else as indefinite.  The block
+is evaluated straight to integers with one common scale (``_scaled_block``),
+and one fraction-free elimination pass gives every minor, so there are no
+tolerances anywhere.  ``evaluate_block`` keeps the plain Fraction evaluation
+as an independent route.
 
 ``scan`` samples a closed interval on an exact rational grid; floats appear
 only in the clearly-labeled approximate eigenvalue diagnostic, which is not
@@ -56,9 +58,33 @@ def evaluate_block(block, q0):
     return [[entry.evaluate(q0) for entry in row] for row in block.entries]
 
 
+def _scaled_block(block, q0):
+    """The block at q = q0 as ``(ints, scale)`` with block(q0) = ints / scale.
+
+    With q0 = p/r in lowest terms and D the largest entry degree, the entry
+    sum(c_i q**i) maps to the integer sum(c_i p**i r**(D-i)) and the common
+    scale is r**D.  Entries must be polynomials (denominator 1), as every
+    ``build_gram`` entry is.
+    """
+    q0 = Fraction(q0)
+    p, r = q0.numerator, q0.denominator
+    degree = 0
+    for row in block.entries:
+        for entry in row:
+            if not entry.is_polynomial:
+                raise ValueError(f"block entry is not a polynomial: {entry}")
+            degree = max(degree, entry.num.degree)
+    weights = [p**i * r ** (degree - i) for i in range(degree + 1)]
+    ints = [
+        [sum(c * w for c, w in zip(entry.num.coeffs, weights)) for entry in row]
+        for row in block.entries
+    ]
+    return ints, r**degree
+
+
 def leading_minors(block, q0):
-    """Exact leading principal minors of the evaluated block."""
-    return linalg.leading_minors(evaluate_block(block, q0))
+    """Exact leading principal minors of the block at q = q0."""
+    return linalg.leading_minors(*_scaled_block(block, q0))
 
 
 def certify_block(block, q0):

@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from quonalg.cli import main
 from quonalg.exact_arith import parse_polynomial, parse_rational_function
 
@@ -192,6 +194,21 @@ def test_posdef_eigs_labelled_approximate():
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][-1] == "approx_min_eigenvalue"
     assert abs(float(rows[1][-1]) - 0.5) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det", "--m", "1", "--n", "0"],
+        ["inverse", "--m", "1", "--n", "0"],
+        ["posdef", "--m", "1", "--n", "2", "--scan=0:1:0"],
+        ["posdef", "--m", "1", "--n", "2", "--q", "1/0"],
+    ],
+)
+def test_bad_input_is_a_usage_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_enumerate_table():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quonalg import linalg
 from quonalg.exact_arith import Polynomial, RationalFunction
 from quonalg.linalg import leading_minors, poly_det, rational_det
 
@@ -24,6 +25,17 @@ def test_small_hand_determinants():
     assert poly_det(circ) == P((1, 0, -3, 2))
 
 
+def laplace_det(rows):
+    """Cofactor expansion along the first row: shares no code with Bareiss."""
+    if not rows:
+        return ONE
+    total = P.zero()
+    for j, entry in enumerate(rows[0]):
+        minor = laplace_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        total = total + entry * minor if j % 2 == 0 else total - entry * minor
+    return total
+
+
 def test_packed_and_plain_agree():
     rng = random.Random(5)
     for trial in range(150):
@@ -31,9 +43,25 @@ def test_packed_and_plain_agree():
         rows = [[rand_poly(rng) for _ in range(n)] for _ in range(n)]
         if trial % 5 == 0 and n >= 2:
             rows[n - 1] = rows[0][:]  # singular case exercises pivoting
+        if trial % 7 == 0:
+            rows[0][0] = P.zero()  # zero first pivot forces a row swap
         packed = poly_det([r[:] for r in rows])
         plain = poly_det([r[:] for r in rows], method="plain")
         assert packed == plain
+        if n <= 4:
+            assert packed == laplace_det(rows)
+
+
+def test_stride_fits_an_extremal_minor():
+    # Sylvester's 4x4 Hadamard matrix meets the Hadamard bound: det = 16.
+    h2 = ((1, 1), (1, -1))
+    rows = [
+        [P((h2[i // 2][j // 2] * h2[i % 2][j % 2],)) for j in range(4)] for i in range(4)
+    ]
+    stride = linalg._stride(rows)
+    assert poly_det(rows) == linalg._packed_det(rows, stride) == P((16,))
+    # One bit less and the determinant no longer unpacks: the bound is tight.
+    assert linalg._packed_det(rows, stride - 1) != P((16,))
 
 
 def test_det_is_multilinear_in_rows():
@@ -81,6 +109,46 @@ def test_leading_minors_match_determinants():
                 for row in rows[:k]
             ]
             assert rational_det(sub).evaluate(0) == minors[k - 1]
+
+
+def minors_by_rational_det(rows):
+    """Each leading minor by its own plain-Polynomial determinant."""
+    minors = []
+    for k in range(1, len(rows) + 1):
+        sub = [[RationalFunction(e.numerator, e.denominator) for e in row[:k]] for row in rows[:k]]
+        minors.append(rational_det(sub, method="plain").evaluate(0))
+    return minors
+
+
+def test_one_pass_minors_past_a_zero_minor():
+    assert leading_minors([[0, 1], [1, 0]]) == [0, -1]
+    rng = random.Random(41)
+    values = (-1, 0, 1, Fraction(1, 2), Fraction(-2, 3))
+    reached = 0
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        rows = [[Fraction(rng.choice(values)) for _ in range(n)] for _ in range(n)]
+        expected = minors_by_rational_det(rows)
+        zero_at = [k for k, value in enumerate(expected) if value == 0]
+        if zero_at and any(expected[zero_at[0] + 1 :]):
+            reached += 1
+        assert leading_minors(rows) == expected
+    assert reached >= 50
+
+
+def test_leading_minors_of_a_scaled_integer_matrix():
+    # Integer minors 4, 16, 76, divided by 2, 2**2, 2**3.
+    rows = [[4, 2, 0], [2, 5, 3], [0, 3, 7]]
+    assert leading_minors(rows, scale=2) == [2, 4, Fraction(19, 2)]
+
+
+def test_polynomial_entries_skip_the_lcm(monkeypatch):
+    def no_lcm(a, b):
+        raise AssertionError("poly_lcm called on unit denominators")
+
+    monkeypatch.setattr(linalg, "poly_lcm", no_lcm)
+    rows = [[RationalFunction(e) for e in row] for row in ((ONE, Q), (Q, ONE))]
+    assert rational_det(rows) == RationalFunction(ONE - Q**2)
 
 
 def test_leading_minors_identity():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from quonalg import linalg
+from quonalg.exact_arith import Polynomial, RationalFunction
 from quonalg.gram import GramBlock, build_gram
 from quonalg.posdef import (
     INDEFINITE,
@@ -12,6 +14,7 @@ from quonalg.posdef import (
     certify,
     certify_block,
     classify_minors,
+    evaluate_block,
     interval_of_definiteness,
     leading_minors,
     scan,
@@ -46,6 +49,33 @@ def test_singular_points():
 def test_leading_minors_on_block():
     block = build_gram(1, (1, 2))
     assert leading_minors(block, Fraction(1, 2)) == [Fraction(1), Fraction(3, 4)]
+
+
+def test_integer_evaluation_matches_fraction_evaluation():
+    rng = random.Random(707)
+    cases = [(1, (1, 2, 3)), (2, (1, 2)), (2, (1, 1, 2)), (3, (1, 2)), (1, (1, 1, 2, 2))]
+    for m, multiset in cases:
+        block = build_gram(m, multiset)
+        lo, hi = interval_of_definiteness(m)
+        points = [
+            lo,
+            hi,
+            Fraction(-rng.randrange(1, 40), rng.randrange(1, 40)),
+            Fraction(rng.randrange(-(2**16), 2**16), rng.randrange(2**16, 2**17)),
+            Fraction(-rng.randrange(2**16, 2**17), rng.randrange(2**16, 2**17)),
+            Fraction(rng.randrange(-3, 4)),
+        ]
+        for q0 in points:
+            expected = linalg.leading_minors(evaluate_block(block, q0))
+            assert leading_minors(block, q0) == expected
+
+
+def test_integer_evaluation_needs_polynomial_entries():
+    one = Polynomial.one()
+    entry = RationalFunction(one, one - Polynomial.q())
+    block = GramBlock(m=1, multiset=(1,), basis=("x",), entries=((entry,),))
+    with pytest.raises(ValueError):
+        leading_minors(block, Fraction(1, 2))
 
 
 def test_scan_structure():
