@@ -34,9 +34,8 @@ from math import factorial
 from .exact_arith import parse_rational
 from .colored_perm import as_multiset, cinv, enumerate_group, parse_word
 from .gram import build_gram, gram_csv_text, gram_json_data
-from .group_algebra import cinv_sum, ga_mul, GroupAlgebraElement
-from .formulas import det_factorization, inverse_closed_form, regular_block_det
-from .posdef import approx_eigenvalues, certify_block, scan
+from .formulas import det_factorization, inverse_closed_form, regular_block_det, verify_inverse
+from .posdef import approx_eigenvalues, certify, scan
 from .quon_engine import vacuum_expectation
 
 DEFAULT_MAX_BLOCK = 10000
@@ -223,9 +222,7 @@ def cmd_inverse(args):
     payload = {"m": args.m, "n": args.n, "term_count": len(terms), "terms": terms}
     code = 0
     if args.verify:
-        s = cinv_sum(args.m, args.n)
-        e = GroupAlgebraElement.identity(args.m, args.n)
-        payload["match"] = ga_mul(inv, s) == e and ga_mul(s, inv) == e
+        payload["match"] = verify_inverse(args.m, args.n)
         code = 0 if payload["match"] else 1
     if args.format == "json":
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
@@ -251,9 +248,7 @@ def cmd_posdef(args):
     if (args.q is None) == (args.scan is None):
         raise UsageError("posdef needs exactly one of --q or --scan lo:hi:steps")
     if args.q is not None:
-        point = _parse_rational_arg(args.q)
-        block = build_gram(args.m, tuple(range(1, args.n + 1)))
-        reports = [certify_block(block, point)]
+        reports = [certify(args.m, args.n, _parse_rational_arg(args.q))]
     else:
         pieces = args.scan.split(":")
         if len(pieces) != 3:
@@ -266,8 +261,9 @@ def cmd_posdef(args):
         if steps < 1:
             raise UsageError("--scan steps must be >= 1")
         reports = scan(args.m, args.n, lo, hi, steps)
+    if args.eigs:
+        block = build_gram(args.m, tuple(range(1, args.n + 1)))
     rows = []
-    block = build_gram(args.m, tuple(range(1, args.n + 1)))
     for rep in reports:
         row = {
             "q0": _fraction_str(rep.q0),

@@ -154,13 +154,8 @@ def act(theta, pi):
     return type(theta)(m, new_values, new_colors)
 
 
-def compose(a, b):
-    """Group composition in the colored permutation group: act(a, b)."""
-    return act(a, b)
-
-
 def inverse(pi):
-    """The group inverse: compose(pi, inverse(pi)) is the neutral element."""
+    """The group inverse: act(pi, inverse(pi)) is the neutral element."""
     n = pi.n
     m = pi.m
     inv_values = [0] * n

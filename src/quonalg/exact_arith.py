@@ -263,7 +263,12 @@ def _pack_coeffs(coeffs, stride):
 
 
 def _unpack_int(value, stride):
-    """Inverse of _pack_coeffs under the balanced-digit convention."""
+    """Inverse of _pack_coeffs under the balanced-digit convention.
+
+    A stride below 2 has no balanced digit for +1, so it is rejected.
+    """
+    if stride < 2:
+        raise ValueError(f"stride must be at least 2, got {stride}")
     coeffs = []
     half = 1 << (stride - 1)
     mask = (1 << stride) - 1

@@ -11,8 +11,9 @@ color exponent E_c follows from the coset argument applied to each of the n
 single-position factors (index m**(n-1) * n! each); the flat exponent
 m**n * n! sometimes quoted for the color part fails the n = 1 oracle, where
 the block is an m-by-m circulant with determinant (1+(m-1)q)(1-q)**(m-1)
-to the first power.  ``det_bruteforce`` (fraction-free elimination) is the
-arbiter and is checked against the closed form in the test suite.
+to the first power.  ``regular_block_det`` (fraction-free elimination of
+the representation matrix) is the arbiter and is checked against the closed
+form in the test suite.
 
 The closed-form inverse is assembled from three families of sparse factors:
 per-position inverses of the color sums, and two families of cycle products
@@ -23,13 +24,14 @@ orders below are fixed by the two-sided inverse check in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from .exact_arith import Polynomial, RationalFunction
 from .colored_perm import (
     ColoredPermutation,
+    act,
     cinv,
-    compose,
     enumerate_group,
     insertion_cycle,
 )
@@ -105,15 +107,9 @@ def det_closed_form(m, n):
     return det_factorization(m, n).expand()
 
 
-def det_bruteforce(block):
-    """Exact determinant of a GramBlock or RepMatrix by fraction-free elimination."""
-    return linalg.rational_det([list(row) for row in block.entries])
-
-
-def regular_block_det(m, n, method="packed"):
+def regular_block_det(m, n):
     """Brute-force determinant of the regular representation of the group sum."""
-    rep = rep_matrix(cinv_sum(m, n), tuple(range(1, n + 1)))
-    return linalg.rational_det([list(row) for row in rep.entries], method=method)
+    return linalg.rational_det(rep_matrix(cinv_sum(m, n), tuple(range(1, n + 1))).entries)
 
 
 def factor_sum(m, n):
@@ -187,7 +183,7 @@ def _geometric_product(m, n, j):
             series = series + GroupAlgebraElement.from_element(
                 power, q ** ((top + 2) * i)
             )
-            power = compose(power, cyc)
+            power = act(power, cyc)
         denom = one - q ** ((top + 1) * (top + 2))
         factors.append(series.scale(denom.reciprocal()))
     return product_chain(factors)
@@ -212,13 +208,15 @@ def inverse_factors(m, n):
     )
 
 
+@lru_cache(maxsize=None)
 def inverse_closed_form(m, n):
     """The closed-form inverse of cinv_sum(m, n), assembled from its factors.
 
     The permutation part multiplies the per-block pairs (difference product,
     then geometric product) with the largest block acting first, and the
     color part acts after the permutation part; verify_inverse pins these
-    orders two-sidedly.
+    orders two-sidedly.  Memoised like ``cinv_sum``, so a caller that prints
+    and then verifies the inverse assembles it once.
     """
     factors = inverse_factors(m, n)
     color_inverse = product_chain(factors.position_inverses)

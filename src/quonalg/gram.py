@@ -3,11 +3,12 @@
 The block of a multiset I collects the pairwise inner products of the
 creator-word states of all colored arrangements of I, rows indexed by the
 bra arrangement and columns by the ket arrangement, both in the canonical
-enumeration order.  Two independent constructions are provided: the
-``operator`` path reduces each entry with the annihilator rewriting engine,
-the ``combinatorial`` path evaluates each entry as a q**cinv counting sum
-over colored permutations (``cosym_expectation``).  The block
-also equals the right-action matrix of the q-weighted group sum on the
+enumeration order.  It is a ``Block`` of Polynomials in ZZ[q], since every
+entry is a q**cinv generating sum.  Two independent constructions are
+provided: the ``operator`` path reduces each entry with the annihilator
+rewriting engine, the ``combinatorial`` path evaluates each entry as a
+q**cinv counting sum over colored permutations (``cosym_expectation``).  The
+block also equals the right-action matrix of the q-weighted group sum on the
 arrangement module (``verify_representation`` checks all of this).
 
 The infinite form is block diagonal over multisets; this module only ever
@@ -18,26 +19,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .colored_perm import as_multiset, enumerate_arrangements
 from .quon_engine import cosym_expectation, vacuum_expectation
-from .group_algebra import cinv_sum, rep_matrix
-
-
-@dataclass(frozen=True)
-class GramBlock:
-    """Square symmetric matrix of inner products over an explicit basis."""
-
-    m: int
-    multiset: tuple
-    basis: tuple
-    entries: tuple
-
-    @property
-    def size(self):
-        return len(self.basis)
+from .group_algebra import Block, cinv_sum, rep_matrix
 
 
 def build_gram(m, multiset, path="operator"):
@@ -66,7 +52,7 @@ def _build_gram_cached(m, multiset, path):
         else:
             row = tuple(cosym_expectation(theta_bra, theta_ket) for theta_ket in basis)
         rows.append(row)
-    return GramBlock(m=m, multiset=multiset, basis=basis, entries=tuple(rows))
+    return Block(m=m, multiset=multiset, basis=basis, entries=tuple(rows))
 
 
 def verify_representation(m, multiset):

@@ -5,11 +5,12 @@ An element is a finite map from colored permutations (all sharing one color
 count m and one length n) to RationalFunction coefficients.  The module of
 formal combinations of the colored arrangements of a multiset I carries a
 right action of the group; ``rep_matrix`` expands that action in the
-canonical arrangement basis, one column per basis element.
+canonical arrangement basis, one column per basis element, as a ``Block``:
+the one matrix type of the package, which Gram blocks share.
 
-``ga_mul`` is oriented so that representation matrices compose covariantly:
+``ga_mul`` is oriented so that ``rep_matrix`` is multiplicative:
 ``rep_matrix(ga_mul(x, y), I)`` equals ``rep_matrix(x, I) @ rep_matrix(y, I)``.
-Concretely the product term of (pi_x, pi_y) is compose(pi_y, pi_x), i.e. in
+Concretely the product term of (pi_x, pi_y) is act(pi_y, pi_x), i.e. in
 ga_mul(x, y) the arrangement is acted on by y's group element first.
 
 The cyclic color group of order m is handled as the n = 1 case: its
@@ -30,11 +31,9 @@ from .colored_perm import (
     as_multiset,
     cinv,
     color_shift,
-    compose,
     enumerate_arrangements,
     enumerate_group,
 )
-from . import linalg
 
 
 class GroupAlgebraElement:
@@ -145,13 +144,13 @@ def ga_mul(x, y):
     """Convolution product oriented so rep_matrix is multiplicative.
 
     rep_matrix(ga_mul(x, y), I) == rep_matrix(x, I) @ rep_matrix(y, I); the
-    group term contributed by a pair (pi_x, pi_y) is compose(pi_y, pi_x).
+    group term contributed by a pair (pi_x, pi_y) is act(pi_y, pi_x).
     """
     x._check_sizes(y)
     out = {}
     for pi_x, cx in x.terms.items():
         for pi_y, cy in y.terms.items():
-            g = compose(pi_y, pi_x)
+            g = act(pi_y, pi_x)
             acc = out.get(g)
             out[g] = cx * cy if acc is None else acc + cx * cy
     return GroupAlgebraElement(x.m, x.n, out)
@@ -181,9 +180,15 @@ def cinv_sum(m, n):
 
 
 @dataclass(frozen=True)
-class RepMatrix:
-    """A square matrix of RationalFunctions over an explicit ordered basis."""
+class Block:
+    """A square matrix over the arrangements of a multiset, in basis order.
 
+    Gram blocks have Polynomial entries, representation matrices carry the
+    coefficient type of their group-algebra element.
+    """
+
+    m: int
+    multiset: tuple
     basis: tuple
     entries: tuple
 
@@ -212,12 +217,7 @@ def rep_matrix(x, multiset):
             i = index[act(theta, pi)]
             col[i] = col[i] + c
     entries = tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
-    return RepMatrix(basis=basis, entries=entries)
-
-
-def det_rep(x, multiset):
-    """Exact determinant of rep_matrix(x, multiset) by fraction-free elimination."""
-    return linalg.rational_det([list(r) for r in rep_matrix(x, multiset).entries])
+    return Block(m=x.m, multiset=multiset, basis=basis, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +271,13 @@ def single_shift_inverse(m, z):
     """
     z = _as_rf(z)
     one = RationalFunction.one()
-    denom = one - _rf_pow(z, m)
+    denom = one - z**m
     terms = {}
     acc = one
     for i in range(m):
         terms[cyclic_shift(m, i)] = acc / denom
         acc = acc * z
     return GroupAlgebraElement(m, 1, terms)
-
-
-def _rf_pow(z, e):
-    out = RationalFunction.one()
-    for _ in range(e):
-        out = out * z
-    return out
 
 
 def embed_single_position(x, n, pos):

@@ -135,7 +135,7 @@ def poly_det(rows, method="packed"):
     return result
 
 
-def rational_det(rows, method="packed"):
+def rational_det(rows):
     """Exact determinant of a square matrix of RationalFunction entries.
 
     Each row is cleared to ZZ[q] by its denominator lcm, the polynomial
@@ -155,7 +155,7 @@ def rational_det(rows, method="packed"):
                 lcm_den = poly_lcm(lcm_den, entry.den)
         cleared.append([entry.num * lcm_den.divexact(entry.den) for entry in row])
         scale = scale * lcm_den
-    return RationalFunction(poly_det(cleared, method=method), scale)
+    return RationalFunction(poly_det(cleared), scale)
 
 
 def leading_minors(rows, scale=1):

@@ -2,12 +2,14 @@
 
 A block evaluated at an exact rational point is a symmetric matrix of
 rationals; its leading principal minors decide definiteness (Sylvester):
-all positive means positive definite.  A zero minor with no negative minor
-before it is reported as singular, anything else as indefinite.  The block
-is evaluated straight to integers with one common scale (``_scaled_block``),
-and one fraction-free elimination pass gives every minor, so there are no
-tolerances anywhere.  ``evaluate_block`` keeps the plain Fraction evaluation
-as an independent route.
+all positive means positive definite.  A negative minor before any zero one
+means indefinite.  Otherwise a zero minor means singular when the
+determinant (the last minor) is zero, and indefinite when it is not: a
+nonsingular block with a zero leading minor is neither positive nor negative
+definite.  The block is evaluated straight to integers with one common scale
+(``_scaled_block``), and one fraction-free elimination pass gives every
+minor, so there are no tolerances anywhere.  ``evaluate_block`` keeps the
+plain Fraction evaluation as an independent route.
 
 ``scan`` samples a closed interval on an exact rational grid; floats appear
 only in the clearly-labeled approximate eigenvalue diagnostic, which is not
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact_arith import Polynomial
 from .gram import build_gram
 from . import linalg
 
@@ -48,7 +51,7 @@ def classify_minors(minors):
         if value < 0:
             return INDEFINITE
         if value == 0:
-            return SINGULAR
+            return SINGULAR if minors[-1] == 0 else INDEFINITE
     return POSITIVE_DEFINITE
 
 
@@ -63,34 +66,29 @@ def _scaled_block(block, q0):
 
     With q0 = p/r in lowest terms and D the largest entry degree, the entry
     sum(c_i q**i) maps to the integer sum(c_i p**i r**(D-i)) and the common
-    scale is r**D.  Entries must be polynomials (denominator 1), as every
-    ``build_gram`` entry is.
+    scale is r**D.  Entries must be Polynomials, as every ``build_gram``
+    entry is.
     """
     q0 = Fraction(q0)
     p, r = q0.numerator, q0.denominator
     degree = 0
     for row in block.entries:
         for entry in row:
-            if not entry.is_polynomial:
+            if not isinstance(entry, Polynomial):
                 raise ValueError(f"block entry is not a polynomial: {entry}")
-            degree = max(degree, entry.num.degree)
+            degree = max(degree, entry.degree)
     weights = [p**i * r ** (degree - i) for i in range(degree + 1)]
     ints = [
-        [sum(c * w for c, w in zip(entry.num.coeffs, weights)) for entry in row]
+        [sum(c * w for c, w in zip(entry.coeffs, weights)) for entry in row]
         for row in block.entries
     ]
     return ints, r**degree
 
 
-def leading_minors(block, q0):
-    """Exact leading principal minors of the block at q = q0."""
-    return linalg.leading_minors(*_scaled_block(block, q0))
-
-
 def certify_block(block, q0):
     """Exact Sylvester certification of one block at one rational point."""
     q0 = Fraction(q0)
-    minors = tuple(leading_minors(block, q0))
+    minors = tuple(linalg.leading_minors(*_scaled_block(block, q0)))
     return PosDefReport(
         m=block.m,
         multiset=block.multiset,

@@ -2,7 +2,7 @@
 
 States are kept in creator-only normal form: a CreatorState maps creator
 words (tuples of (mode, color) pairs, outermost creator first) to
-RationalFunction coefficients.  Applying an annihilator a_{j,l} to a creator
+Polynomial coefficients in ZZ[q].  Applying an annihilator a_{j,l} to a creator
 word sums, over every position u whose creator mode is j, the word with that
 creator deleted, weighted by q**(u-1) * q**color_mismatch; a word with no
 matching mode contributes nothing, and annihilators kill the vacuum.  This
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_arith import Polynomial, RationalFunction
+from .exact_arith import Polynomial
 from .colored_perm import act, cinv, enumerate_group
 
 
@@ -46,7 +46,7 @@ class CreatorState:
     terms: dict
 
     def coeff(self, word):
-        return self.terms.get(tuple(word), RationalFunction.zero())
+        return self.terms.get(tuple(word), Polynomial.zero())
 
     @property
     def is_zero(self):
@@ -60,7 +60,7 @@ def creator_state(m, word, coeff=None):
         if not 1 <= c <= m:
             raise ValueError(f"color {c} outside 1..{m}")
     if coeff is None:
-        coeff = RationalFunction.one()
+        coeff = Polynomial.one()
     if coeff.is_zero:
         return CreatorState(m, {})
     return CreatorState(m, {word: coeff})
@@ -77,13 +77,12 @@ def apply_annihilator(mode, color, state):
     m = state.m
     if not 1 <= color <= m:
         raise ValueError(f"color {color} outside 1..{m}")
-    q = Polynomial.q()
     out = {}
     for word, coeff in state.terms.items():
         for u, (cmode, ccolor) in enumerate(word, start=1):
             if cmode != mode:
                 continue
-            weight = coeff * q ** (u - 1 + color_mismatch(ccolor, color, m))
+            weight = coeff.times_monomial(u - 1 + color_mismatch(ccolor, color, m))
             shorter = word[: u - 1] + word[u:]
             acc = out.get(shorter)
             out[shorter] = weight if acc is None else acc + weight
@@ -94,17 +93,14 @@ def vacuum_expectation(bra, ket, m):
     """Exact value of <vacuum| (bra annihilators) (ket creators) |vacuum>.
 
     ``bra`` and ``ket`` are sequences of (mode, color) pairs in the written
-    order described in the module docstring.  The result is always a
-    polynomial; it is returned as a RationalFunction with denominator one.
+    order described in the module docstring.  The result is a Polynomial.
     """
     state = creator_state(m, ket)
     for mode, color in reversed(tuple(bra)):
         if state.is_zero:
             break
         state = apply_annihilator(mode, color, state)
-    value = state.coeff(())
-    assert value.is_polynomial, "expectation produced a true quotient"
-    return value
+    return state.coeff(())
 
 
 def cosym_expectation(theta_bra, theta_ket):
@@ -118,10 +114,10 @@ def cosym_expectation(theta_bra, theta_ket):
     if theta_bra.m != theta_ket.m:
         raise ValueError(f"color-count mismatch: {theta_bra.m} vs {theta_ket.m}")
     if theta_bra.multiset != theta_ket.multiset:
-        return RationalFunction.zero()
+        return Polynomial.zero()
     total = Polynomial.zero()
     q = Polynomial.q()
     for pi in enumerate_group(theta_ket.m, theta_ket.n):
         if act(theta_ket, pi) == theta_bra:
             total = total + q ** cinv(pi)
-    return RationalFunction(total)
+    return total

@@ -10,7 +10,6 @@ from quonalg.colored_perm import (
     as_multiset,
     cinv,
     color_shift,
-    compose,
     decompose,
     enumerate_arrangements,
     enumerate_group,
@@ -81,8 +80,8 @@ def test_inverse_defining_property():
         m, n = rng.randint(1, 5), rng.randint(0, 6)
         pi = random_element(rng, m, n)
         e = ColoredPermutation.neutral(m, n)
-        assert compose(pi, inverse(pi)) == e
-        assert compose(inverse(pi), pi) == e
+        assert act(pi, inverse(pi)) == e
+        assert act(inverse(pi), pi) == e
         assert cinv(inverse(pi)) == cinv(pi)
     assert inverse(ColoredPermutation.neutral(3, 4)) == ColoredPermutation.neutral(3, 4)
 
@@ -93,7 +92,7 @@ def test_inverse_two_position_case():
     got = inverse(pi)
     assert got.values == (2, 1)
     assert got.colors == (2, 1)
-    assert compose(pi, got) == ColoredPermutation.neutral(2, 2)
+    assert act(pi, got) == ColoredPermutation.neutral(2, 2)
 
 
 def test_group_axioms_exhaustive():
@@ -107,7 +106,7 @@ def test_group_axioms_exhaustive():
             assert e in index
             # closure + identity + inverse via the multiplication table
             table = [
-                [index[compose(g, h)] for h in group] for g in group
+                [index[act(g, h)] for h in group] for g in group
             ]
             ei = index[e]
             for gi, g in enumerate(group):
@@ -134,7 +133,7 @@ def test_act_is_a_right_action_exhaustive():
             for theta in arrangements:
                 for p1 in group:
                     for p2 in group:
-                        assert act(act(theta, p1), p2) == act(theta, compose(p1, p2))
+                        assert act(act(theta, p1), p2) == act(theta, act(p1, p2))
 
 
 def test_cinv_generating_function_factors():
@@ -216,7 +215,7 @@ def test_color_shift_powers():
     m = 4
     acc = ColoredPermutation.neutral(m, 3)
     for k in range(1, 2 * m + 1):
-        acc = compose(acc, color_shift(m, 3, 2, 1))
+        acc = act(acc, color_shift(m, 3, 2, 1))
         assert acc == color_shift(m, 3, 2, k)
 
 

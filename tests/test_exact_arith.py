@@ -13,7 +13,9 @@ from quonalg.exact_arith import (
     poly_gcd,
     poly_lcm,
     _mul_packed,
+    _pack_coeffs,
     _positive_primitive,
+    _unpack_int,
 )
 
 P = Polynomial
@@ -52,6 +54,15 @@ def test_packed_multiplication_matches_schoolbook():
         if a.is_zero or b.is_zero:
             continue
         assert P(_mul_packed(a.coeffs, b.coeffs)) == a * b
+
+
+def test_unpack_needs_a_stride_of_two_bits():
+    # balanced digits of stride 1 are {-1, 0}, which cannot express 1
+    with pytest.raises(ValueError):
+        _unpack_int(1, 1)
+    with pytest.raises(ValueError):
+        _unpack_int(5, 0)
+    assert _unpack_int(_pack_coeffs((1, -1, 1), 2), 2) == [1, -1, 1]
 
 
 def test_divexact():

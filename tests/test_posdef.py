@@ -5,7 +5,8 @@ import pytest
 
 from quonalg import linalg
 from quonalg.exact_arith import Polynomial, RationalFunction
-from quonalg.gram import GramBlock, build_gram
+from quonalg.gram import build_gram
+from quonalg.group_algebra import Block
 from quonalg.posdef import (
     INDEFINITE,
     POSITIVE_DEFINITE,
@@ -16,7 +17,6 @@ from quonalg.posdef import (
     classify_minors,
     evaluate_block,
     interval_of_definiteness,
-    leading_minors,
     scan,
 )
 
@@ -26,6 +26,22 @@ def test_classify_minors():
     assert classify_minors([Fraction(1), Fraction(0), Fraction(0)]) == SINGULAR
     assert classify_minors([Fraction(1), Fraction(-1), Fraction(0)]) == INDEFINITE
     assert classify_minors([]) == POSITIVE_DEFINITE
+
+
+def hand_block(rows):
+    polys = tuple(tuple(Polynomial.constant(v) for v in row) for row in rows)
+    return Block(m=1, multiset=(1,) * len(rows), basis=tuple(range(len(rows))), entries=polys)
+
+
+def test_certify_block_zero_minor_verdicts():
+    # a zero leading minor of a nonsingular block: neither definite nor singular
+    report = certify_block(hand_block([[0, 1], [1, 0]]), Fraction(1, 2))
+    assert report.minors == (0, -1)
+    assert report.verdict == INDEFINITE
+    assert classify_minors([Fraction(1), Fraction(0), Fraction(2)]) == INDEFINITE
+    report = certify_block(hand_block([[0, 0], [0, 1]]), Fraction(1, 2))
+    assert report.minors == (0, 0)
+    assert report.verdict == SINGULAR
 
 
 def test_identity_at_q0():
@@ -48,7 +64,7 @@ def test_singular_points():
 
 def test_leading_minors_on_block():
     block = build_gram(1, (1, 2))
-    assert leading_minors(block, Fraction(1, 2)) == [Fraction(1), Fraction(3, 4)]
+    assert certify_block(block, Fraction(1, 2)).minors == (Fraction(1), Fraction(3, 4))
 
 
 def test_integer_evaluation_matches_fraction_evaluation():
@@ -67,15 +83,15 @@ def test_integer_evaluation_matches_fraction_evaluation():
         ]
         for q0 in points:
             expected = linalg.leading_minors(evaluate_block(block, q0))
-            assert leading_minors(block, q0) == expected
+            assert list(certify_block(block, q0).minors) == expected
 
 
 def test_integer_evaluation_needs_polynomial_entries():
     one = Polynomial.one()
     entry = RationalFunction(one, one - Polynomial.q())
-    block = GramBlock(m=1, multiset=(1,), basis=("x",), entries=((entry,),))
+    block = Block(m=1, multiset=(1,), basis=("x",), entries=((entry,),))
     with pytest.raises(ValueError):
-        leading_minors(block, Fraction(1, 2))
+        certify_block(block, Fraction(1, 2))
 
 
 def test_scan_structure():
@@ -119,7 +135,7 @@ def test_verdict_invariant_under_basis_shuffles():
         block = build_gram(m, tuple(range(1, n + 1)))
         order = list(range(block.size))
         rng.shuffle(order)
-        shuffled = GramBlock(
+        shuffled = Block(
             m=block.m,
             multiset=block.multiset,
             basis=tuple(block.basis[i] for i in order),
