@@ -11,7 +11,6 @@ algebra multiplication for the inverse.
 import time
 
 from quonalg import (
-    RationalFunction,
     det_closed_form,
     det_factorization,
     inverse_closed_form,
@@ -27,8 +26,7 @@ def main():
         start = time.perf_counter()
         oracle = regular_block_det(m, n)
         elapsed = time.perf_counter() - start
-        match = oracle == RationalFunction(fact.expand())
-        size = len(oracle.num.coeffs)
+        match = oracle == fact.expand()
         print(f"  (m={m}, n={n})  {fact.factored_str()}")
         print(f"      oracle match: {match}   (degree {fact.expand().degree}, {elapsed:.2f}s)")
 

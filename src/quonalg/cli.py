@@ -16,8 +16,9 @@ floats are rejected.  ``--format`` selects text (default), json, or csv,
 all carrying the same mathematical content in canonical string forms.
 
 Exit status: 0 on success (and on a verified match), 1 when a requested
-verification finds a mismatch, 2 on usage or parse errors.  The block-size
-guard (default 10000 basis elements) can be lifted with QUON_MAX_BLOCK.
+verification finds a mismatch, 2 on usage or parse errors and on an
+``--output`` path that cannot be written.  The block-size guard (default
+10000 basis elements) can be lifted with QUON_MAX_BLOCK.
 """
 
 from __future__ import annotations
@@ -66,8 +67,11 @@ def _guard_size(size, what):
 
 def _emit(text, output):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -1,10 +1,12 @@
-"""Exact arithmetic in ZZ[q] and its fraction field.
+"""Exact arithmetic in ZZ[q], and reduced quotients for printing.
 
-Every scalar in this package is either an integer-coefficient polynomial in
-the single variable q, or a reduced quotient of two such polynomials.  All
-coefficients are arbitrary-precision integers, all quotients are kept in a
-canonical reduced form, and equality is therefore structural.  Exact rational
-numbers (used as evaluation points) are plain ``fractions.Fraction`` values.
+The package computes in ZZ[q]: every scalar it multiplies or adds is an
+integer-coefficient ``Polynomial`` in the single variable q, with
+arbitrary-precision coefficients.  A ``RationalFunction`` is a reduced
+quotient of two such polynomials with no arithmetic of its own; it exists
+only where a quotient is printed or parsed (the coefficients of the
+closed-form inverse).  Exact rational numbers (used as evaluation points)
+are plain ``fractions.Fraction`` values.
 
 Canonical string form, used verbatim by the CLI and the file exports: terms
 ascending by degree, coefficient 1 elided, constant term printed bare, e.g.
@@ -92,6 +94,9 @@ class Polynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # A constant hashes like the int it equals.
+        if len(self.coeffs) < 2:
+            return hash(self.leading)
         return hash(self.coeffs)
 
     def __repr__(self):
@@ -333,11 +338,14 @@ def poly_lcm(a, b):
 
 
 class RationalFunction:
-    """Reduced quotient num/den of two integer polynomials.
+    """Reduced quotient num/den of two integer polynomials, for printing.
 
     Canonical form: gcd(num, den) = 1 over the rationals, the integer
     contents of num and den share no factor, and den has positive leading
-    coefficient.  Instances are immutable and hashable.
+    coefficient.  The form is unique, so equality is structural, and a
+    quotient with unit denominator equals and hashes like its numerator.
+    Instances are immutable.  There is no arithmetic: the package computes
+    in ZZ[q] and builds a quotient only where one is printed or parsed.
     """
 
     __slots__ = ("num", "den")
@@ -370,107 +378,24 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def zero(cls):
-        return RF_ZERO
-
-    @classmethod
-    def one(cls):
-        return RF_ONE
-
     @property
     def is_zero(self):
         return self.num.is_zero
 
-    @property
-    def is_polynomial(self):
-        return self.den == _ONE
-
-    def as_polynomial(self):
-        if self.den != _ONE:
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
-    def __bool__(self):
-        return not self.num.is_zero
-
     def __eq__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Polynomial)):
+            return self.den == _ONE and self.num == other
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.den == _ONE:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):
         return f"RationalFunction({self})"
-
-    def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
-
-    def __add__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == _ONE and other.den == _ONE:
-            return _rf_poly(self.num + other.num)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == _ONE and other.den == _ONE:
-            return _rf_poly(self.num * other.num)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent):
-        if exponent < 0:
-            return self.reciprocal() ** (-exponent)
-        out = RF_ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
-
-    def reciprocal(self):
-        return RationalFunction(self.den, self.num)
 
     def evaluate(self, point):
         """Exact value at a rational point; raises ZeroDivisionError at a pole."""
@@ -484,28 +409,6 @@ class RationalFunction:
         if self.den == _ONE:
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-
-def _rf_poly(num):
-    """Wrap a polynomial as a RationalFunction without running reduction."""
-    out = RationalFunction.__new__(RationalFunction)
-    object.__setattr__(out, "num", num)
-    object.__setattr__(out, "den", _ONE)
-    return out
-
-
-def _coerce_rf(value):
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, Polynomial):
-        return _rf_poly(value)
-    if isinstance(value, int):
-        return _rf_poly(Polynomial.constant(value))
-    return NotImplemented
-
-
-RF_ZERO = _rf_poly(_ZERO)
-RF_ONE = _rf_poly(_ONE)
 
 
 def parse_polynomial(text):
@@ -559,7 +462,7 @@ def parse_rational_function(text):
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
         num_str, den_str = s[1:-1].split(")/(", 1)
         return RationalFunction(parse_polynomial(num_str), parse_polynomial(den_str))
-    return _rf_poly(parse_polynomial(s))
+    return RationalFunction(parse_polynomial(s))
 
 
 def parse_rational(text):

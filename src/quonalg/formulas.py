@@ -17,8 +17,12 @@ form in the test suite.
 
 The closed-form inverse is assembled from three families of sparse factors:
 per-position inverses of the color sums, and two families of cycle products
-inverting the insertion decomposition of the permutation part.  All product
-orders below are fixed by the two-sided inverse check in the tests.
+inverting the insertion decomposition of the permutation part.  Every
+factor is a ZZ[q] numerator over a scalar ZZ[q] denominator, and scalars
+are central, so the inverse is one numerator N in ZZ[q][G] over the product
+D of the scalar denominators.  Only the printed inverse divides: each of its
+coefficients is the reduced quotient of a coefficient of N by D.  All
+product orders below are fixed by the two-sided inverse check in the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .exact_arith import Polynomial, RationalFunction
+from .exact_arith import Polynomial, RationalFunction, poly_lcm
 from .colored_perm import (
     ColoredPermutation,
     act,
@@ -109,7 +113,7 @@ def det_closed_form(m, n):
 
 def regular_block_det(m, n):
     """Brute-force determinant of the regular representation of the group sum."""
-    return linalg.rational_det(rep_matrix(cinv_sum(m, n), tuple(range(1, n + 1))).entries)
+    return linalg.poly_det(rep_matrix(cinv_sum(m, n), tuple(range(1, n + 1))).entries)
 
 
 def factor_sum(m, n):
@@ -120,16 +124,15 @@ def factor_sum(m, n):
     ga_mul(perm_sum, color_sum) equals cinv_sum(m, n), and color_sum equals
     the product of the n single-position sums 1 + q*(all shifts).
     """
-    q = Polynomial.q()
     neutral = (m,) * n
     identity_word = tuple(range(1, n + 1))
     perm_terms = {}
     color_terms = {}
     for g in enumerate_group(m, n):
         if g.colors == neutral:
-            perm_terms[g] = RationalFunction(q ** cinv(g))
+            perm_terms[g] = Polynomial.monomial(cinv(g))
         if g.values == identity_word:
-            color_terms[g] = RationalFunction(q ** cinv(g))
+            color_terms[g] = Polynomial.monomial(cinv(g))
     return (
         GroupAlgebraElement(m, n, perm_terms),
         GroupAlgebraElement(m, n, color_terms),
@@ -140,12 +143,15 @@ def factor_sum(m, n):
 class InverseFactors:
     """Sparse factors whose ordered product inverts the q-weighted group sum.
 
-    position_inverses[k-1] inverts the color sum at position k (supported on
-    the cyclic shifts there).  For each block size j = 2..n,
+    Every factor is a ZZ[q] numerator; ``denominator`` is the product of the
+    scalar denominators of all factors.  position_inverses[k-1] over
+    (1 + (m-1)q)(1-q) inverts the color sum at position k (supported on the
+    cyclic shifts there).  For each block size j = 2..n,
     difference_products[j-2] is the product over k < j of
     (1 - q**(j-k) * cycle(j -> k)), and geometric_products[j-2] is the
-    product over k <= j-1 of truncated geometric series in cycle(j-1 -> k)
-    divided by (1 - q**((j-k)(j-k+1))); both families are neutral-colored.
+    product over k <= j-1 of truncated geometric series in cycle(j-1 -> k),
+    whose scalar denominators are the (1 - q**((j-k)(j-k+1))); both families
+    are neutral-colored.
     """
 
     m: int
@@ -153,11 +159,12 @@ class InverseFactors:
     position_inverses: tuple
     difference_products: tuple
     geometric_products: tuple
+    denominator: Polynomial
 
 
 def _difference_product(m, n, j):
     """Product over k = 1..j-1 of (1 - q**(j-k) * insertion_cycle(j, k))."""
-    q = RationalFunction(Polynomial.q())
+    q = Polynomial.q()
     factors = []
     for k in range(1, j):
         cyc = GroupAlgebraElement.from_element(insertion_cycle(m, n, j, k))
@@ -168,12 +175,13 @@ def _difference_product(m, n, j):
 def _geometric_product(m, n, j):
     """Product over k = j-1..1 of geometric series in insertion_cycle(j-1, k).
 
-    The k factor is sum_{i=0}^{j-1-k} q**((j-k+1)i) cycle**i, divided by the
-    scalar (1 - q**((j-k)(j-k+1))).
+    The k factor is sum_{i=0}^{j-1-k} q**((j-k+1)i) cycle**i, over the scalar
+    (1 - q**((j-k)(j-k+1))).  Returns (product of the series, product of
+    the scalars).
     """
-    q = RationalFunction(Polynomial.q())
-    one = RationalFunction.one()
+    one = Polynomial.one()
     factors = []
+    denominator = one
     for k in range(j - 1, 0, -1):
         top = j - 1 - k
         series = GroupAlgebraElement.zero(m, n)
@@ -181,30 +189,34 @@ def _geometric_product(m, n, j):
         power = ColoredPermutation.neutral(m, n)
         for i in range(top + 1):
             series = series + GroupAlgebraElement.from_element(
-                power, q ** ((top + 2) * i)
+                power, Polynomial.monomial((top + 2) * i)
             )
             power = act(power, cyc)
-        denom = one - q ** ((top + 1) * (top + 2))
-        factors.append(series.scale(denom.reciprocal()))
-    return product_chain(factors)
+        factors.append(series)
+        denominator = denominator * (one - Polynomial.monomial((top + 1) * (top + 2)))
+    return product_chain(factors), denominator
 
 
 def inverse_factors(m, n):
     """All sparse factors of the closed-form inverse, unassembled."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
+    color_inverse, color_denominator = all_shifts_inverse(m)
     position_inverses = tuple(
-        embed_single_position(all_shifts_inverse(m), n, pos)
-        for pos in range(1, n + 1)
+        embed_single_position(color_inverse, n, pos) for pos in range(1, n + 1)
     )
     difference_products = tuple(_difference_product(m, n, j) for j in range(2, n + 1))
-    geometric_products = tuple(_geometric_product(m, n, j) for j in range(2, n + 1))
+    geometric = [_geometric_product(m, n, j) for j in range(2, n + 1)]
+    denominator = color_denominator**n
+    for _, scalar in geometric:
+        denominator = denominator * scalar
     return InverseFactors(
         m=m,
         n=n,
         position_inverses=position_inverses,
         difference_products=difference_products,
-        geometric_products=geometric_products,
+        geometric_products=tuple(series for series, _ in geometric),
+        denominator=denominator,
     )
 
 
@@ -212,11 +224,13 @@ def inverse_factors(m, n):
 def inverse_closed_form(m, n):
     """The closed-form inverse of cinv_sum(m, n), assembled from its factors.
 
-    The permutation part multiplies the per-block pairs (difference product,
-    then geometric product) with the largest block acting first, and the
-    color part acts after the permutation part; verify_inverse pins these
-    orders two-sidedly.  Memoised like ``cinv_sum``, so a caller that prints
-    and then verifies the inverse assembles it once.
+    The numerator N multiplies the per-block pairs (difference product, then
+    geometric product) with the largest block acting first, and the color
+    part acts after the permutation part; verify_inverse pins these orders
+    two-sidedly.  Each coefficient of the result is the reduced quotient of
+    a coefficient of N by the product D of the scalar denominators: the only
+    quotients the package builds.  Memoised like ``cinv_sum``, so a caller
+    that prints and then verifies the inverse assembles it once.
     """
     factors = inverse_factors(m, n)
     color_inverse = product_chain(factors.position_inverses)
@@ -234,12 +248,31 @@ def inverse_closed_form(m, n):
         perm_inverse = product_chain(blocks)
     else:
         perm_inverse = GroupAlgebraElement.identity(m, n)
-    return ga_mul(perm_inverse, color_inverse)
+    numerator = ga_mul(perm_inverse, color_inverse)
+    return GroupAlgebraElement(
+        m,
+        n,
+        {
+            pi: RationalFunction(c, factors.denominator)
+            for pi, c in numerator.terms.items()
+        },
+    )
 
 
 def verify_inverse(m, n):
-    """Two-sided exact check that the assembled inverse inverts the group sum."""
+    """Two-sided exact check that the printed inverse inverts the group sum.
+
+    The printed inverse is cleared by the lcm L of its denominators to an
+    element N over ZZ[q]; then N * s == L * e == s * N is checked in ZZ[q],
+    with no gcd inside either product.
+    """
     s = cinv_sum(m, n)
     inv = inverse_closed_form(m, n)
-    e = GroupAlgebraElement.identity(m, n)
-    return ga_mul(inv, s) == e and ga_mul(s, inv) == e
+    lcm = Polynomial.one()
+    for den in {c.den for c in inv.terms.values()}:
+        lcm = poly_lcm(lcm, den)
+    cleared = GroupAlgebraElement(
+        m, n, {pi: c.num * lcm.divexact(c.den) for pi, c in inv.terms.items()}
+    )
+    target = GroupAlgebraElement.identity(m, n).scale(lcm)
+    return ga_mul(cleared, s) == target and ga_mul(s, cleared) == target

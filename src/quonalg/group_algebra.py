@@ -1,8 +1,11 @@
-"""Group-algebra elements over the rational-function field, their products,
-and representation matrices on arrangement modules.
+"""Group-algebra elements over ZZ[q], their products, and representation
+matrices on arrangement modules.
 
 An element is a finite map from colored permutations (all sharing one color
-count m and one length n) to RationalFunction coefficients.  The module of
+count m and one length n) to Polynomial coefficients; ints are coerced.  An
+inverse that needs a denominator is a pair (numerator element, denominator
+Polynomial), and the denominator is a central scalar, so products of such
+pairs multiply numerators and denominators separately.  The module of
 formal combinations of the colored arrangements of a multiset I carries a
 right action of the group; ``rep_matrix`` expands that action in the
 canonical arrangement basis, one column per basis element, as a ``Block``:
@@ -16,7 +19,8 @@ ga_mul(x, y) the arrangement is acted on by y's group element first.
 The cyclic color group of order m is handled as the n = 1 case: its
 generator is the color shift at the single position, and its regular
 representation matrices are circulants.  Closed forms for the circulant
-determinant and for two cyclic-element inverses live here as well.
+determinant and for two cyclic-element inverses (as numerator/denominator
+pairs) live here as well.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .exact_arith import Polynomial, RationalFunction, _coerce_rf
+from .exact_arith import Polynomial
 from .colored_perm import (
     ColoredPermutation,
     act,
@@ -37,10 +41,13 @@ from .colored_perm import (
 
 
 class GroupAlgebraElement:
-    """Finite RationalFunction-weighted combination of colored permutations.
+    """Finite Polynomial-weighted combination of colored permutations.
 
-    Zero coefficients are never stored; equality is structural on the term
-    map.  Instances are treated as immutable.
+    Int coefficients are coerced to Polynomials.  Zero coefficients are
+    never stored; equality is structural on the term map.  Instances are
+    treated as immutable.  The one element with other coefficients is the
+    printed inverse of ``formulas.inverse_closed_form``, whose coefficients
+    are reduced quotients; it is read, never multiplied.
     """
 
     __slots__ = ("m", "n", "terms")
@@ -49,7 +56,8 @@ class GroupAlgebraElement:
         clean = {}
         if terms:
             for pi, coeff in terms.items():
-                coeff = _as_rf(coeff)
+                if isinstance(coeff, int):
+                    coeff = Polynomial.constant(coeff)
                 if coeff.is_zero:
                     continue
                 if pi.m != m or pi.n != n:
@@ -68,14 +76,14 @@ class GroupAlgebraElement:
 
     @classmethod
     def identity(cls, m, n):
-        return cls(m, n, {ColoredPermutation.neutral(m, n): RationalFunction.one()})
+        return cls(m, n, {ColoredPermutation.neutral(m, n): 1})
 
     @classmethod
     def from_element(cls, pi, coeff=1):
-        return cls(pi.m, pi.n, {pi: _as_rf(coeff)})
+        return cls(pi.m, pi.n, {pi: coeff})
 
     def coeff(self, pi):
-        return self.terms.get(pi, RationalFunction.zero())
+        return self.terms.get(pi, Polynomial.zero())
 
     def support(self):
         return set(self.terms)
@@ -103,7 +111,7 @@ class GroupAlgebraElement:
         self._check_sizes(other)
         out = dict(self.terms)
         for pi, c in other.terms.items():
-            out[pi] = out.get(pi, RationalFunction.zero()) + c
+            out[pi] = out.get(pi, 0) + c
         return GroupAlgebraElement(self.m, self.n, out)
 
     def __sub__(self, other):
@@ -115,7 +123,6 @@ class GroupAlgebraElement:
         )
 
     def scale(self, coeff):
-        coeff = _as_rf(coeff)
         return GroupAlgebraElement(
             self.m, self.n, {pi: c * coeff for pi, c in self.terms.items()}
         )
@@ -131,13 +138,6 @@ class GroupAlgebraElement:
             return "GroupAlgebraElement(0)"
         bits = [f"[{c}]*{pi}" for pi, c in sorted(self.terms.items(), key=lambda t: str(t[0]))]
         return "GroupAlgebraElement(" + " + ".join(bits) + ")"
-
-
-def _as_rf(value):
-    out = _coerce_rf(value)
-    if out is NotImplemented:
-        raise TypeError(f"cannot use {value!r} as a coefficient")
-    return out
 
 
 def ga_mul(x, y):
@@ -171,11 +171,10 @@ def product_chain(factors):
 @lru_cache(maxsize=None)
 def cinv_sum(m, n):
     """The q-weighted group sum: every element with coefficient q**cinv."""
-    q = Polynomial.q()
     return GroupAlgebraElement(
         m,
         n,
-        {pi: RationalFunction(q ** cinv(pi)) for pi in enumerate_group(m, n)},
+        {pi: Polynomial.monomial(cinv(pi)) for pi in enumerate_group(m, n)},
     )
 
 
@@ -183,8 +182,8 @@ def cinv_sum(m, n):
 class Block:
     """A square matrix over the arrangements of a multiset, in basis order.
 
-    Gram blocks have Polynomial entries, representation matrices carry the
-    coefficient type of their group-algebra element.
+    Entries are Polynomials, in Gram blocks and representation matrices
+    alike.
     """
 
     m: int
@@ -209,7 +208,7 @@ def rep_matrix(x, multiset):
     basis = enumerate_arrangements(x.m, multiset)
     index = {theta: i for i, theta in enumerate(basis)}
     size = len(basis)
-    zero = RationalFunction.zero()
+    zero = Polynomial.zero()
     cols = [[zero] * size for _ in range(size)]
     for j, theta in enumerate(basis):
         col = cols[j]
@@ -231,8 +230,7 @@ def cyclic_shift(m, power=1):
 
 def all_shifts_sum(m, z):
     """The cyclic element 1 + z * (sum of all m-1 nontrivial shifts)."""
-    z = _as_rf(z)
-    terms = {ColoredPermutation.neutral(m, 1): RationalFunction.one()}
+    terms = {ColoredPermutation.neutral(m, 1): 1}
     for k in range(1, m):
         terms[cyclic_shift(m, k)] = z
     return GroupAlgebraElement(m, 1, terms)
@@ -240,44 +238,37 @@ def all_shifts_sum(m, z):
 
 def circulant_det_closed(m, z):
     """Closed form (1 + (m-1)z) * (1-z)**(m-1) for det rep(all_shifts_sum)."""
-    z = _as_rf(z)
-    one = RationalFunction.one()
-    out = one + (m - 1) * z
-    base = one - z
-    for _ in range(m - 1):
-        out = out * base
-    return out
+    one = Polynomial.one()
+    return (one + (m - 1) * z) * (one - z) ** (m - 1)
 
 
 def all_shifts_inverse(m):
     """Inverse of all_shifts_sum(m, q) in the cyclic group algebra.
 
-    Closed form: (1 + (m-2)q - q * sum of nontrivial shifts) divided by
-    (1 + (m-1)q)(1-q).
+    Returns (numerator, denominator): the numerator is 1 + (m-2)q - q * (sum
+    of nontrivial shifts), the denominator (1 + (m-1)q)(1-q).
     """
-    q = RationalFunction(Polynomial.q())
-    one = RationalFunction.one()
-    denom = (one + (m - 1) * q) * (one - q)
-    terms = {ColoredPermutation.neutral(m, 1): (one + (m - 2) * q) / denom}
+    q = Polynomial.q()
+    one = Polynomial.one()
+    terms = {ColoredPermutation.neutral(m, 1): one + (m - 2) * q}
     for k in range(1, m):
-        terms[cyclic_shift(m, k)] = -q / denom
-    return GroupAlgebraElement(m, 1, terms)
+        terms[cyclic_shift(m, k)] = -q
+    return GroupAlgebraElement(m, 1, terms), (one + (m - 1) * q) * (one - q)
 
 
 def single_shift_inverse(m, z):
-    """Inverse of (1 - z * shift): geometric sum over (1 - z**m).
+    """Inverse of (1 - z * shift) as a geometric sum over (1 - z**m).
 
-    Closed form: (1/(1 - z**m)) * sum over i < m of z**i shift**i.
+    Returns (numerator, denominator): the numerator is the sum over i < m of
+    z**i shift**i, the denominator 1 - z**m.
     """
-    z = _as_rf(z)
-    one = RationalFunction.one()
-    denom = one - z**m
+    one = Polynomial.one()
     terms = {}
     acc = one
     for i in range(m):
-        terms[cyclic_shift(m, i)] = acc / denom
+        terms[cyclic_shift(m, i)] = acc
         acc = acc * z
-    return GroupAlgebraElement(m, 1, terms)
+    return GroupAlgebraElement(m, 1, terms), one - z**m
 
 
 def embed_single_position(x, n, pos):

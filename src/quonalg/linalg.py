@@ -1,5 +1,8 @@
 """Fraction-free exact linear algebra over ZZ[q] and over the rationals.
 
+Determinants take Polynomial matrices (every block of the package lies in
+ZZ[q]); leading minors take matrices of ints or Fractions.
+
 Every elimination is one Bareiss loop, ``_bareiss``: its entries are minors
 of the input, so every division is exact, and its pivots are the leading
 principal minors of the row-permuted input.  The caller supplies the exact
@@ -17,13 +20,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import attrgetter, not_
 
-from .exact_arith import (
-    Polynomial,
-    RationalFunction,
-    poly_lcm,
-    _pack_coeffs,
-    _unpack_int,
-)
+from .exact_arith import Polynomial, _pack_coeffs, _unpack_int
 
 
 def _bareiss(rows, divexact, is_zero, swap=True):
@@ -133,29 +130,6 @@ def poly_det(rows, method="packed"):
     if not result.is_zero and result.degree > max_degree:
         raise ArithmeticError("packed determinant exceeded its degree bound")
     return result
-
-
-def rational_det(rows):
-    """Exact determinant of a square matrix of RationalFunction entries.
-
-    Each row is cleared to ZZ[q] by its denominator lcm, the polynomial
-    determinant is taken, and the row multipliers are divided back out.
-    """
-    n = len(rows)
-    if n == 0:
-        return RationalFunction.one()
-    cleared = []
-    scale = Polynomial.one()
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        lcm_den = Polynomial.one()
-        for entry in row:
-            if not entry.is_polynomial:
-                lcm_den = poly_lcm(lcm_den, entry.den)
-        cleared.append([entry.num * lcm_den.divexact(entry.den) for entry in row])
-        scale = scale * lcm_den
-    return RationalFunction(poly_det(cleared), scale)
 
 
 def leading_minors(rows, scale=1):

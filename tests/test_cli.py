@@ -4,11 +4,15 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from quonalg.cli import main
 from quonalg.exact_arith import parse_polynomial, parse_rational_function
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden_cli"
 
 
 def run_cli(argv, env=None):
@@ -141,6 +145,26 @@ def test_inverse_verify():
     assert "MATCH (two-sided)" in out
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["inverse", "--m", "2", "--n", "2", "--verify"], "inverse_m2_n2_verify"),
+        (["inverse", "--m", "1", "--n", "3", "--verify"], "inverse_m1_n3_verify"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_inverse_output_is_pinned(argv, name, fmt):
+    code, out, _ = run_cli(argv + ["--format", fmt])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+def test_det_output_is_pinned():
+    code, out, _ = run_cli(["det", "--m", "3", "--n", "2", "--verify"])
+    assert code == 0
+    assert out == (GOLDEN / "det_m3_n2_verify.text").read_text(encoding="utf-8")
+
+
 def test_inverse_json_terms_reparse():
     code, out, _ = run_cli(["inverse", "--m", "1", "--n", "2", "--format", "json", "--verify"])
     data = json.loads(out)
@@ -203,6 +227,7 @@ def test_posdef_eigs_labelled_approximate():
         ["inverse", "--m", "1", "--n", "0"],
         ["posdef", "--m", "1", "--n", "2", "--scan=0:1:0"],
         ["posdef", "--m", "1", "--n", "2", "--q", "1/0"],
+        ["det", "--m", "1", "--n", "2", "--output", "/nonexistent/dir/x"],
     ],
 )
 def test_bad_input_is_a_usage_error(argv):

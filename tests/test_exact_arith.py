@@ -99,7 +99,8 @@ def test_poly_gcd_divides_and_contains():
 def test_rf_normalization_examples():
     f = RationalFunction(Q**2 - ONE, Q - ONE)
     assert f == RationalFunction(Q + ONE)
-    assert RationalFunction(P.zero(), ONE - Q) == RationalFunction.zero()
+    zero = RationalFunction(P.zero(), ONE - Q)
+    assert zero.is_zero and zero.den == ONE
     # sign canonicalization: denominator keeps a positive leading coefficient
     f = RationalFunction(-Q, -ONE + Q)
     assert f.num == -Q and f.den == Q - ONE
@@ -122,15 +123,18 @@ def test_rf_canonical_invariants_and_idempotence():
 
 
 def test_rf_evaluation_is_a_homomorphism():
+    # sums and products are formed in ZZ[q] and reduced by the constructor
     rng = random.Random(9)
     for _ in range(200):
         f = RationalFunction(rand_poly(rng, 5, 6), rand_poly(rng, 4, 6) + ONE * 7)
         g = RationalFunction(rand_poly(rng, 5, 6), rand_poly(rng, 4, 6) + ONE * 7)
         x = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+        total = RationalFunction(f.num * g.den + g.num * f.den, f.den * g.den)
+        product = RationalFunction(f.num * g.num, f.den * g.den)
         try:
             fv, gv = f.evaluate(x), g.evaluate(x)
-            assert (f + g).evaluate(x) == fv + gv
-            assert (f * g).evaluate(x) == fv * gv
+            assert total.evaluate(x) == fv + gv
+            assert product.evaluate(x) == fv * gv
         except ZeroDivisionError:
             continue
 
@@ -140,6 +144,22 @@ def test_evaluation_examples():
     assert RationalFunction(Q**4 + Q**5).evaluate(Fraction(1, 2)) == Fraction(3, 32)
     with pytest.raises(ZeroDivisionError):
         RationalFunction(ONE, ONE - Q).evaluate(1)
+
+
+def test_equal_values_hash_equal():
+    rng = random.Random(19)
+    values = [0, 1, -1, 5, ONE, P.zero(), Q, ONE - Q**2, P((5,))]
+    values += [RationalFunction(v) for v in values]
+    values += [RationalFunction(Q**2 - ONE, Q - ONE), RationalFunction(ONE, ONE - Q)]
+    values += [parse_rational_function(str(v)) for v in values]
+    for _ in range(100):
+        p = rand_poly(rng, 4, 3)
+        values += [p, RationalFunction(p), RationalFunction(p * (ONE + Q), ONE + Q)]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert y == x and hash(x) == hash(y), (x, y)
+    assert len({Q, RationalFunction(Q), parse_rational_function("q")}) == 1
 
 
 def test_zero_denominator_rejected():

@@ -17,6 +17,7 @@ from quonalg.formulas import (
 from quonalg.gram import build_gram
 from quonalg.group_algebra import (
     GroupAlgebraElement,
+    all_shifts_inverse,
     all_shifts_sum,
     cinv_sum,
     embed_single_position,
@@ -33,7 +34,7 @@ RF = RationalFunction
 
 @pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (3, 2)])
 def test_det_closed_form_matches_bruteforce(m, n):
-    assert regular_block_det(m, n) == RF(det_closed_form(m, n))
+    assert regular_block_det(m, n) == det_closed_form(m, n)
 
 
 def test_det_specific_forms():
@@ -47,9 +48,9 @@ def test_flat_color_exponent_fails_the_oracle():
     # (1 - q^2)^2 at one position with two colors; the true block is 2x2
     # with determinant 1 - q^2
     oracle = regular_block_det(2, 1)
-    assert oracle == RF(ONE - Q**2)
+    assert oracle == ONE - Q**2
     flat = ((ONE + Q) * (ONE - Q)) ** 2
-    assert RF(flat) != oracle
+    assert flat != oracle
 
 
 def test_one_color_reduces_to_cycle_factors():
@@ -93,7 +94,7 @@ def test_factor_sum():
         assert ga_mul(perm_sum, color_sum) == cinv_sum(m, n)
         product_form = product_chain(
             [
-                embed_single_position(all_shifts_sum(m, RF(Q)), n, pos)
+                embed_single_position(all_shifts_sum(m, Q), n, pos)
                 for pos in range(1, n + 1)
             ]
         )
@@ -107,29 +108,46 @@ def test_factor_sum_single_position_three_colors():
     _, color_sum = factor_sum(3, 1)
     from quonalg.group_algebra import cyclic_shift
 
-    assert color_sum.coeff(ColoredPermutation.neutral(3, 1)) == RF.one()
-    assert color_sum.coeff(cyclic_shift(3, 1)) == RF(Q)
-    assert color_sum.coeff(cyclic_shift(3, 2)) == RF(Q)
+    assert color_sum.coeff(ColoredPermutation.neutral(3, 1)) == ONE
+    assert color_sum.coeff(cyclic_shift(3, 1)) == Q
+    assert color_sum.coeff(cyclic_shift(3, 2)) == Q
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize(
+    "m,n", [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 2), (2, 3), (1, 5), (3, 3)]
+)
 def test_verify_inverse_two_sided(m, n):
     assert verify_inverse(m, n)
 
 
-def test_inverse_single_position_reduces_to_color_inverse():
-    from quonalg.group_algebra import all_shifts_inverse
+def test_verify_inverse_takes_no_gcd_inside_the_products(monkeypatch):
+    from quonalg import exact_arith
 
+    inv = inverse_closed_form(2, 3)  # memoised: its quotients are reduced here
+    real_gcd, calls = exact_arith.poly_gcd, []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(exact_arith, "poly_gcd", counting_gcd)
+    assert verify_inverse(2, 3)
+    # one gcd per distinct denominator, for the lcm; none in ga_mul
+    assert 0 < len(calls) <= len({c.den for c in inv.terms.values()})
+
+
+def test_inverse_single_position_reduces_to_color_inverse():
     for m in (1, 2, 3, 4):
-        assert inverse_closed_form(m, 1) == all_shifts_inverse(m)
+        xi, d = all_shifts_inverse(m)
+        printed = {pi: RF(c, d) for pi, c in xi.terms.items()}
+        assert inverse_closed_form(m, 1) == GroupAlgebraElement(m, 1, printed)
 
 
 def test_inverse_two_positions_one_color_explicit():
     inv = inverse_closed_form(1, 2)
     transposition = ColoredPermutation(1, (2, 1), (1, 1))
-    denom = RF(ONE - Q**2)
-    assert inv.coeff(ColoredPermutation.neutral(1, 2)) == RF.one() / denom
-    assert inv.coeff(transposition) == -RF(Q) / denom
+    assert inv.coeff(ColoredPermutation.neutral(1, 2)) == RF(ONE, ONE - Q**2)
+    assert inv.coeff(transposition) == RF(-Q, ONE - Q**2)
     assert len(inv) == 2
 
 
@@ -138,6 +156,11 @@ def test_inverse_factor_shapes():
     assert len(factors.position_inverses) == 3
     assert len(factors.difference_products) == 2
     assert len(factors.geometric_products) == 2
+    # the color scalar (1 + q)(1 - q) at three positions, then one
+    # geometric scalar per cycle: 1 - q^2 for block 2, (1 - q^2)(1 - q^6)
+    # for block 3
+    color = (ONE + Q) * (ONE - Q)
+    assert factors.denominator == color**3 * (ONE - Q**2) ** 2 * (ONE - Q**6)
     neutral_word = (1, 2, 3)
     for element in factors.difference_products + factors.geometric_products:
         for pi in element.support():
@@ -157,11 +180,12 @@ def test_inverse_matches_direct_linear_solve_small():
     e = ColoredPermutation.neutral(1, 2)
     t = ColoredPermutation(1, (2, 1), (1, 1))
     # S = 1 + q t, so x = (1 - q t)/(1 - q^2) solves both orders
-    denom = RF(ONE - Q**2)
-    expected = GroupAlgebraElement(
-        1, 2, {e: RF.one() / denom, t: -RF(Q) / denom}
-    )
-    assert ga_mul(s, expected) == GroupAlgebraElement.identity(1, 2)
+    denom = ONE - Q**2
+    numerator = GroupAlgebraElement(1, 2, {e: ONE, t: -Q})
+    target = GroupAlgebraElement.identity(1, 2).scale(denom)
+    assert ga_mul(s, numerator) == target
+    assert ga_mul(numerator, s) == target
+    expected = GroupAlgebraElement(1, 2, {e: RF(ONE, denom), t: RF(-Q, denom)})
     assert inverse_closed_form(1, 2) == expected
 
 

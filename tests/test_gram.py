@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quonalg.exact_arith import Polynomial, RationalFunction
+from quonalg.exact_arith import Polynomial
 from quonalg.gram import (
     build_gram,
     gram_csv_text,
@@ -17,7 +17,6 @@ from golden_block import GOLDEN_M3_N2_EXPONENTS
 P = Polynomial
 ONE = P.one()
 Q = P.q()
-RF = RationalFunction
 
 
 def test_golden_block_operator_path():
@@ -25,14 +24,14 @@ def test_golden_block_operator_path():
     assert block.size == 18
     for i in range(18):
         for j in range(18):
-            assert block.entries[i][j] == RF(Q ** GOLDEN_M3_N2_EXPONENTS[i][j]), (i, j)
+            assert block.entries[i][j] == Q ** GOLDEN_M3_N2_EXPONENTS[i][j], (i, j)
 
 
 def test_golden_block_combinatorial_path():
     block = build_gram(3, (1, 2), path="combinatorial")
     for i in range(18):
         for j in range(18):
-            assert block.entries[i][j] == RF(Q ** GOLDEN_M3_N2_EXPONENTS[i][j])
+            assert block.entries[i][j] == Q ** GOLDEN_M3_N2_EXPONENTS[i][j]
 
 
 def test_two_positions_one_color():
@@ -52,16 +51,16 @@ def test_symmetry_and_identity_at_q0():
 def test_repeated_mode_diagonal_counts_the_stabilizer():
     # with repeated modes the diagonal is the q^cinv sum over the stabilizer
     block = build_gram(2, (2, 2))
-    assert block.entries[0][0] == RF(ONE + Q)
+    assert block.entries[0][0] == ONE + Q
     block = build_gram(2, (2, 2, 5))
-    assert block.entries[0][0] == RF(ONE + Q)
+    assert block.entries[0][0] == ONE + Q
 
 
 def test_distinct_mode_diagonal_is_one():
     for m, multiset in [(2, (1, 2)), (3, (1, 2)), (2, (1, 2, 3))]:
         block = build_gram(m, multiset)
         for i in range(block.size):
-            assert block.entries[i][i] == RF.one()
+            assert block.entries[i][i] == ONE
 
 
 def test_unknown_path_rejected():
@@ -88,4 +87,6 @@ def test_csv_and_json_carry_identical_content():
 
     for i, row in enumerate(data["entries"]):
         for j, cell in enumerate(row):
-            assert parse_rational_function(cell) == block.entries[i][j]
+            parsed = parse_rational_function(cell)
+            assert parsed == block.entries[i][j]
+            assert hash(parsed) == hash(block.entries[i][j])

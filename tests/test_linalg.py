@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from quonalg import linalg
-from quonalg.exact_arith import Polynomial, RationalFunction
-from quonalg.linalg import leading_minors, poly_det, rational_det
+from quonalg.exact_arith import Polynomial
+from quonalg.linalg import leading_minors, poly_det
 
 P = Polynomial
 ONE = P.one()
@@ -69,15 +69,12 @@ def test_det_is_multilinear_in_rows():
     rng = random.Random(31)
     for _ in range(40):
         n = rng.randint(1, 4)
-        rows = [
-            [RationalFunction(rand_poly(rng), rand_poly(rng, 2, 3) + ONE * 7) for _ in range(n)]
-            for _ in range(n)
-        ]
-        base = rational_det(rows)
-        f = RationalFunction(rand_poly(rng, 2, 3) + ONE * 5, rand_poly(rng, 1, 2) + ONE * 3)
+        rows = [[rand_poly(rng) for _ in range(n)] for _ in range(n)]
+        base = poly_det(rows)
+        f = rand_poly(rng, 2, 3) + ONE * 5
         scaled = [r[:] for r in rows]
         scaled[0] = [f * e for e in scaled[0]]
-        assert rational_det(scaled) == f * base
+        assert poly_det(scaled) == f * base
 
 
 def test_row_swap_changes_sign():
@@ -105,11 +102,11 @@ def test_leading_minors_match_determinants():
         ]
         minors = leading_minors(rows)
         for k in range(1, n + 1):
-            sub = [
-                [RationalFunction(int(e.numerator), int(e.denominator)) for e in row[:k]]
-                for row in rows[:k]
-            ]
-            assert rational_det(sub).evaluate(0) == minors[k - 1]
+            # clear the k-by-k submatrix by its denominators' lcm; the packed
+            # determinant of the integer matrix is then den**k times the minor
+            den = math.lcm(*(e.denominator for row in rows[:k] for e in row[:k]))
+            sub = [[P.constant(e * den) for e in row[:k]] for row in rows[:k]]
+            assert poly_det(sub).evaluate(0) / den**k == minors[k - 1]
 
 
 def minors_by_plain_det(rows):
@@ -142,15 +139,6 @@ def test_leading_minors_of_a_scaled_integer_matrix():
     # Integer minors 4, 16, 76, divided by 2, 2**2, 2**3.
     rows = [[4, 2, 0], [2, 5, 3], [0, 3, 7]]
     assert leading_minors(rows, scale=2) == [2, 4, Fraction(19, 2)]
-
-
-def test_polynomial_entries_skip_the_lcm(monkeypatch):
-    def no_lcm(a, b):
-        raise AssertionError("poly_lcm called on unit denominators")
-
-    monkeypatch.setattr(linalg, "poly_lcm", no_lcm)
-    rows = [[RationalFunction(e) for e in row] for row in ((ONE, Q), (Q, ONE))]
-    assert rational_det(rows) == RationalFunction(ONE - Q**2)
 
 
 def test_leading_minors_identity():

@@ -16,6 +16,13 @@ def test_all_lists_each_name_once_and_every_name_resolves():
         assert hasattr(quonalg, name), name
 
 
+@pytest.mark.parametrize("layer", ["group_algebra", "linalg", "gram", "quon_engine", "posdef"])
+def test_layer_computes_without_quotients(layer):
+    # RationalFunction belongs to the print and parse boundary only
+    source = (Path(quonalg.__file__).resolve().parent / f"{layer}.py").read_text()
+    assert "RationalFunction" not in source
+
+
 def test_demos_are_present():
     assert DEMOS
 
