@@ -29,12 +29,11 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from math import factorial
 
 from .exact_arith import parse_rational
 from .colored_perm import as_multiset, cinv, enumerate_group, parse_word
-from .gram import build_gram, gram_csv_text, gram_json_data
+from .gram import build_gram, gram_json_data
 from .formulas import det_factorization, inverse_closed_form, regular_block_det, verify_inverse
 from .posdef import approx_eigenvalues, certify, scan
 from .quon_engine import vacuum_expectation
@@ -46,18 +45,14 @@ class UsageError(Exception):
     pass
 
 
-def _max_block():
+def _guard_size(size, what):
     raw = os.environ.get("QUON_MAX_BLOCK", "")
+    limit = DEFAULT_MAX_BLOCK
     if raw.strip():
         try:
-            return int(raw)
+            limit = int(raw)
         except ValueError as exc:
             raise UsageError(f"QUON_MAX_BLOCK must be an integer, got {raw!r}") from exc
-    return DEFAULT_MAX_BLOCK
-
-
-def _guard_size(size, what):
-    limit = _max_block()
     if size > limit:
         raise UsageError(
             f"{what} has {size} basis elements, above the limit {limit}; "
@@ -65,64 +60,34 @@ def _guard_size(size, what):
         )
 
 
-def _emit(text, output):
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+def _regular_size(args, what="regular block", positive_n=False):
+    """Basis size m**n * n! of the regular block (or the group), guarded."""
+    if positive_n and args.n < 1:
+        raise UsageError(f"{args.command} needs --n >= 1")
+    size = args.m**args.n * factorial(args.n)
+    _guard_size(size, what)
+    return size
 
 
-def _csv_text(rows):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    return out.getvalue()
-
-
-def _fraction_str(value):
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _add_common(parser):
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--output", default=None, help="write to this path instead of stdout")
-
-
-def _parse_multiset(text):
+def _parsed(parse, text, prefix=""):
+    """``parse(text)``, with a parse failure turned into a UsageError."""
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad multiset {text!r}: {exc}") from exc
-    if not values:
-        raise UsageError("multiset must be nonempty, e.g. --multiset 1,2")
-    try:
-        return as_multiset(values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_rational_arg(text):
-    try:
-        return parse_rational(text)
+        return parse(text)
     except ZeroDivisionError as exc:
         raise UsageError(f"zero denominator in {text!r}") from exc
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{prefix}{exc}") from exc
+
+
+def _parse_multiset(text):
+    values = [_parsed(int, v, f"bad multiset {text!r}: ") for v in text.split(",") if v.strip()]
+    if not values:
+        raise UsageError("multiset must be nonempty, e.g. --multiset 1,2")
+    return _parsed(as_multiset, values)
 
 
 def _parse_word_arg(text, m, what):
-    try:
-        word = parse_word(text)
-    except ValueError as exc:
-        raise UsageError(f"bad {what} word: {exc}") from exc
+    word = _parsed(parse_word, text, f"bad {what} word: ")
     for mode, color in word:
         if mode < 1:
             raise UsageError(f"{what} mode {mode} must be positive")
@@ -131,18 +96,24 @@ def _parse_word_arg(text, m, what):
     return word
 
 
+def _render(fmt, payload, rows, lines):
+    """The one place a result becomes text.  Each ``cmd_*`` returns
+    ``(code, payload, rows, lines)``: a JSON object, a CSV table, text lines."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
+    return "\n".join(lines) + "\n"
+
+
 def cmd_expect(args):
     word_bra = _parse_word_arg(args.bra, args.m, "bra")
     word_ket = _parse_word_arg(args.ket, args.m, "ket")
     value = str(vacuum_expectation(word_bra, word_ket, args.m))
-    if args.format == "json":
-        payload = {"m": args.m, "bra": args.bra, "ket": args.ket, "value": value}
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    elif args.format == "csv":
-        _emit(_csv_text([["value"], [value]]), args.output)
-    else:
-        _emit(value + "\n", args.output)
-    return 0
+    payload = {"m": args.m, "bra": args.bra, "ket": args.ket, "value": value}
+    return 0, payload, [["value"], [value]], [value]
 
 
 def cmd_gram(args):
@@ -152,34 +123,22 @@ def cmd_gram(args):
     for repeat in {v: multiset.count(v) for v in multiset}.values():
         counted //= factorial(repeat)
     _guard_size(args.m**n * counted, f"gram block of {multiset}")
-    block = build_gram(args.m, multiset, path=args.path)
-    if args.format == "json":
-        _emit(json.dumps(gram_json_data(block), indent=2) + "\n", args.output)
-    elif args.format == "csv":
-        _emit(gram_csv_text(block), args.output)
-    else:
-        lines = [f"# m={block.m} multiset={','.join(map(str, block.multiset))} size={block.size}"]
-        lines.append("basis: " + ", ".join(str(b) for b in block.basis))
-        for row in block.entries:
-            lines.append(", ".join(str(c) for c in row))
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
-
-
-def _require_positive_n(args):
-    if args.n < 1:
-        raise UsageError(f"{args.command} needs --n >= 1")
+    data = gram_json_data(build_gram(args.m, multiset, path=args.path))
+    basis, entries = data["basis"], data["entries"]
+    lines = [f"# m={data['m']} multiset={','.join(map(str, data['multiset']))} size={len(basis)}"]
+    lines.append("basis: " + ", ".join(basis))
+    lines.extend(", ".join(row) for row in entries)
+    return 0, data, [basis, *entries], lines
 
 
 def cmd_det(args):
-    _require_positive_n(args)
-    _guard_size(args.m**args.n * factorial(args.n), "regular block")
+    size = _regular_size(args, positive_n=True)
     fact = det_factorization(args.m, args.n)
     expanded = fact.expand()
     payload = {
         "m": args.m,
         "n": args.n,
-        "size": args.m**args.n * factorial(args.n),
+        "size": size,
         "factored": {
             "color_base": str(fact.color_base),
             "color_exponent": fact.color_exponent,
@@ -188,131 +147,96 @@ def cmd_det(args):
         "factored_str": fact.factored_str(),
         "expanded": str(expanded),
     }
+    rows = [["key", "value"], ["factored", payload["factored_str"]], ["expanded", str(expanded)]]
+    lines = [f"m={args.m} n={args.n} size={size}"]
+    lines += [f"factored: {payload['factored_str']}", f"expanded: {expanded}"]
     code = 0
     if args.verify:
         oracle = regular_block_det(args.m, args.n)
         payload["oracle"] = str(oracle)
-        payload["match"] = oracle == expanded
-        code = 0 if payload["match"] else 1
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    elif args.format == "csv":
-        rows = [["key", "value"]]
-        rows.append(["factored", payload["factored_str"]])
-        rows.append(["expanded", payload["expanded"]])
-        if args.verify:
-            rows.append(["oracle", payload["oracle"]])
-            rows.append(["match", str(payload["match"]).lower()])
-        _emit(_csv_text(rows), args.output)
-    else:
-        lines = [
-            f"m={args.m} n={args.n} size={payload['size']}",
-            f"factored: {payload['factored_str']}",
-            f"expanded: {payload['expanded']}",
-        ]
-        if args.verify:
-            lines.append(f"oracle:   {payload['oracle']}")
-            lines.append("verdict:  " + ("MATCH" if payload["match"] else "MISMATCH"))
-        _emit("\n".join(lines) + "\n", args.output)
-    return code
+        match = payload["match"] = oracle == expanded
+        code = 0 if match else 1
+        rows += [["oracle", payload["oracle"]], ["match", str(match).lower()]]
+        lines.append(f"oracle:   {payload['oracle']}")
+        lines.append("verdict:  " + ("MATCH" if match else "MISMATCH"))
+    return code, payload, rows, lines
 
 
 def cmd_inverse(args):
-    _require_positive_n(args)
-    _guard_size(args.m**args.n * factorial(args.n), "regular block")
+    _regular_size(args, positive_n=True)
     inv = inverse_closed_form(args.m, args.n)
     ordered = sorted(inv.terms.items(), key=lambda item: str(item[0]))
-    terms = [{"element": str(pi), "coeff": str(c)} for pi, c in ordered]
+    table = [[str(pi), str(c)] for pi, c in ordered]
+    terms = [{"element": w, "coeff": c} for w, c in table]
     payload = {"m": args.m, "n": args.n, "term_count": len(terms), "terms": terms}
+    rows = [["element", "coeff"], *table]
+    lines = [f"m={args.m} n={args.n} terms={len(terms)}"]
+    lines.extend(f"{w}  *  {c}" for w, c in table)
     code = 0
     if args.verify:
-        payload["match"] = verify_inverse(args.m, args.n)
-        code = 0 if payload["match"] else 1
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    elif args.format == "csv":
-        rows = [["element", "coeff"]]
-        rows.extend([t["element"], t["coeff"]] for t in terms)
-        if args.verify:
-            rows.append(["match", str(payload["match"]).lower()])
-        _emit(_csv_text(rows), args.output)
-    else:
-        lines = [f"m={args.m} n={args.n} terms={len(terms)}"]
-        lines.extend(f"{t['element']}  *  {t['coeff']}" for t in terms)
-        if args.verify:
-            lines.append(
-                "verdict: " + ("MATCH (two-sided)" if payload["match"] else "MISMATCH")
-            )
-        _emit("\n".join(lines) + "\n", args.output)
-    return code
+        match = payload["match"] = verify_inverse(args.m, args.n)
+        code = 0 if match else 1
+        rows.append(["match", str(match).lower()])
+        lines.append("verdict: " + ("MATCH (two-sided)" if match else "MISMATCH"))
+    return code, payload, rows, lines
 
 
 def cmd_posdef(args):
-    _guard_size(args.m**args.n * factorial(args.n), "regular block")
+    _regular_size(args)
     if (args.q is None) == (args.scan is None):
         raise UsageError("posdef needs exactly one of --q or --scan lo:hi:steps")
     if args.q is not None:
-        reports = [certify(args.m, args.n, _parse_rational_arg(args.q))]
+        reports = [certify(args.m, args.n, _parsed(parse_rational, args.q))]
     else:
         pieces = args.scan.split(":")
         if len(pieces) != 3:
             raise UsageError("--scan expects lo:hi:steps")
-        lo, hi = _parse_rational_arg(pieces[0]), _parse_rational_arg(pieces[1])
-        try:
-            steps = int(pieces[2])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        lo, hi = _parsed(parse_rational, pieces[0]), _parsed(parse_rational, pieces[1])
+        steps = _parsed(int, pieces[2])
         if steps < 1:
             raise UsageError("--scan steps must be >= 1")
         reports = scan(args.m, args.n, lo, hi, steps)
+    header = ["q0", "verdict", "smallest_minor"]
     if args.eigs:
+        header.append("approx_min_eigenvalue")
         block = build_gram(args.m, tuple(range(1, args.n + 1)))
-    rows = []
+    reports_out, lines = [], []
     for rep in reports:
-        row = {
-            "q0": _fraction_str(rep.q0),
-            "verdict": rep.verdict,
-            "smallest_minor": _fraction_str(rep.smallest_minor),
-        }
+        row = dict(q0=str(rep.q0), verdict=rep.verdict, smallest_minor=str(rep.smallest_minor))
+        line = f"q0={row['q0']} verdict={row['verdict']} smallest_minor={row['smallest_minor']}"
         if args.eigs:
-            row["approx_min_eigenvalue"] = min(approx_eigenvalues(block, rep.q0))
-        rows.append(row)
-    if args.format == "json":
-        _emit(json.dumps({"m": args.m, "n": args.n, "reports": rows}, indent=2) + "\n", args.output)
-    elif args.format == "csv":
-        header = ["q0", "verdict", "smallest_minor"]
-        if args.eigs:
-            header.append("approx_min_eigenvalue")
-        table = [header] + [[str(row[k]) for k in header] for row in rows]
-        _emit(_csv_text(table), args.output)
-    else:
-        lines = [
-            f"q0={row['q0']} verdict={row['verdict']} smallest_minor={row['smallest_minor']}"
-            + (f" approx_min_eigenvalue={row['approx_min_eigenvalue']:.6g}" if args.eigs else "")
-            for row in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+            eig = row["approx_min_eigenvalue"] = min(approx_eigenvalues(block, rep.q0))
+            line += f" approx_min_eigenvalue={eig:.6g}"
+        reports_out.append(row)
+        lines.append(line)
+    rows = [header] + [[str(row[k]) for k in header] for row in reports_out]
+    return 0, {"m": args.m, "n": args.n, "reports": reports_out}, rows, lines
 
 
 def cmd_enumerate(args):
-    _guard_size(args.m**args.n * factorial(args.n), "group")
+    _regular_size(args, "group")
     table = [(str(g), cinv(g)) for g in enumerate_group(args.m, args.n)]
-    if args.format == "json":
-        payload = {
-            "m": args.m,
-            "n": args.n,
-            "elements": [{"element": w, "cinv": c} for w, c in table],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    elif args.format == "csv":
-        rows = [["element", "cinv"]] + [[w, str(c)] for w, c in table]
-        _emit(_csv_text(rows), args.output)
-    else:
-        width = max(len(w) for w, _ in table)
-        lines = [f"{w:<{width}}  cinv={c}" for w, c in table]
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    payload = {
+        "m": args.m,
+        "n": args.n,
+        "elements": [{"element": w, "cinv": c} for w, c in table],
+    }
+    rows = [["element", "cinv"]] + [[w, str(c)] for w, c in table]
+    width = max(len(w) for w, _ in table)
+    return 0, payload, rows, [f"{w:<{width}}  cinv={c}" for w, c in table]
+
+
+def _add_subcommand(sub, name, func, summary, *options, n=True, m_help=None):
+    """Register ``func`` with --m [--n] ``options`` --format --output, in that order."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--m", type=int, required=True, help=m_help)
+    if n:
+        p.add_argument("--n", type=int, required=True)
+    for flag, kwargs in options:
+        p.add_argument(flag, **kwargs)
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--output", default=None, help="write to this path instead of stdout")
+    p.set_defaults(func=func)
 
 
 def build_parser():
@@ -321,65 +245,57 @@ def build_parser():
         description="exact computations in the color-deformed quon algebra",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expect", help="vacuum expectation of a bra/ket pair")
-    p.add_argument("--m", type=int, required=True, help="number of colors")
-    p.add_argument("--bra", default="", help="annihilator word as written, e.g. (2,4)(5,1)(2,4)")
-    p.add_argument("--ket", default="", help="creator word as written, e.g. (5,2)(2,3)(2,1)")
-    _add_common(p)
-    p.set_defaults(func=cmd_expect)
-
-    p = sub.add_parser("gram", help="emit one Gram block")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--multiset", required=True, help="comma-separated values, e.g. 1,2")
-    p.add_argument("--path", choices=("operator", "combinatorial"), default="operator")
-    _add_common(p)
-    p.set_defaults(func=cmd_gram)
-
-    p = sub.add_parser("det", help="closed-form regular-block determinant")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--verify", action="store_true", help="also run the fraction-free oracle")
-    _add_common(p)
-    p.set_defaults(func=cmd_det)
-
-    p = sub.add_parser("inverse", help="closed-form inverse of the q-weighted group sum")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--verify", action="store_true", help="check the inverse two-sidedly")
-    _add_common(p)
-    p.set_defaults(func=cmd_inverse)
-
-    p = sub.add_parser("posdef", help="exact positive-definiteness certificates")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", default=None, help="one rational point, e.g. 1/2")
-    p.add_argument("--scan", default=None, help="rational grid lo:hi:steps, e.g. -1/2:1:7")
-    p.add_argument("--eigs", action="store_true", help="add approximate eigenvalue diagnostics")
-    _add_common(p)
-    p.set_defaults(func=cmd_posdef)
-
-    p = sub.add_parser("enumerate", help="colored permutations with their cinv")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_enumerate)
-
+    _add_subcommand(
+        sub, "expect", cmd_expect, "vacuum expectation of a bra/ket pair",
+        ("--bra", dict(default="", help="annihilator word as written, e.g. (2,4)(5,1)(2,4)")),
+        ("--ket", dict(default="", help="creator word as written, e.g. (5,2)(2,3)(2,1)")),
+        n=False, m_help="number of colors",
+    )
+    _add_subcommand(
+        sub, "gram", cmd_gram, "emit one Gram block",
+        ("--multiset", dict(required=True, help="comma-separated values, e.g. 1,2")),
+        ("--path", dict(choices=("operator", "combinatorial"), default="operator")),
+        n=False,
+    )
+    _add_subcommand(
+        sub, "det", cmd_det, "closed-form regular-block determinant",
+        ("--verify", dict(action="store_true", help="also run the fraction-free oracle")),
+    )
+    _add_subcommand(
+        sub, "inverse", cmd_inverse, "closed-form inverse of the q-weighted group sum",
+        ("--verify", dict(action="store_true", help="check the inverse two-sidedly")),
+    )
+    _add_subcommand(
+        sub, "posdef", cmd_posdef, "exact positive-definiteness certificates",
+        ("--q", dict(default=None, help="one rational point, e.g. 1/2")),
+        ("--scan", dict(default=None, help="rational grid lo:hi:steps, e.g. -1/2:1:7")),
+        ("--eigs", dict(action="store_true", help="add approximate eigenvalue diagnostics")),
+    )
+    _add_subcommand(sub, "enumerate", cmd_enumerate, "colored permutations with their cinv")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        if getattr(args, "m", 1) < 1:
+        if args.m < 1:
             raise UsageError("--m must be >= 1")
         if getattr(args, "n", 0) < 0:
             raise UsageError("--n must be >= 0")
-        return args.func(args)
+        code, payload, rows, lines = args.func(args)
+        text = _render(args.format, payload, rows, lines)
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
+        else:
+            sys.stdout.write(text)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -113,12 +113,6 @@ def parse_word(text):
     return tuple(tokens)
 
 
-def arrangement_from_word(m, tokens):
-    values = tuple(v for v, _ in tokens)
-    colors = tuple(c for _, c in tokens)
-    return ColoredArrangement(m, values, colors).validate()
-
-
 def cinv(pi):
     """Colored inversions: inversions of the value word plus the number of
     positions carrying a non-neutral color."""

@@ -13,18 +13,16 @@ ascending by degree, coefficient 1 elided, constant term printed bare, e.g.
 ``q^4 + q^5`` or ``1 - 2q + q^2``.  A quotient with nontrivial denominator is
 printed ``(num)/(den)``.  ``parse_polynomial`` / ``parse_rational_function``
 read the same grammar back.
+
+Products are schoolbook convolutions, which suit the sparse closed-form
+factors the package multiplies.  Packing coefficients into one big integer
+(Kronecker substitution) happens only in ``linalg``, for determinants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-
-Rational = Fraction
-
-# Schoolbook multiplication is faster below this size product; above it the
-# coefficients are packed into big integers (see _pack_coeffs).
-_PACK_THRESHOLD = 4096
 
 
 def _trim(coeffs):
@@ -138,8 +136,6 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _ZERO
-        if len(a) * len(b) >= _PACK_THRESHOLD:
-            return Polynomial(_mul_packed(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -245,45 +241,6 @@ _ONE = Polynomial.__new__(Polynomial)
 object.__setattr__(_ONE, "coeffs", (1,))
 _Q = Polynomial.__new__(Polynomial)
 object.__setattr__(_Q, "coeffs", (0, 1))
-
-
-def _mul_packed(a, b):
-    """Multiply coefficient tuples by packing them into one big integer each.
-
-    Coefficients are laid out in base 2**stride with balanced digits, so the
-    integer product is the polynomial product as long as every product
-    coefficient stays below 2**(stride-1) in magnitude; the stride is chosen
-    from the operands to guarantee that.
-    """
-    bound = min(len(a), len(b)) * max(abs(c) for c in a) * max(abs(c) for c in b)
-    stride = bound.bit_length() + 2
-    return _unpack_int(_pack_coeffs(a, stride) * _pack_coeffs(b, stride), stride)
-
-
-def _pack_coeffs(coeffs, stride):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc << stride) + c
-    return acc
-
-
-def _unpack_int(value, stride):
-    """Inverse of _pack_coeffs under the balanced-digit convention.
-
-    A stride below 2 has no balanced digit for +1, so it is rejected.
-    """
-    if stride < 2:
-        raise ValueError(f"stride must be at least 2, got {stride}")
-    coeffs = []
-    half = 1 << (stride - 1)
-    mask = (1 << stride) - 1
-    while value:
-        d = value & mask
-        if d >= half:
-            d -= mask + 1
-        coeffs.append(d)
-        value = (value - d) >> stride
-    return coeffs
 
 
 def _prem(a, b):

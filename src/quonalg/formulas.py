@@ -10,9 +10,10 @@ with E_c = n * m**(n-1) * n! and E_i = (n-i) * m**n * n! / (i*i + i).  The
 color exponent E_c follows from the coset argument applied to each of the n
 single-position factors (index m**(n-1) * n! each); the flat exponent
 m**n * n! sometimes quoted for the color part fails the n = 1 oracle, where
-the block is an m-by-m circulant with determinant (1+(m-1)q)(1-q)**(m-1)
-to the first power.  ``regular_block_det`` (fraction-free elimination of
-the representation matrix) is the arbiter and is checked against the closed
+the block is an m-by-m circulant whose determinant, the color base
+(1+(m-1)q)(1-q)**(m-1) of ``circulant_det_closed``, appears to the first
+power.  ``regular_block_det`` (fraction-free elimination of the
+representation matrix) is the arbiter and is checked against the closed
 form in the test suite.
 
 The closed-form inverse is assembled from three families of sparse factors:
@@ -43,6 +44,7 @@ from .group_algebra import (
     GroupAlgebraElement,
     all_shifts_inverse,
     cinv_sum,
+    circulant_det_closed,
     embed_single_position,
     ga_mul,
     product_chain,
@@ -87,7 +89,6 @@ def det_factorization(m, n):
         raise ValueError("need m >= 1 and n >= 1")
     q = Polynomial.q()
     one = Polynomial.one()
-    color_base = (one + (m - 1) * q) * (one - q) ** (m - 1)
     color_exponent = n * m ** (n - 1) * factorial(n)
     perm_factors = []
     for i in range(1, n):
@@ -100,7 +101,7 @@ def det_factorization(m, n):
     return DetFactorization(
         m=m,
         n=n,
-        color_base=color_base,
+        color_base=circulant_det_closed(m, q),
         color_exponent=color_exponent,
         perm_factors=tuple(perm_factors),
     )

@@ -92,10 +92,6 @@ class GroupAlgebraElement:
     def is_zero(self):
         return not self.terms
 
-    @property
-    def is_identity(self):
-        return self == GroupAlgebraElement.identity(self.m, self.n)
-
     def __len__(self):
         return len(self.terms)
 

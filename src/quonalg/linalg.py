@@ -9,7 +9,8 @@ principal minors of the row-permuted input.  The caller supplies the exact
 division and the zero test, so packed integers and plain Polynomial values
 share the control flow but keep separate ring arithmetic and stay oracles
 for each other.  Polynomial determinants run on the image of the matrix
-under q -> 2**stride (balanced-digit Kronecker packing; the proof is in
+under q -> 2**stride (balanced-digit Kronecker packing by ``_pack_coeffs``
+and ``_unpack_int``, the package's only packing; the proof is in
 ``poly_det``).  Leading minors of a rational matrix come from one pass over
 an integer matrix with one common scale.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import attrgetter, not_
 
-from .exact_arith import Polynomial, _pack_coeffs, _unpack_int
+from .exact_arith import Polynomial
 
 
 def _bareiss(rows, divexact, is_zero, swap=True):
@@ -87,6 +88,33 @@ def _stride(rows):
     n = len(rows)
     h = max([1] + [sum(map(abs, p.coeffs)) for row in rows for p in row])
     return ((isqrt(n**n - 1) + 1) * h**n).bit_length() + 1
+
+
+def _pack_coeffs(coeffs, stride):
+    """Image of a coefficient tuple under q -> 2**stride."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << stride) + c
+    return acc
+
+
+def _unpack_int(value, stride):
+    """Inverse of _pack_coeffs under the balanced-digit convention.
+
+    A stride below 2 has no balanced digit for +1, so it is rejected.
+    """
+    if stride < 2:
+        raise ValueError(f"stride must be at least 2, got {stride}")
+    coeffs = []
+    half = 1 << (stride - 1)
+    mask = (1 << stride) - 1
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= mask + 1
+        coeffs.append(d)
+        value = (value - d) >> stride
+    return coeffs
 
 
 def _packed_det(rows, stride):

@@ -165,6 +165,51 @@ def test_det_output_is_pinned():
     assert out == (GOLDEN / "det_m3_n2_verify.text").read_text(encoding="utf-8")
 
 
+PINNED = {
+    "expect_worked_example": [
+        "expect", "--m", "4", "--bra", "(2,4)(5,1)(2,4)", "--ket", "(5,2)(2,3)(2,1)"
+    ],
+    "gram_m3_12": ["gram", "--m", "3", "--multiset", "1,2"],
+    "gram_m2_22_combinatorial": [
+        "gram", "--m", "2", "--multiset", "2,2", "--path", "combinatorial"
+    ],
+    "posdef_m3_n2_scan": ["posdef", "--m", "3", "--n", "2", "--scan=-1/2:1:7"],
+    "posdef_m2_n2_q1_2": ["posdef", "--m", "2", "--n", "2", "--q", "1/2"],
+    "enumerate_m3_n2": ["enumerate", "--m", "3", "--n", "2"],
+    "det_m2_n2": ["det", "--m", "2", "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_output_is_pinned(name, fmt):
+    code, out, err = run_cli(PINNED[name] + ["--format", fmt])
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+def test_posdef_eigs_text_is_pinned():
+    code, out, _ = run_cli(["posdef", "--m", "2", "--n", "2", "--q", "1/2", "--eigs"])
+    assert code == 0
+    assert out == (GOLDEN / "posdef_m2_n2_q1_2_eigs.text").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (["gram", "--m", "2", "--multiset", "1,x"], None,
+         "bad multiset '1,x': invalid literal for int() with base 10: 'x'"),
+        (["posdef", "--m", "1", "--n", "2", "--scan=0:1/0:3"], None,
+         "zero denominator in '1/0'"),
+        (["enumerate", "--m", "1", "--n", "3"], {"QUON_MAX_BLOCK": "4"},
+         "group has 6 basis elements, above the limit 4; set QUON_MAX_BLOCK to override"),
+    ],
+)
+def test_usage_error_text_is_pinned(argv, env, message):
+    code, out, err = run_cli(argv, env=env)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_inverse_json_terms_reparse():
     code, out, _ = run_cli(["inverse", "--m", "1", "--n", "2", "--format", "json", "--verify"])
     data = json.loads(out)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -12,11 +12,9 @@ from quonalg.exact_arith import (
     parse_rational_function,
     poly_gcd,
     poly_lcm,
-    _mul_packed,
-    _pack_coeffs,
     _positive_primitive,
-    _unpack_int,
 )
+from quonalg.linalg import _pack_coeffs, _unpack_int
 
 P = Polynomial
 ONE = P.one()
@@ -47,13 +45,43 @@ def test_ring_axioms_randomized():
         assert (a * b) * c == a * (b * c)
 
 
-def test_packed_multiplication_matches_schoolbook():
+def test_large_products_match_evaluation():
     rng = random.Random(7)
-    for _ in range(200):
-        a, b = rand_poly(rng, 60, 10**6), rand_poly(rng, 60, 10**6)
-        if a.is_zero or b.is_zero:
-            continue
-        assert P(_mul_packed(a.coeffs, b.coeffs)) == a * b
+
+    def sparse(length):
+        coeffs = [0] * length
+        for i in rng.sample(range(length), 6):
+            coeffs[i] = rng.choice((-1, 1)) * rng.randint(1, 5)
+        coeffs[-1] = 1
+        return P(coeffs)
+
+    def dense(length, hi):
+        return P([rng.randint(-hi, hi) for _ in range(length - 1)] + [hi])
+
+    pairs = [
+        (sparse(64), sparse(300)),
+        (sparse(200), dense(64, 9)),
+        (dense(64, 9), dense(150, 9)),
+        (dense(100, 10**40), dense(80, 10**25)),
+        (dense(64, 10**60), sparse(257)),
+    ]
+    for a, b in pairs:
+        assert len(a.coeffs) >= 64 and len(b.coeffs) >= 64
+        product = a * b
+        assert product.degree == a.degree + b.degree
+        assert product == b * a
+        for x in (-3, -1, 0, 1, 2, 5, 10**50):
+            assert product.evaluate(x) == a.evaluate(x) * b.evaluate(x)
+
+
+@pytest.mark.parametrize("k,e", [(1, 100), (3, 40), (7, 25), (12, 9)])
+def test_binomial_powers(k, e):
+    # (1 - q**k)**e has coefficient (-1)**j * C(e, j) at q**(k*j), zero elsewhere
+    power = (ONE - Q**k) ** e
+    expected = [0] * (k * e + 1)
+    for j in range(e + 1):
+        expected[k * j] = (-1) ** j * comb(e, j)
+    assert power.coeffs == tuple(expected)
 
 
 def test_unpack_needs_a_stride_of_two_bits():

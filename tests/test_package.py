@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 import quonalg
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+MODULES = sorted(Path(quonalg.__file__).resolve().parent.glob("*.py"))
 
 
 def test_all_lists_each_name_once_and_every_name_resolves():
@@ -21,6 +23,29 @@ def test_layer_computes_without_quotients(layer):
     # RationalFunction belongs to the print and parse boundary only
     source = (Path(quonalg.__file__).resolve().parent / f"{layer}.py").read_text()
     assert "RationalFunction" not in source
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    # a helper shared between modules is public; a private one has one home
+    tree = ast.parse(path.read_text())
+    private, sibling_modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("quonalg")):
+            for alias in node.names:
+                if node.module is None:  # from . import linalg
+                    sibling_modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in sibling_modules
+            and node.attr.startswith("_")
+        ):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []
 
 
 def test_demos_are_present():
