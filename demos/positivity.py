@@ -4,14 +4,12 @@
 The regular blocks are positive definite for q strictly inside
 (-1, 1) when m = 1 and (1/(1-m), 1) when m > 1, and become singular exactly
 at the endpoints.  Certificates are exact: leading principal minors over the
-rationals (Sylvester), no floating point in any verdict.
+rationals (Sylvester), no floating point anywhere.
 """
 
 from fractions import Fraction
 
 from quonalg import (
-    approx_eigenvalues,
-    build_gram,
     certify,
     interval_of_definiteness,
     scan,
@@ -31,12 +29,6 @@ def main():
     print("\nOne certificate in full (m=1, n=2 at q=1/2):")
     report = certify(1, 2, Fraction(1, 2))
     print(f"  minors: {report.minors}  ->  {report.verdict}")
-
-    print("\nFloating-point eigenvalues are available as a labeled diagnostic only:")
-    block = build_gram(3, (1, 2))
-    eigenvalues = approx_eigenvalues(block, Fraction(1, 2))
-    print(f"  approx min/max eigenvalue at q=1/2: {min(eigenvalues):.6f} / {max(eigenvalues):.6f}")
-    print("  (verdicts never depend on these)")
 
 
 if __name__ == "__main__":

@@ -21,11 +21,9 @@ from .colored_perm import (
     as_multiset,
     cinv,
     color_shift,
-    decompose,
     enumerate_arrangements,
     enumerate_group,
     insertion_cycle,
-    inverse,
     parse_word,
     word_str,
 )
@@ -33,7 +31,6 @@ from .group_algebra import (
     Block,
     GroupAlgebraElement,
     all_shifts_inverse,
-    all_shifts_sum,
     cinv_sum,
     circulant_det_closed,
     cyclic_shift,
@@ -41,8 +38,6 @@ from .group_algebra import (
     ga_mul,
     product_chain,
     rep_matrix,
-    restrict_single_position,
-    single_shift_inverse,
 )
 from .quon_engine import (
     CreatorState,
@@ -63,7 +58,6 @@ from .formulas import (
     InverseFactors,
     det_closed_form,
     det_factorization,
-    factor_sum,
     inverse_closed_form,
     inverse_factors,
     regular_block_det,
@@ -74,7 +68,6 @@ from .posdef import (
     POSITIVE_DEFINITE,
     SINGULAR,
     PosDefReport,
-    approx_eigenvalues,
     certify,
     certify_block,
     interval_of_definiteness,
@@ -96,17 +89,14 @@ __all__ = [
     "as_multiset",
     "cinv",
     "color_shift",
-    "decompose",
     "enumerate_arrangements",
     "enumerate_group",
     "insertion_cycle",
-    "inverse",
     "parse_word",
     "word_str",
     "Block",
     "GroupAlgebraElement",
     "all_shifts_inverse",
-    "all_shifts_sum",
     "cinv_sum",
     "circulant_det_closed",
     "cyclic_shift",
@@ -114,8 +104,6 @@ __all__ = [
     "ga_mul",
     "product_chain",
     "rep_matrix",
-    "restrict_single_position",
-    "single_shift_inverse",
     "CreatorState",
     "apply_annihilator",
     "color_mismatch",
@@ -130,7 +118,6 @@ __all__ = [
     "InverseFactors",
     "det_closed_form",
     "det_factorization",
-    "factor_sum",
     "inverse_closed_form",
     "inverse_factors",
     "regular_block_det",
@@ -139,7 +126,6 @@ __all__ = [
     "POSITIVE_DEFINITE",
     "SINGULAR",
     "PosDefReport",
-    "approx_eigenvalues",
     "certify",
     "certify_block",
     "interval_of_definiteness",

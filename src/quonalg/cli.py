@@ -29,13 +29,12 @@ import io
 import json
 import os
 import sys
-from math import factorial
 
 from .exact_arith import parse_rational
 from .colored_perm import as_multiset, cinv, enumerate_group, parse_word
 from .gram import build_gram, gram_json_data
 from .formulas import det_factorization, inverse_closed_form, regular_block_det, verify_inverse
-from .posdef import approx_eigenvalues, certify, scan
+from .posdef import certify, scan
 from .quon_engine import vacuum_expectation
 
 DEFAULT_MAX_BLOCK = 10000
@@ -45,7 +44,13 @@ class UsageError(Exception):
     pass
 
 
-def _guard_size(size, what):
+def _guard_size(m, multiset, what):
+    """Basis size m**n * n!/prod(multiplicity!) of the block of ``multiset``, guarded.
+
+    The size is built one position at a time (m**k times the arrangements of
+    the first k values, an integer at every k), and the guard trips at the
+    first partial product above the limit, so a huge size is never formed.
+    """
     raw = os.environ.get("QUON_MAX_BLOCK", "")
     limit = DEFAULT_MAX_BLOCK
     if raw.strip():
@@ -53,20 +58,26 @@ def _guard_size(size, what):
             limit = int(raw)
         except ValueError as exc:
             raise UsageError(f"QUON_MAX_BLOCK must be an integer, got {raw!r}") from exc
+    size, seen, exact = 1, {}, True
+    for k, value in enumerate(multiset, 1):
+        if size > limit:
+            exact = False
+            break
+        seen[value] = seen.get(value, 0) + 1
+        size = size * m * k // seen[value]
     if size > limit:
         raise UsageError(
-            f"{what} has {size} basis elements, above the limit {limit}; "
-            "set QUON_MAX_BLOCK to override"
+            f"{what} has {'' if exact else 'at least '}{size} basis elements, "
+            f"above the limit {limit}; set QUON_MAX_BLOCK to override"
         )
+    return size
 
 
 def _regular_size(args, what="regular block", positive_n=False):
     """Basis size m**n * n! of the regular block (or the group), guarded."""
     if positive_n and args.n < 1:
         raise UsageError(f"{args.command} needs --n >= 1")
-    size = args.m**args.n * factorial(args.n)
-    _guard_size(size, what)
-    return size
+    return _guard_size(args.m, range(1, args.n + 1), what)
 
 
 def _parsed(parse, text, prefix=""):
@@ -118,11 +129,7 @@ def cmd_expect(args):
 
 def cmd_gram(args):
     multiset = _parse_multiset(args.multiset)
-    n = len(multiset)
-    counted = factorial(n)
-    for repeat in {v: multiset.count(v) for v in multiset}.values():
-        counted //= factorial(repeat)
-    _guard_size(args.m**n * counted, f"gram block of {multiset}")
+    _guard_size(args.m, multiset, f"gram block of {multiset}")
     data = gram_json_data(build_gram(args.m, multiset, path=args.path))
     basis, entries = data["basis"], data["entries"]
     lines = [f"# m={data['m']} multiset={','.join(map(str, data['multiset']))} size={len(basis)}"]
@@ -197,20 +204,10 @@ def cmd_posdef(args):
             raise UsageError("--scan steps must be >= 1")
         reports = scan(args.m, args.n, lo, hi, steps)
     header = ["q0", "verdict", "smallest_minor"]
-    if args.eigs:
-        header.append("approx_min_eigenvalue")
-        block = build_gram(args.m, tuple(range(1, args.n + 1)))
-    reports_out, lines = [], []
-    for rep in reports:
-        row = dict(q0=str(rep.q0), verdict=rep.verdict, smallest_minor=str(rep.smallest_minor))
-        line = f"q0={row['q0']} verdict={row['verdict']} smallest_minor={row['smallest_minor']}"
-        if args.eigs:
-            eig = row["approx_min_eigenvalue"] = min(approx_eigenvalues(block, rep.q0))
-            line += f" approx_min_eigenvalue={eig:.6g}"
-        reports_out.append(row)
-        lines.append(line)
-    rows = [header] + [[str(row[k]) for k in header] for row in reports_out]
-    return 0, {"m": args.m, "n": args.n, "reports": reports_out}, rows, lines
+    table = [[str(rep.q0), rep.verdict, str(rep.smallest_minor)] for rep in reports]
+    reports_out = [dict(zip(header, row)) for row in table]
+    lines = [" ".join(f"{key}={value}" for key, value in zip(header, row)) for row in table]
+    return 0, {"m": args.m, "n": args.n, "reports": reports_out}, [header, *table], lines
 
 
 def cmd_enumerate(args):
@@ -269,7 +266,6 @@ def build_parser():
         sub, "posdef", cmd_posdef, "exact positive-definiteness certificates",
         ("--q", dict(default=None, help="one rational point, e.g. 1/2")),
         ("--scan", dict(default=None, help="rational grid lo:hi:steps, e.g. -1/2:1:7")),
-        ("--eigs", dict(action="store_true", help="add approximate eigenvalue diagnostics")),
     )
     _add_subcommand(sub, "enumerate", cmd_enumerate, "colored permutations with their cinv")
     return parser
@@ -280,6 +276,11 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    # exact results may need more digits than str(int) allows by default
+    max_digits = getattr(sys, "get_int_max_str_digits", None)
+    saved_digits = max_digits() if max_digits else None
+    if max_digits:
+        sys.set_int_max_str_digits(0)
     try:
         if args.m < 1:
             raise UsageError("--m must be >= 1")
@@ -301,6 +302,9 @@ def main(argv=None):
         return 2
     except BrokenPipeError:
         return 0
+    finally:
+        if max_digits:
+            sys.set_int_max_str_digits(saved_digits)
 
 
 if __name__ == "__main__":

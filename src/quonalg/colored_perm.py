@@ -148,33 +148,6 @@ def act(theta, pi):
     return type(theta)(m, new_values, new_colors)
 
 
-def inverse(pi):
-    """The group inverse: act(pi, inverse(pi)) is the neutral element."""
-    n = pi.n
-    m = pi.m
-    inv_values = [0] * n
-    for i, s in enumerate(pi.values):
-        inv_values[s - 1] = i + 1
-    inv_colors = tuple(
-        (-pi.colors[inv_values[i] - 1]) % m or m for i in range(n)
-    )
-    return ColoredPermutation(m, tuple(inv_values), inv_colors)
-
-
-def decompose(pi):
-    """Split pi into a neutral-colored part and a pure color part.
-
-    Returns (perm_part, color_part) with perm_part carrying pi's value word
-    and all-neutral colors, color_part carrying the identity word and pi's
-    colors; act(perm_part, color_part) == pi and cinv is additive across the
-    pair.
-    """
-    m, n = pi.m, pi.n
-    perm_part = ColoredPermutation(m, pi.values, (m,) * n)
-    color_part = ColoredPermutation(m, tuple(range(1, n + 1)), pi.colors)
-    return perm_part, color_part
-
-
 def color_cycle_order(m):
     """Per-position color enumeration order: neutral first, then 1..m-1."""
     return (m,) + tuple(range(1, m))

@@ -36,8 +36,6 @@ from .exact_arith import Polynomial, RationalFunction, poly_lcm
 from .colored_perm import (
     ColoredPermutation,
     act,
-    cinv,
-    enumerate_group,
     insertion_cycle,
 )
 from .group_algebra import (
@@ -115,29 +113,6 @@ def det_closed_form(m, n):
 def regular_block_det(m, n):
     """Brute-force determinant of the regular representation of the group sum."""
     return linalg.poly_det(rep_matrix(cinv_sum(m, n), tuple(range(1, n + 1))).entries)
-
-
-def factor_sum(m, n):
-    """Split the q-weighted group sum into permutation and color factors.
-
-    Returns (perm_sum, color_sum): the q**inversions sum over neutral-colored
-    permutations and the q**(non-neutral count) sum over pure color elements.
-    ga_mul(perm_sum, color_sum) equals cinv_sum(m, n), and color_sum equals
-    the product of the n single-position sums 1 + q*(all shifts).
-    """
-    neutral = (m,) * n
-    identity_word = tuple(range(1, n + 1))
-    perm_terms = {}
-    color_terms = {}
-    for g in enumerate_group(m, n):
-        if g.colors == neutral:
-            perm_terms[g] = Polynomial.monomial(cinv(g))
-        if g.values == identity_word:
-            color_terms[g] = Polynomial.monomial(cinv(g))
-    return (
-        GroupAlgebraElement(m, n, perm_terms),
-        GroupAlgebraElement(m, n, color_terms),
-    )
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ ga_mul(x, y) the arrangement is acted on by y's group element first.
 
 The cyclic color group of order m is handled as the n = 1 case: its
 generator is the color shift at the single position, and its regular
-representation matrices are circulants.  Closed forms for the circulant
-determinant and for two cyclic-element inverses (as numerator/denominator
-pairs) live here as well.
+representation matrices are circulants.  The closed forms of the circulant
+determinant and of the inverse of the all-shifts color sum (as a
+numerator/denominator pair) live here as well.
 """
 
 from __future__ import annotations
@@ -84,9 +84,6 @@ class GroupAlgebraElement:
 
     def coeff(self, pi):
         return self.terms.get(pi, Polynomial.zero())
-
-    def support(self):
-        return set(self.terms)
 
     @property
     def is_zero(self):
@@ -224,22 +221,19 @@ def cyclic_shift(m, power=1):
     return color_shift(m, 1, 1, power)
 
 
-def all_shifts_sum(m, z):
-    """The cyclic element 1 + z * (sum of all m-1 nontrivial shifts)."""
-    terms = {ColoredPermutation.neutral(m, 1): 1}
-    for k in range(1, m):
-        terms[cyclic_shift(m, k)] = z
-    return GroupAlgebraElement(m, 1, terms)
-
-
 def circulant_det_closed(m, z):
-    """Closed form (1 + (m-1)z) * (1-z)**(m-1) for det rep(all_shifts_sum)."""
+    """Closed form (1 + (m-1)z) * (1-z)**(m-1) of the circulant determinant.
+
+    It is det rep(1 + z * (sum of all m-1 nontrivial shifts)) on the regular
+    representation of the cyclic color group.
+    """
     one = Polynomial.one()
     return (one + (m - 1) * z) * (one - z) ** (m - 1)
 
 
 def all_shifts_inverse(m):
-    """Inverse of all_shifts_sum(m, q) in the cyclic group algebra.
+    """Inverse of 1 + q * (sum of all m-1 nontrivial shifts), the color sum
+    at one position, in the cyclic group algebra.
 
     Returns (numerator, denominator): the numerator is 1 + (m-2)q - q * (sum
     of nontrivial shifts), the denominator (1 + (m-1)q)(1-q).
@@ -250,21 +244,6 @@ def all_shifts_inverse(m):
     for k in range(1, m):
         terms[cyclic_shift(m, k)] = -q
     return GroupAlgebraElement(m, 1, terms), (one + (m - 1) * q) * (one - q)
-
-
-def single_shift_inverse(m, z):
-    """Inverse of (1 - z * shift) as a geometric sum over (1 - z**m).
-
-    Returns (numerator, denominator): the numerator is the sum over i < m of
-    z**i shift**i, the denominator 1 - z**m.
-    """
-    one = Polynomial.one()
-    terms = {}
-    acc = one
-    for i in range(m):
-        terms[cyclic_shift(m, i)] = acc
-        acc = acc * z
-    return GroupAlgebraElement(m, 1, terms), one - z**m
 
 
 def embed_single_position(x, n, pos):
@@ -280,20 +259,3 @@ def embed_single_position(x, n, pos):
             for pi, c in x.terms.items()
         },
     )
-
-
-def restrict_single_position(x, pos):
-    """Inverse of embed_single_position for elements supported on one position.
-
-    Raises ValueError if any term moves a value or colors another position.
-    """
-    m, n = x.m, x.n
-    terms = {}
-    for pi, c in x.terms.items():
-        if pi.values != tuple(range(1, n + 1)):
-            raise ValueError(f"{pi} is not a pure color element")
-        for i, col in enumerate(pi.colors, start=1):
-            if i != pos and col != m:
-                raise ValueError(f"{pi} colors position {i}, not only {pos}")
-        terms[cyclic_shift(m, pi.colors[pos - 1])] = c
-    return GroupAlgebraElement(m, 1, terms)

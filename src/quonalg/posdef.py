@@ -11,9 +11,7 @@ definite.  The block is evaluated straight to integers with one common scale
 minor, so there are no tolerances anywhere.  ``evaluate_block`` keeps the
 plain Fraction evaluation as an independent route.
 
-``scan`` samples a closed interval on an exact rational grid; floats appear
-only in the clearly-labeled approximate eigenvalue diagnostic, which is not
-used by any verdict.
+``scan`` samples a closed interval on an exact rational grid.
 """
 
 from __future__ import annotations
@@ -123,38 +121,3 @@ def interval_of_definiteness(m):
     if m == 1:
         return (Fraction(-1), Fraction(1))
     return (Fraction(1, 1 - m), Fraction(1))
-
-
-def approx_eigenvalues(block, q0, sweeps=64):
-    """Approximate eigenvalues of the evaluated block (floats, diagnostic only).
-
-    Cyclic Jacobi rotations on the symmetric float matrix; accuracy is
-    whatever float arithmetic gives, which is why no verdict uses this.
-    """
-    a = [[float(v) for v in row] for row in evaluate_block(block, q0)]
-    size = len(a)
-    for _ in range(sweeps):
-        off = 0.0
-        for i in range(size):
-            for j in range(i + 1, size):
-                off += a[i][j] * a[i][j]
-        if off < 1e-24:
-            break
-        for i in range(size):
-            for j in range(i + 1, size):
-                if a[i][j] == 0.0:
-                    continue
-                theta = (a[j][j] - a[i][i]) / (2.0 * a[i][j])
-                sign = 1.0 if theta >= 0 else -1.0
-                t = sign / (abs(theta) + (theta * theta + 1.0) ** 0.5)
-                c = 1.0 / (t * t + 1.0) ** 0.5
-                s = t * c
-                for k in range(size):
-                    aik, ajk = a[i][k], a[j][k]
-                    a[i][k] = c * aik - s * ajk
-                    a[j][k] = s * aik + c * ajk
-                for k in range(size):
-                    aki, akj = a[k][i], a[k][j]
-                    a[k][i] = c * aki - s * akj
-                    a[k][j] = s * aki + c * akj
-    return sorted(a[i][i] for i in range(size))

@@ -53,17 +53,13 @@ class CreatorState:
         return not self.terms
 
 
-def creator_state(m, word, coeff=None):
+def creator_state(m, word):
     """The state of a single creator word (outermost creator first)."""
     word = tuple((int(v), int(c)) for v, c in word)
     for _, c in word:
         if not 1 <= c <= m:
             raise ValueError(f"color {c} outside 1..{m}")
-    if coeff is None:
-        coeff = Polynomial.one()
-    if coeff.is_zero:
-        return CreatorState(m, {})
-    return CreatorState(m, {word: coeff})
+    return CreatorState(m, {word: Polynomial.one()})
 
 
 def apply_annihilator(mode, color, state):

@@ -1,0 +1,102 @@
+"""Helpers that state lemmas of the group algebra; only tests call them.
+
+Each one builds an object whose defining property a test checks against
+the package: the group inverse, the split of a colored permutation into its
+permutation and color parts, the split of the q-weighted group sum, the
+cyclic all-shifts sum with the geometric inverse of one shift, and the
+restriction that undoes ``embed_single_position``.
+"""
+
+from quonalg.colored_perm import ColoredPermutation, cinv, enumerate_group
+from quonalg.exact_arith import Polynomial
+from quonalg.group_algebra import GroupAlgebraElement, cyclic_shift
+
+
+def inverse(pi):
+    """The group inverse: act(pi, inverse(pi)) is the neutral element."""
+    n = pi.n
+    m = pi.m
+    inv_values = [0] * n
+    for i, s in enumerate(pi.values):
+        inv_values[s - 1] = i + 1
+    inv_colors = tuple(
+        (-pi.colors[inv_values[i] - 1]) % m or m for i in range(n)
+    )
+    return ColoredPermutation(m, tuple(inv_values), inv_colors)
+
+
+def decompose(pi):
+    """Split pi into a neutral-colored part and a pure color part.
+
+    Returns (perm_part, color_part) with perm_part carrying pi's value word
+    and all-neutral colors, color_part carrying the identity word and pi's
+    colors; act(perm_part, color_part) == pi and cinv is additive across the
+    pair.
+    """
+    m, n = pi.m, pi.n
+    perm_part = ColoredPermutation(m, pi.values, (m,) * n)
+    color_part = ColoredPermutation(m, tuple(range(1, n + 1)), pi.colors)
+    return perm_part, color_part
+
+
+def factor_sum(m, n):
+    """Split the q-weighted group sum into permutation and color factors.
+
+    Returns (perm_sum, color_sum): the q**inversions sum over neutral-colored
+    permutations and the q**(non-neutral count) sum over pure color elements.
+    ga_mul(perm_sum, color_sum) equals cinv_sum(m, n), and color_sum equals
+    the product of the n single-position sums 1 + q*(all shifts).
+    """
+    neutral = (m,) * n
+    identity_word = tuple(range(1, n + 1))
+    perm_terms = {}
+    color_terms = {}
+    for g in enumerate_group(m, n):
+        if g.colors == neutral:
+            perm_terms[g] = Polynomial.monomial(cinv(g))
+        if g.values == identity_word:
+            color_terms[g] = Polynomial.monomial(cinv(g))
+    return (
+        GroupAlgebraElement(m, n, perm_terms),
+        GroupAlgebraElement(m, n, color_terms),
+    )
+
+
+def all_shifts_sum(m, z):
+    """The cyclic element 1 + z * (sum of all m-1 nontrivial shifts)."""
+    terms = {ColoredPermutation.neutral(m, 1): 1}
+    for k in range(1, m):
+        terms[cyclic_shift(m, k)] = z
+    return GroupAlgebraElement(m, 1, terms)
+
+
+def single_shift_inverse(m, z):
+    """Inverse of (1 - z * shift) as a geometric sum over (1 - z**m).
+
+    Returns (numerator, denominator): the numerator is the sum over i < m of
+    z**i shift**i, the denominator 1 - z**m.
+    """
+    one = Polynomial.one()
+    terms = {}
+    acc = one
+    for i in range(m):
+        terms[cyclic_shift(m, i)] = acc
+        acc = acc * z
+    return GroupAlgebraElement(m, 1, terms), one - z**m
+
+
+def restrict_single_position(x, pos):
+    """Inverse of embed_single_position for elements supported on one position.
+
+    Raises ValueError if any term moves a value or colors another position.
+    """
+    m, n = x.m, x.n
+    terms = {}
+    for pi, c in x.terms.items():
+        if pi.values != tuple(range(1, n + 1)):
+            raise ValueError(f"{pi} is not a pure color element")
+        for i, col in enumerate(pi.colors, start=1):
+            if i != pos and col != m:
+                raise ValueError(f"{pi} colors position {i}, not only {pos}")
+        terms[cyclic_shift(m, pi.colors[pos - 1])] = c
+    return GroupAlgebraElement(m, 1, terms)

@@ -15,10 +15,8 @@ from quonalg.colored_perm import (
     ColoredPermutation,
     act,
     cinv,
-    decompose,
     enumerate_arrangements,
     enumerate_group,
-    inverse,
 )
 from quonalg.exact_arith import Polynomial
 from quonalg.formulas import det_closed_form, regular_block_det, verify_inverse
@@ -26,19 +24,18 @@ from quonalg.gram import _build_gram_cached, build_gram
 from quonalg.group_algebra import (
     GroupAlgebraElement,
     all_shifts_inverse,
-    all_shifts_sum,
     cinv_sum,
     circulant_det_closed,
     cyclic_shift,
     embed_single_position,
     ga_mul,
     rep_matrix,
-    single_shift_inverse,
 )
 from quonalg.posdef import POSITIVE_DEFINITE, SINGULAR, interval_of_definiteness, scan
 from quonalg.quon_engine import vacuum_expectation
 
 from golden_block import GOLDEN_M3_N2_EXPONENTS
+from lemmas import all_shifts_sum, decompose, inverse, single_shift_inverse
 
 P = Polynomial
 ONE = P.one()

@@ -4,12 +4,15 @@ import io
 import json
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from quonalg.cli import main
 from quonalg.exact_arith import parse_polynomial, parse_rational_function
+from quonalg.posdef import certify
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli"
@@ -188,12 +191,6 @@ def test_output_is_pinned(name, fmt):
     assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
-def test_posdef_eigs_text_is_pinned():
-    code, out, _ = run_cli(["posdef", "--m", "2", "--n", "2", "--q", "1/2", "--eigs"])
-    assert code == 0
-    assert out == (GOLDEN / "posdef_m2_n2_q1_2_eigs.text").read_text(encoding="utf-8")
-
-
 @pytest.mark.parametrize(
     "argv,env,message",
     [
@@ -208,6 +205,56 @@ def test_posdef_eigs_text_is_pinned():
 def test_usage_error_text_is_pinned(argv, env, message):
     code, out, err = run_cli(argv, env=env)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["expect", "gram", "det", "inverse", "enumerate"])
+def test_help_is_pinned(command):
+    code, out, _ = run_cli([command, "--help"], env={"COLUMNS": "80"})
+    assert code == 0
+    assert out == (GOLDEN / f"help_{command}.text").read_text(encoding="utf-8")
+
+
+def test_posdef_has_no_eigenvalue_option():
+    code, out, err = run_cli(["posdef", "--m", "2", "--n", "2", "--q", "1/2", "--eigs"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --eigs" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det", "--m", "2", "--n", "1600"],
+        ["enumerate", "--m", "1", "--n", "2000"],
+        ["enumerate", "--m", "1", "--n", "4000000"],
+        ["gram", "--m", "7" * 3000, "--multiset", "1,2"],
+    ],
+)
+def test_huge_size_is_refused_without_forming_it(argv):
+    # m**n * n! here has thousands of digits or more; the guard stops at the
+    # first partial product above the limit
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "QUON_MAX_BLOCK" in err
+
+
+def test_posdef_prints_minors_past_the_default_digit_limit():
+    # the smallest minor at q = 1/10**300 has a 53,804-bit denominator
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    before = digit_limit()
+    code, out, err = run_cli(["posdef", "--m", "3", "--n", "2", "--q", f"1/{10**300}"])
+    assert digit_limit() == before  # main restores the interpreter's limit
+    assert code == 0 and err == ""
+    printed = out.split("smallest_minor=")[1].strip()
+    if before:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(printed) == certify(3, 2, Fraction(1, 10**300)).smallest_minor
+    finally:
+        if before:
+            sys.set_int_max_str_digits(before)
 
 
 def test_inverse_json_terms_reparse():
@@ -254,15 +301,6 @@ def test_posdef_rejects_floats_and_needs_one_mode():
     assert code == 2
     code, _, _ = run_cli(["posdef", "--m", "1", "--n", "2", "--q", "0", "--scan=0:1:2"])
     assert code == 2
-
-
-def test_posdef_eigs_labelled_approximate():
-    code, out, _ = run_cli(
-        ["posdef", "--m", "1", "--n", "2", "--q", "1/2", "--eigs", "--format", "csv"]
-    )
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0][-1] == "approx_min_eigenvalue"
-    assert abs(float(rows[1][-1]) - 0.5) < 1e-9
 
 
 @pytest.mark.parametrize(

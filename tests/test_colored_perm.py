@@ -10,15 +10,15 @@ from quonalg.colored_perm import (
     as_multiset,
     cinv,
     color_shift,
-    decompose,
     enumerate_arrangements,
     enumerate_group,
     insertion_cycle,
-    inverse,
     parse_word,
     word_str,
 )
 from quonalg.exact_arith import Polynomial
+
+from lemmas import decompose, inverse
 
 P = Polynomial
 ONE = P.one()

@@ -13,7 +13,6 @@ from quonalg.exact_arith import Polynomial
 from quonalg.group_algebra import (
     GroupAlgebraElement,
     all_shifts_inverse,
-    all_shifts_sum,
     cinv_sum,
     circulant_det_closed,
     cyclic_shift,
@@ -21,9 +20,9 @@ from quonalg.group_algebra import (
     ga_mul,
     product_chain,
     rep_matrix,
-    restrict_single_position,
-    single_shift_inverse,
 )
+
+from lemmas import all_shifts_sum, restrict_single_position, single_shift_inverse
 
 P = Polynomial
 ONE = P.one()

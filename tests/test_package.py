@@ -8,14 +8,50 @@ import pytest
 
 import quonalg
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 MODULES = sorted(Path(quonalg.__file__).resolve().parent.glob("*.py"))
+
+# Exports that no module, demo or benchmark file loads, each with its reason.
+UNCALLED_EXPORTS = {
+    "parse_rational_function": "reads a printed inverse back; README documents its grammar",
+}
 
 
 def test_all_lists_each_name_once_and_every_name_resolves():
     assert len(quonalg.__all__) == len(set(quonalg.__all__))
     for name in quonalg.__all__:
         assert hasattr(quonalg, name), name
+
+
+def test_every_export_has_a_caller():
+    # a caller loads the name or attribute; imports and docstrings do not count
+    callers = [path for path in MODULES if path.name != "__init__.py"] + DEMOS
+    callers += [path for path in (ROOT / "bench").glob("*.py") if not path.name.startswith("test_")]
+    loaded = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    uncalled = {name for name in quonalg.__all__ if name not in loaded}
+    assert uncalled == set(UNCALLED_EXPORTS)
+
+
+def test_no_module_uses_floats():
+    floats = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            literal = isinstance(node, ast.Constant) and isinstance(node.value, float)
+            call = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            )
+            if literal or call:
+                floats.append(f"{path.name}:{node.lineno}")
+    assert floats == []
 
 
 @pytest.mark.parametrize("layer", ["group_algebra", "linalg", "gram", "quon_engine", "posdef"])

@@ -11,7 +11,6 @@ from quonalg.posdef import (
     INDEFINITE,
     POSITIVE_DEFINITE,
     SINGULAR,
-    approx_eigenvalues,
     certify,
     certify_block,
     classify_minors,
@@ -142,12 +141,3 @@ def test_verdict_invariant_under_basis_shuffles():
             entries=tuple(tuple(block.entries[i][j] for j in order) for i in order),
         )
         assert certify_block(shuffled, q0).verdict == certify_block(block, q0).verdict
-
-
-def test_approx_eigenvalues_diagnostic():
-    block = build_gram(2, (1, 2))
-    eigenvalues = approx_eigenvalues(block, 0)
-    assert all(abs(e - 1.0) < 1e-9 for e in eigenvalues)
-    eigenvalues = approx_eigenvalues(block, Fraction(1, 2))
-    assert len(eigenvalues) == block.size
-    assert min(eigenvalues) > 0
