@@ -18,7 +18,9 @@ all carrying the same mathematical content in canonical string forms.
 Exit status: 0 on success (and on a verified match), 1 when a requested
 verification finds a mismatch, 2 on usage or parse errors and on an
 ``--output`` path that cannot be written.  The block-size guard (default
-10000 basis elements) can be lifted with QUON_MAX_BLOCK.
+10000 basis elements) can be lifted with QUON_MAX_BLOCK; ``gram --path
+combinatorial`` also walks the whole group of m**n * n! elements, so the
+same limit applies to the group's size there.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ def cmd_expect(args):
 def cmd_gram(args):
     multiset = _parse_multiset(args.multiset)
     _guard_size(args.m, multiset, f"gram block of {multiset}")
+    if args.path == "combinatorial":
+        _guard_size(args.m, range(1, len(multiset) + 1), "group walked by the combinatorial path")
     data = gram_json_data(build_gram(args.m, multiset, path=args.path))
     basis, entries = data["basis"], data["entries"]
     lines = [f"# m={data['m']} multiset={','.join(map(str, data['multiset']))} size={len(basis)}"]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 
 @dataclass(frozen=True)
@@ -170,17 +170,41 @@ def _slot_map(word):
     return tuple(st)
 
 
+def _value_words(multiset):
+    """Distinct rearrangements of a sorted tuple, ascending lexicographically.
+
+    Each word follows from the last by the next-permutation step: find the
+    rightmost i with word[i] < word[i+1], swap word[i] with the rightmost
+    larger entry, and reverse the tail after i.  Repeated values give no
+    repeated words, so the cost is proportional to the words produced, not
+    to n!.
+    """
+    word = list(multiset)
+    n = len(word)
+    while True:
+        yield tuple(word)
+        i = n - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = reversed(word[i + 1 :])
+
+
 @lru_cache(maxsize=None)
 def _enumerate(m, multiset, as_group):
     if m < 1:
         raise ValueError(f"color count must be >= 1, got {m}")
     n = len(multiset)
-    value_words = sorted(set(permutations(multiset)))
     # Counter tuples indexed by slot, slot 1 fastest.
     counters = [w[::-1] for w in product(color_cycle_order(m), repeat=n)]
     cls = ColoredPermutation if as_group else ColoredArrangement
     out = []
-    for word in value_words:
+    for word in _value_words(multiset):
         slots = _slot_map(word)
         for counter in counters:
             colors = tuple(counter[slots[i] - 1] for i in range(n))

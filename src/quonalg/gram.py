@@ -4,12 +4,17 @@ The block of a multiset I collects the pairwise inner products of the
 creator-word states of all colored arrangements of I, rows indexed by the
 bra arrangement and columns by the ket arrangement, both in the canonical
 enumeration order.  It is a ``Block`` of Polynomials in ZZ[q], since every
-entry is a q**cinv generating sum.  Two independent constructions are
-provided: the ``operator`` path reduces each entry with the annihilator
-rewriting engine, the ``combinatorial`` path evaluates each entry as a
-q**cinv counting sum over colored permutations (``cosym_expectation``).  The
-block also equals the right-action matrix of the q-weighted group sum on the
+entry is a q**cinv generating sum.  Two constructions are provided: the
+``operator`` path reduces each entry with the annihilator rewriting engine,
+the ``combinatorial`` path counts each column as q**cinv sums over colored
+permutations, walking the group once per ket (``cosym_column``).  The block
+also equals the right-action matrix of the q-weighted group sum on the
 arrangement module (``verify_representation`` checks all of this).
+
+The counting loop and ``rep_matrix(cinv_sum(m, n), multiset)`` compute the
+same formula, entry (i, j) = sum of q**cinv(pi) over pi with
+act(basis[j], pi) == basis[i], in different loop orders; they share ``act``
+and ``cinv`` but no loop, so only the operator path is independent of both.
 
 The infinite form is block diagonal over multisets; this module only ever
 materializes one finite block at a time.
@@ -22,7 +27,8 @@ import io
 from functools import lru_cache
 
 from .colored_perm import as_multiset, enumerate_arrangements
-from .quon_engine import cosym_expectation, vacuum_expectation
+from .exact_arith import Polynomial
+from .quon_engine import cosym_column, vacuum_expectation
 from .group_algebra import Block, cinv_sum, rep_matrix
 
 
@@ -30,8 +36,9 @@ def build_gram(m, multiset, path="operator"):
     """Build the Gram block of a multiset by either construction path.
 
     path = "operator" uses the annihilator rewriting engine entry by entry;
-    path = "combinatorial" uses the colored-permutation counting sum.  The
-    two must agree exactly.
+    path = "combinatorial" uses the colored-permutation counting sum, one
+    walk of the group per ket: size * m**n * n! group actions.  The two must
+    agree exactly.
     """
     if path not in ("operator", "combinatorial"):
         raise ValueError(f"unknown path {path!r}")
@@ -41,18 +48,31 @@ def build_gram(m, multiset, path="operator"):
 @lru_cache(maxsize=None)
 def _build_gram_cached(m, multiset, path):
     basis = enumerate_arrangements(m, multiset)
-    rows = []
-    for theta_bra in basis:
-        if path == "operator":
-            bra_word = tuple(reversed(theta_bra.tokens))
-            row = tuple(
-                vacuum_expectation(bra_word, theta_ket.tokens, m)
-                for theta_ket in basis
-            )
-        else:
-            row = tuple(cosym_expectation(theta_bra, theta_ket) for theta_ket in basis)
-        rows.append(row)
+    seen = {}
+    if path == "operator":
+        rows = []
+        for bra in basis:
+            bra_word = tuple(reversed(bra.tokens))
+            row = (vacuum_expectation(bra_word, ket.tokens, m) for ket in basis)
+            rows.append(_shared(row, seen))
+    else:
+        zero = Polynomial.zero()
+        columns = []
+        for ket in basis:
+            column = cosym_column(ket)
+            columns.append(_shared((column.get(bra, zero) for bra in basis), seen))
+        rows = zip(*columns)
     return Block(m=m, multiset=multiset, basis=basis, entries=tuple(rows))
+
+
+def _shared(values, seen):
+    """``values`` as a tuple in which equal values are one object.
+
+    ``seen`` maps each value met so far to its first object.  Sharing it over
+    a block makes the cached block hold one copy of each distinct entry
+    instead of one per position.
+    """
+    return tuple(seen.setdefault(v, v) for v in values)
 
 
 def verify_representation(m, multiset):

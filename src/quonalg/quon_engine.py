@@ -19,6 +19,9 @@ The same expectations have a purely combinatorial form: the inner product of
 two arrangements of a common multiset is the q**cinv generating sum over the
 colored permutations carrying the ket arrangement to the bra arrangement
 (``cosym_expectation``), which is independent of the rewriting path.
+``cosym_column`` counts a whole column of these sums in one walk of the
+group; it computes the same formula as ``rep_matrix(cinv_sum(m, n), ...)``
+in ``group_algebra``, in a different loop order.
 """
 
 from __future__ import annotations
@@ -99,21 +102,41 @@ def vacuum_expectation(bra, ket, m):
     return state.coeff(())
 
 
+def cosym_column(theta_ket):
+    """Every nonzero inner product with the ket, from one walk of the group.
+
+    Returns a dict from each arrangement theta reachable from the ket to
+    <theta|ket> = sum of q**cinv(pi) over the colored permutations pi with
+    act(theta_ket, pi) == theta.  Each pi adds 1 to the count of its cinv in
+    the bucket of act(theta_ket, pi), and each bucket's counts are the
+    coefficients of its entry.  Arrangements absent from the dict (other
+    multisets or lengths) have inner product 0.
+
+    This is the same formula as the representation matrix of the q-weighted
+    group sum (``rep_matrix(cinv_sum(m, n), multiset)``) in another loop
+    order; the two loops are kept as separate code.
+    """
+    n = theta_ket.n
+    width = n * (n + 1) // 2 + 1  # cinv is at most n(n-1)/2 inversions + n colors
+    buckets = {}
+    for pi in enumerate_group(theta_ket.m, n):
+        theta = act(theta_ket, pi)
+        counts = buckets.get(theta)
+        if counts is None:
+            counts = buckets[theta] = [0] * width
+        counts[cinv(pi)] += 1
+    return {theta: Polynomial(counts) for theta, counts in buckets.items()}
+
+
 def cosym_expectation(theta_bra, theta_ket):
     """Combinatorial form of the same inner product.
 
     Sums q**cinv over all colored permutations pi with
-    act(theta_ket, pi) == theta_bra.  If the two arrangements draw on
-    different multisets (or lengths) the sum is empty and the value is 0,
-    matching the operator computation.
+    act(theta_ket, pi) == theta_bra: the bra's entry of
+    ``cosym_column(theta_ket)``.  If the two arrangements draw on different
+    multisets (or lengths) the sum is empty and the value is 0, matching the
+    operator computation.
     """
     if theta_bra.m != theta_ket.m:
         raise ValueError(f"color-count mismatch: {theta_bra.m} vs {theta_ket.m}")
-    if theta_bra.multiset != theta_ket.multiset:
-        return Polynomial.zero()
-    total = Polynomial.zero()
-    q = Polynomial.q()
-    for pi in enumerate_group(theta_ket.m, theta_ket.n):
-        if act(theta_ket, pi) == theta_bra:
-            total = total + q ** cinv(pi)
-    return total
+    return cosym_column(theta_ket).get(theta_bra, Polynomial.zero())

@@ -3,11 +3,12 @@
 Each one builds an object whose defining property a test checks against
 the package: the group inverse, the split of a colored permutation into its
 permutation and color parts, the split of the q-weighted group sum, the
-cyclic all-shifts sum with the geometric inverse of one shift, and the
-restriction that undoes ``embed_single_position``.
+cyclic all-shifts sum with the geometric inverse of one shift, the
+restriction that undoes ``embed_single_position``, and the q**cinv counting
+sum of one inner product, walked pair by pair.
 """
 
-from quonalg.colored_perm import ColoredPermutation, cinv, enumerate_group
+from quonalg.colored_perm import ColoredPermutation, act, cinv, enumerate_group
 from quonalg.exact_arith import Polynomial
 from quonalg.group_algebra import GroupAlgebraElement, cyclic_shift
 
@@ -100,3 +101,17 @@ def restrict_single_position(x, pos):
                 raise ValueError(f"{pi} colors position {i}, not only {pos}")
         terms[cyclic_shift(m, pi.colors[pos - 1])] = c
     return GroupAlgebraElement(m, 1, terms)
+
+
+def cosym_reference(theta_bra, theta_ket):
+    """<bra|ket> as a q**cinv sum over one whole walk of the group per pair.
+
+    The definition read literally: add q**cinv(pi) for every colored
+    permutation pi with act(theta_ket, pi) == theta_bra.  Arrangements of
+    different multisets or lengths never match, and give 0.
+    """
+    total = Polynomial.zero()
+    for pi in enumerate_group(theta_ket.m, theta_ket.n):
+        if act(theta_ket, pi) == theta_bra:
+            total = total + Polynomial.monomial(cinv(pi))
+    return total

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -200,6 +201,10 @@ def test_output_is_pinned(name, fmt):
          "zero denominator in '1/0'"),
         (["enumerate", "--m", "1", "--n", "3"], {"QUON_MAX_BLOCK": "4"},
          "group has 6 basis elements, above the limit 4; set QUON_MAX_BLOCK to override"),
+        (["gram", "--m", "2", "--multiset", "1,1", "--path", "combinatorial"],
+         {"QUON_MAX_BLOCK": "5"},
+         "group walked by the combinatorial path has 8 basis elements, above the limit 5; "
+         "set QUON_MAX_BLOCK to override"),
     ],
 )
 def test_usage_error_text_is_pinned(argv, env, message):
@@ -341,6 +346,31 @@ def test_block_size_guard():
     code, _, err = run_cli(["enumerate", "--m", "1", "--n", "3"],
                            env={"QUON_MAX_BLOCK": "zebra"})
     assert code == 2
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_combinatorial_gram_guards_the_group_it_walks():
+    # a 1x1 block whose group has 11! = 39,916,800 elements; the child's
+    # memory is capped so that a walk past the guard fails at once instead
+    # of holding the whole group
+    ones = ",".join(["1"] * 11)
+    base = [sys.executable, "-m", "quonalg.cli", "gram", "--m", "1", "--multiset", ones]
+    runs = {
+        path: subprocess.run(base + ["--path", path], capture_output=True, text=True,
+                             timeout=60, preexec_fn=_cap_address_space)
+        for path in ("combinatorial", "operator")
+    }
+    refused = runs["combinatorial"]
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr.startswith("error: ") and len(refused.stderr.splitlines()) == 1
+    assert "QUON_MAX_BLOCK" in refused.stderr
+    answered = runs["operator"]
+    assert answered.returncode == 0 and answered.stderr == ""
+    assert answered.stdout.startswith(f"# m=1 multiset={ones} size=1\n")
 
 
 def test_console_script_entry_point():

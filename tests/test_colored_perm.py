@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from itertools import permutations
 
 import pytest
 
@@ -181,6 +183,27 @@ def test_enumeration_order_first_row_pattern():
     group = enumerate_group(3, 2)
     assert group[0] == ColoredPermutation.neutral(3, 2)
     assert all(g.values == (1, 2) for g in group[:9])
+
+
+@pytest.mark.parametrize(
+    "multiset",
+    [(), (1,), (1, 1), (1, 2), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 1, 2, 2),
+     (1, 2, 2, 3), (1, 1, 1, 2, 3), (1, 2, 3, 4), (1, 1, 2, 2, 3, 3)],
+)
+def test_value_words_ascend_without_repeats(multiset):
+    for m in (1, 2):
+        basis = enumerate_arrangements(m, multiset)
+        words = list(dict.fromkeys(theta.values for theta in basis))
+        assert words == sorted(set(permutations(multiset)))
+        assert len(basis) == len(words) * m ** len(multiset)
+
+
+def test_equal_modes_enumerate_without_forming_all_permutations():
+    # twelve equal modes have one arrangement but 12! = 479,001,600 permutations
+    start = time.perf_counter()
+    basis = enumerate_arrangements(1, (1,) * 12)
+    assert time.perf_counter() - start < 0.5
+    assert basis == (ColoredArrangement(1, (1,) * 12, (1,) * 12),)
 
 
 def test_word_strings():

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from quonalg import quon_engine
+from quonalg.colored_perm import enumerate_group
 from quonalg.exact_arith import Polynomial
 from quonalg.gram import (
+    _build_gram_cached,
     build_gram,
     gram_csv_text,
     gram_json_data,
@@ -90,3 +93,30 @@ def test_csv_and_json_carry_identical_content():
             parsed = parse_rational_function(cell)
             assert parsed == block.entries[i][j]
             assert hash(parsed) == hash(block.entries[i][j])
+
+
+def test_combinatorial_path_walks_the_group_once_per_ket(monkeypatch):
+    calls = 0
+    real_act = quon_engine.act
+
+    def counted_act(theta, pi):
+        nonlocal calls
+        calls += 1
+        return real_act(theta, pi)
+
+    monkeypatch.setattr(quon_engine, "act", counted_act)
+    m, multiset = 2, (1, 1, 2)
+    block = _build_gram_cached.__wrapped__(m, multiset, "combinatorial")
+    group = enumerate_group(m, len(multiset))
+    assert block.size == 24 and len(group) == 48
+    assert calls == block.size * len(group)
+
+
+@pytest.mark.parametrize("path", ["operator", "combinatorial"])
+@pytest.mark.parametrize(
+    "m,multiset",
+    [(3, (1, 2)), (2, (2, 2)), (1, (1, 2, 3)), (2, (1, 1, 2)), (2, (1, 2, 3))],
+)
+def test_equal_entries_of_a_block_are_one_object(m, multiset, path):
+    entries = [e for row in build_gram(m, multiset, path).entries for e in row]
+    assert len({id(e) for e in entries}) == len(set(entries))

@@ -7,10 +7,13 @@ from quonalg.exact_arith import Polynomial
 from quonalg.quon_engine import (
     apply_annihilator,
     color_mismatch,
+    cosym_column,
     cosym_expectation,
     creator_state,
     vacuum_expectation,
 )
+
+from lemmas import cosym_reference
 
 P = Polynomial
 ONE = P.one()
@@ -82,6 +85,34 @@ def test_cosym_multiset_mismatch_is_zero():
     assert cosym_expectation(a, b) == P.zero()
     with pytest.raises(ValueError):
         cosym_expectation(a, ColoredArrangement(3, (1, 2), (3, 3)))
+
+
+@pytest.mark.parametrize(
+    "m,multiset",
+    [(1, (1, 2, 3)), (1, (1, 1, 2)), (2, (1, 2)), (2, (2, 2)), (2, (1, 1, 2)),
+     (3, (1, 2)), (3, (2, 2))],
+)
+def test_cosym_column_equals_the_pairwise_counting_sum(m, multiset):
+    basis = enumerate_arrangements(m, multiset)
+    for ket in basis:
+        column = cosym_column(ket)
+        expected = {bra: cosym_reference(bra, ket) for bra in basis}
+        assert column == {bra: value for bra, value in expected.items() if value}
+        for bra in basis:
+            assert cosym_expectation(bra, ket) == expected[bra]
+
+
+def test_cosym_across_multisets_and_lengths_is_zero():
+    multisets = [(1,), (2,), (1, 2), (1, 3), (2, 2), (1, 1, 2)]
+    for m in (1, 2, 3):
+        blocks = {ms: enumerate_arrangements(m, ms) for ms in multisets}
+        for ket_multiset, kets in blocks.items():
+            others = [bra for ms, bras in blocks.items() if ms != ket_multiset for bra in bras]
+            for ket in kets:
+                assert not set(cosym_column(ket)) & set(others)
+            for bra in others:
+                assert cosym_expectation(bra, kets[-1]) == P.zero()
+                assert cosym_reference(bra, kets[-1]) == P.zero()
 
 
 def test_operator_and_combinatorial_paths_agree():
