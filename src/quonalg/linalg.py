@@ -11,8 +11,15 @@ share the control flow but keep separate ring arithmetic and stay oracles
 for each other.  Polynomial determinants run on the image of the matrix
 under q -> 2**stride (balanced-digit Kronecker packing by ``_pack_coeffs``
 and ``_unpack_int``, the package's only packing; the proof is in
-``poly_det``).  Leading minors of a rational matrix come from one pass over
-an integer matrix with one common scale.
+``poly_det``).  Leading minors of a rational matrix are those of one
+integer matrix with one common scale.  Before it eliminates, the tensor-
+product split (``_int_leading_minors``, not to be confused with the
+Kronecker packing above) tests whether that matrix is a tensor product
+(A (x) B) / c and, if so, takes its minors from those of A and B by a closed
+formula, recursively.  The regular Gram block is Q_n (x) K (x) ... (x) K
+with n factors K (see ``posdef``), so its minors come from those of Q_n
+and of the m-by-m K.  A matrix that does not split takes one Bareiss pass
+without row swaps.
 """
 
 from __future__ import annotations
@@ -160,14 +167,104 @@ def poly_det(rows, method="packed"):
     return result
 
 
+def _bareiss_minors(ints):
+    """Leading principal minors of a square int matrix by elimination.
+
+    One Bareiss pass without row swaps gives every minor as a pivot.  After
+    a zero pivot, each later minor takes its own elimination.
+    """
+    n = len(ints)
+    _, minors = _bareiss([row[:] for row in ints], _int_divexact, not_, swap=False)
+    if len(minors) < n:
+        minors.append(0)
+        minors += [
+            _int_det([row[:k] for row in ints[:k]]) for k in range(len(minors) + 1, n + 1)
+        ]
+    return minors
+
+
+def _tensor_split(ints):
+    """``(A, B)`` with ``ints == (A (x) B) / c`` and c = ints[0][0], or None.
+
+    For each divisor b of the size N with 1 < b < N, smallest first, A is
+    the matrix of corner entries of the b-by-b blocks, A[s][t] =
+    ints[s*b][t*b], and B the top-left block.  The split holds iff
+    ``ints[s*b+i][t*b+j] * c == A[s][t] * B[i][j]`` for every entry, since
+    (A (x) B)[s*b+i][t*b+j] = A[s][t] * B[i][j].  The check stops at the
+    first mismatch, most often in row 0.  A zero c never splits.
+    """
+    n = len(ints)
+    c = ints[0][0] if n else 0
+    if not c:
+        return None
+    for b in range(2, n):
+        if n % b:
+            continue
+        for r, row in enumerate(ints):
+            corners = ints[r - r % b][::b]
+            inner = ints[r % b][:b]
+            expected = (a * e for a in corners for e in inner)
+            if any(x * c != y for x, y in zip(row, expected)):
+                break
+        else:
+            return [row[::b] for row in ints[::b]], [row[:b] for row in ints[:b]]
+    return None
+
+
+def _int_leading_minors(ints):
+    """Leading principal minors D_1..D_N of a square int matrix, exactly.
+
+    The tensor-product split.  When ``_tensor_split`` finds ints =
+    (A (x) B) / c, with A of size a and B of size b, write k = s*b + t with
+    0 <= s < a and 1 <= t <= b.  Then, with D_0 = 1,
+
+        D_k(ints) = D_s(A)**(b-t) * D_{s+1}(A)**t * D_b(B)**s * D_t(B) / c**k,
+
+    and the minors of A and B come from this function again, so a product
+    of several factors splits down to factors that do not split.
+
+    Proof.  D_k(ints) = D_k(A (x) B) / c**k, so take c = 1.  Let A_s and B_t
+    be the top-left s-by-s and t-by-t parts of A and B, e = A[s][s], u and
+    v the first s entries of row s and of column s of A, and B_r, B_c the
+    first t rows and the first t columns of B.  The top-left k-by-k part of
+    A (x) B is [[A_s (x) B, v (x) B_c], [u (x) B_r, e * B_t]].  Over the
+    field of fractions of the entries, det(A_s (x) B) = D_s(A)**b *
+    D_b(B)**s, and the Schur complement of A_s (x) B is e * B_t - (u A_s**-1
+    v) * (B_r B**-1 B_c) = (e - u A_s**-1 v) * B_t = (D_{s+1}(A) / D_s(A))
+    * B_t, since B_r B**-1 is the first t rows of the identity.  Its
+    determinant is (D_{s+1}(A) / D_s(A))**t * D_t(B), and the product of
+    the two determinants is the formula.  Both sides are polynomials in the
+    entries of A and B that agree wherever D_s(A) and D_b(B) are nonzero,
+    so they agree everywhere, zero minors included, as at the singular
+    endpoints of a scan.  D_k(ints) is an integer, so the division by c**k
+    is exact; ``_int_divexact`` checks it.
+
+    A matrix that does not split takes ``_bareiss_minors``.
+    """
+    split = _tensor_split(ints)
+    if split is None:
+        return _bareiss_minors(ints)
+    corners, block = split
+    c, b = ints[0][0], len(block)
+    da = [1] + _int_leading_minors(corners)
+    db = [1] + _int_leading_minors(block)
+    minors = []
+    for s in range(len(corners)):
+        for t in range(1, b + 1):
+            num = da[s] ** (b - t) * da[s + 1] ** t * db[b] ** s * db[t]
+            minors.append(_int_divexact(num, c ** (s * b + t)))
+    return minors
+
+
 def leading_minors(rows, scale=1):
     """Exact leading principal minors of the rational matrix ``rows / scale``.
 
     ``rows`` is a square matrix of ints or Fractions, ``scale`` a positive
     int; entry [k-1] of the result is the Fraction determinant of the
     top-left k-by-k submatrix.  One common denominator clears the matrix to
-    integers, and one Bareiss pass without row swaps gives every minor as a
-    pivot.  After a zero pivot, each later minor takes its own elimination.
+    integers, whose minors ``_int_leading_minors`` computes: through the
+    tensor-product split where the matrix is a tensor product, and by one
+    Bareiss pass otherwise.
     """
     n = len(rows)
     den = 1
@@ -175,13 +272,6 @@ def leading_minors(rows, scale=1):
         if len(row) != n:
             raise ValueError("matrix is not square")
         den = lcm(den, *(entry.denominator for entry in row))
-
-    def cleared(k):
-        return [[e.numerator * (den // e.denominator) for e in row[:k]] for row in rows[:k]]
-
-    _, minors = _bareiss(cleared(n), _int_divexact, not_, swap=False)
-    if len(minors) < n:
-        minors.append(0)
-        minors += [_int_det(cleared(k)) for k in range(len(minors) + 1, n + 1)]
+    ints = [[e.numerator * (den // e.denominator) for e in row] for row in rows]
     scale *= den
-    return [Fraction(value, scale**k) for k, value in enumerate(minors, 1)]
+    return [Fraction(value, scale**k) for k, value in enumerate(_int_leading_minors(ints), 1)]

@@ -7,9 +7,18 @@ means indefinite.  Otherwise a zero minor means singular when the
 determinant (the last minor) is zero, and indefinite when it is not: a
 nonsingular block with a zero leading minor is neither positive nor negative
 definite.  The block is evaluated straight to integers with one common scale
-(``_scaled_block``), and one fraction-free elimination pass gives every
-minor, so there are no tolerances anywhere.  ``evaluate_block`` keeps the
-plain Fraction evaluation as an independent route.
+(``_scaled_block``), and ``linalg.leading_minors`` computes the minors
+exactly, so there are no tolerances anywhere.  The regular block of the
+multiset 1..n is a tensor product: build_gram(m, (1..n)) = Q_n (x) K (x)
+... (x) K with n factors K, where Q_n = build_gram(1, (1..n)) and K =
+(1-q) I_m + q J_m.  In the canonical order the colors, counted by value
+slot, vary fastest within each value word, and cinv adds one q per
+non-neutral color, a count that does not depend on the permutation once
+colors are indexed by value.  ``leading_minors`` finds this structure in
+the evaluated block (the tensor-product split) and takes every minor from
+the minors of Q_n and of the m-by-m K; a block that does not split takes
+one fraction-free elimination pass.  ``evaluate_block`` keeps the plain
+Fraction evaluation as an independent route.
 
 ``scan`` samples a closed interval on an exact rational grid.
 """
@@ -118,6 +127,8 @@ def scan(m, n, q_lo, q_hi, steps):
 
 def interval_of_definiteness(m):
     """The open interval of q where the regular blocks stay definite."""
+    if m < 1:
+        raise ValueError(f"color count must be >= 1, got {m}")
     if m == 1:
         return (Fraction(-1), Fraction(1))
     return (Fraction(1, 1 - m), Fraction(1))

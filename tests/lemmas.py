@@ -5,8 +5,13 @@ the package: the group inverse, the split of a colored permutation into its
 permutation and color parts, the split of the q-weighted group sum, the
 cyclic all-shifts sum with the geometric inverse of one shift, the
 restriction that undoes ``embed_single_position``, and the q**cinv counting
-sum of one inner product, walked pair by pair.
+sum of one inner product, walked pair by pair.  Two more are linear
+algebra that shares no code with ``quonalg.linalg``: leading minors, each
+by its own Gaussian elimination over Fractions, and the tensor product of
+two matrices.
 """
+
+from fractions import Fraction
 
 from quonalg.colored_perm import ColoredPermutation, act, cinv, enumerate_group
 from quonalg.exact_arith import Polynomial
@@ -115,3 +120,37 @@ def cosym_reference(theta_bra, theta_ket):
         if act(theta_ket, pi) == theta_bra:
             total = total + Polynomial.monomial(cinv(pi))
     return total
+
+
+def fraction_det(rows):
+    """Determinant of a square matrix by Gaussian elimination over Fractions."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    n = len(rows)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        pivot = rows[k][k]
+        det *= pivot
+        for i in range(k + 1, n):
+            f = rows[i][k] / pivot
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
+def fraction_minors(rows):
+    """Leading principal minors, each by its own ``fraction_det``."""
+    return [fraction_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
+def kron(a, b):
+    """The tensor product of two square matrices.
+
+    Entry [s*len(b) + i][t*len(b) + j] is a[s][t] * b[i][j].
+    """
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]

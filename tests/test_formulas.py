@@ -43,6 +43,16 @@ def test_det_specific_forms():
     assert det_closed_form(3, 2) == ((ONE + 2 * Q) * (ONE - Q) ** 2) ** 12 * (ONE - Q**2) ** 9
 
 
+def test_det_closed_form_through_the_tensor_product():
+    # det(A (x) B) = det(A)**size(B) * det(B)**size(A), with the regular block
+    # = Q_n (x) K (x) ... (x) K: a route that shares no code with formulas.
+    for m, n in [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (3, 3)]:
+        det_q = linalg.poly_det(build_gram(1, tuple(range(1, n + 1))).entries)
+        det_k = (ONE - Q) ** (m - 1) * (ONE + (m - 1) * Q)
+        expected = det_q ** (m**n) * det_k ** (n * m ** (n - 1) * math.factorial(n))
+        assert det_closed_form(m, n) == expected, (m, n)
+
+
 def test_flat_color_exponent_fails_the_oracle():
     # raising the circulant factor to the full group order would give
     # (1 - q^2)^2 at one position with two colors; the true block is 2x2

@@ -16,6 +16,7 @@ from quonalg.gram import (
 )
 
 from golden_block import GOLDEN_M3_N2_EXPONENTS
+from lemmas import kron
 
 P = Polynomial
 ONE = P.one()
@@ -120,3 +121,15 @@ def test_combinatorial_path_walks_the_group_once_per_ket(monkeypatch):
 def test_equal_entries_of_a_block_are_one_object(m, multiset, path):
     entries = [e for row in build_gram(m, multiset, path).entries for e in row]
     assert len({id(e) for e in entries}) == len(set(entries))
+
+
+def test_regular_block_is_a_tensor_product():
+    # build_gram(m, (1..n)) = Q_n (x) K (x) ... (x) K, n factors K, with
+    # Q_n = build_gram(1, (1..n)) and K = (1-q) I_m + q J_m, exactly in ZZ[q].
+    for m, n in [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (3, 3)]:
+        word = tuple(range(1, n + 1))
+        color = [[ONE if i == j else Q for j in range(m)] for i in range(m)]
+        expected = build_gram(1, word).entries
+        for _ in range(n):
+            expected = kron(expected, color)
+        assert build_gram(m, word).entries == tuple(map(tuple, expected)), (m, n)

@@ -6,7 +6,11 @@ import pytest
 
 from quonalg import linalg
 from quonalg.exact_arith import Polynomial
+from quonalg.gram import build_gram
 from quonalg.linalg import leading_minors, poly_det
+from quonalg.posdef import _scaled_block, interval_of_definiteness
+
+from lemmas import fraction_minors, kron
 
 P = Polynomial
 ONE = P.one()
@@ -109,16 +113,6 @@ def test_leading_minors_match_determinants():
             assert poly_det(sub).evaluate(0) / den**k == minors[k - 1]
 
 
-def minors_by_plain_det(rows):
-    """Each leading minor by its own plain-Polynomial determinant."""
-    minors = []
-    for k in range(1, len(rows) + 1):
-        den = math.lcm(*(e.denominator for row in rows[:k] for e in row[:k]))
-        sub = [[P.constant(int(e * den)) for e in row[:k]] for row in rows[:k]]
-        minors.append(poly_det(sub, method="plain").evaluate(0) / den**k)
-    return minors
-
-
 def test_one_pass_minors_past_a_zero_minor():
     assert leading_minors([[0, 1], [1, 0]]) == [0, -1]
     rng = random.Random(41)
@@ -127,7 +121,7 @@ def test_one_pass_minors_past_a_zero_minor():
     for _ in range(400):
         n = rng.randint(2, 5)
         rows = [[Fraction(rng.choice(values)) for _ in range(n)] for _ in range(n)]
-        expected = minors_by_plain_det(rows)
+        expected = fraction_minors(rows)
         zero_at = [k for k, value in enumerate(expected) if value == 0]
         if zero_at and any(expected[zero_at[0] + 1 :]):
             reached += 1
@@ -144,3 +138,43 @@ def test_leading_minors_of_a_scaled_integer_matrix():
 def test_leading_minors_identity():
     rows = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
     assert leading_minors(rows) == [Fraction(1)] * 6
+
+
+def test_split_matches_split_free_bareiss_on_regular_blocks():
+    # The regular block is Q_n (x) K (x) ... (x) K: every evaluation splits,
+    # and the split gives the minors of one Bareiss pass over the same ints.
+    for m, n in [(2, 2), (3, 2), (4, 2), (2, 3), (5, 2)]:
+        block = build_gram(m, tuple(range(1, n + 1)))
+        lo, hi = interval_of_definiteness(m)
+        for q0 in (lo, hi, Fraction(1, 3), Fraction(-54321, 2**17 - 1), Fraction(3, 2)):
+            ints, _ = _scaled_block(block, q0)
+            assert linalg._tensor_split(ints) is not None, (m, n, q0)
+            assert linalg._int_leading_minors(ints) == linalg._bareiss_minors(ints), (m, n, q0)
+
+
+def test_split_of_tensor_products_and_near_misses():
+    rng = random.Random(67)
+    shapes = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 3, 2)]
+    with_zero_minor = 0
+    for trial in range(90):
+        factors = []
+        for size in shapes[trial % len(shapes)]:
+            factor = [[rng.randint(-2, 3) for _ in range(size)] for _ in range(size)]
+            factor[0][0] = rng.choice((-3, -2, -1, 1, 2, 3))
+            factors.append(factor)
+        ints = factors[0]
+        for factor in factors[1:]:
+            ints = kron(ints, factor)
+        assert linalg._tensor_split(ints) is not None
+        expected = fraction_minors(ints)
+        assert leading_minors(ints) == expected
+        with_zero_minor += 0 in expected
+        # One entry off and the matrix is no tensor product: plain Bareiss.
+        ints[-1][-1] += 1
+        assert linalg._tensor_split(ints) is None
+        assert leading_minors(ints) == fraction_minors(ints)
+    assert with_zero_minor >= 20
+    # A zero corner never splits.
+    ints = kron([[0, 1], [1, 0]], [[1, 2], [2, 1]])
+    assert linalg._tensor_split(ints) is None
+    assert leading_minors(ints) == fraction_minors(ints)

@@ -1,9 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from quonalg import linalg
 from quonalg.exact_arith import Polynomial, RationalFunction
 from quonalg.gram import build_gram
 from quonalg.group_algebra import Block
@@ -18,6 +18,8 @@ from quonalg.posdef import (
     interval_of_definiteness,
     scan,
 )
+
+from lemmas import fraction_minors
 
 
 def test_classify_minors():
@@ -67,6 +69,8 @@ def test_leading_minors_on_block():
 
 
 def test_integer_evaluation_matches_fraction_evaluation():
+    # The reference takes each minor of the Fraction evaluation by its own
+    # Gaussian elimination, sharing no code with linalg or the integer route.
     rng = random.Random(707)
     cases = [(1, (1, 2, 3)), (2, (1, 2)), (2, (1, 1, 2)), (3, (1, 2)), (1, (1, 1, 2, 2))]
     for m, multiset in cases:
@@ -81,7 +85,19 @@ def test_integer_evaluation_matches_fraction_evaluation():
             Fraction(rng.randrange(-3, 4)),
         ]
         for q0 in points:
-            expected = linalg.leading_minors(evaluate_block(block, q0))
+            expected = fraction_minors(evaluate_block(block, q0))
+            assert list(certify_block(block, q0).minors) == expected
+    # Regular blocks that take the tensor-product split, at both endpoints
+    # and at one interior point whose reduced denominator has 17 bits
+    # (2**17 - 1 is prime).
+    for m, n in [(4, 2), (2, 3), (5, 2)]:
+        block = build_gram(m, tuple(range(1, n + 1)))
+        lo, hi = interval_of_definiteness(m)
+        den = 2**17 - 1
+        inside = Fraction(rng.randrange(math.floor(lo * den) + 1, den), den)
+        assert lo < inside < hi and inside.denominator.bit_length() == 17
+        for q0 in (lo, hi, inside):
+            expected = fraction_minors(evaluate_block(block, q0))
             assert list(certify_block(block, q0).minors) == expected
 
 
@@ -126,6 +142,9 @@ def test_scan_structure():
 def test_interval_of_definiteness():
     assert interval_of_definiteness(1) == (Fraction(-1), Fraction(1))
     assert interval_of_definiteness(3) == (Fraction(-1, 2), Fraction(1))
+    for m in (0, -1, -2):
+        with pytest.raises(ValueError):
+            interval_of_definiteness(m)
 
 
 def test_verdict_invariant_under_basis_shuffles():
