@@ -55,11 +55,9 @@ from .gram import (
 )
 from .formulas import (
     DetFactorization,
-    InverseFactors,
     det_closed_form,
     det_factorization,
     inverse_closed_form,
-    inverse_factors,
     regular_block_det,
     verify_inverse,
 )
@@ -115,11 +113,9 @@ __all__ = [
     "gram_json_data",
     "verify_representation",
     "DetFactorization",
-    "InverseFactors",
     "det_closed_form",
     "det_factorization",
     "inverse_closed_form",
-    "inverse_factors",
     "regular_block_det",
     "verify_inverse",
     "INDEFINITE",

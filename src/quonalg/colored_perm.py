@@ -43,24 +43,9 @@ class ColoredArrangement:
         return len(self.values)
 
     @property
-    def multiset(self):
-        return tuple(sorted(self.values))
-
-    @property
     def tokens(self):
         """The (value, color) pairs in position order."""
         return tuple(zip(self.values, self.colors))
-
-    def validate(self):
-        if self.m < 1:
-            raise ValueError(f"color count must be >= 1, got {self.m}")
-        if len(self.colors) != len(self.values):
-            raise ValueError("values and colors must have equal length")
-        if any(v < 1 for v in self.values):
-            raise ValueError(f"values must be positive: {self.values}")
-        if any(not 1 <= c <= self.m for c in self.colors):
-            raise ValueError(f"colors must lie in 1..{self.m}: {self.colors}")
-        return self
 
     def __str__(self):
         return word_str(self.tokens)
@@ -69,12 +54,6 @@ class ColoredArrangement:
 @dataclass(frozen=True)
 class ColoredPermutation(ColoredArrangement):
     """A colored arrangement whose value word is a bijection of 1..n."""
-
-    def validate(self):
-        super().validate()
-        if sorted(self.values) != list(range(1, self.n + 1)):
-            raise ValueError(f"not a permutation of 1..{self.n}: {self.values}")
-        return self
 
     @classmethod
     def neutral(cls, m, n):

@@ -16,14 +16,12 @@ power.  ``regular_block_det`` (fraction-free elimination of the
 representation matrix) is the arbiter and is checked against the closed
 form in the test suite.
 
-The closed-form inverse is assembled from three families of sparse factors:
-per-position inverses of the color sums, and two families of cycle products
-inverting the insertion decomposition of the permutation part.  Every
-factor is a ZZ[q] numerator over a scalar ZZ[q] denominator, and scalars
-are central, so the inverse is one numerator N in ZZ[q][G] over the product
-D of the scalar denominators.  Only the printed inverse divides: each of its
-coefficients is the reduced quotient of a coefficient of N by D.  All
-product orders below are fixed by the two-sided inverse check in the tests.
+The closed-form inverse multiplies sparse factors, each a ZZ[q] numerator
+over a central scalar ZZ[q] denominator, so it is one numerator N in
+ZZ[q][G] over the product D of the scalars.  Only the printed inverse
+divides: each of its coefficients is the reduced quotient of a coefficient
+of N by D.  The two-sided inverse check in the tests fixes every product
+order.
 """
 
 from __future__ import annotations
@@ -115,29 +113,6 @@ def regular_block_det(m, n):
     return linalg.poly_det(rep_matrix(cinv_sum(m, n), tuple(range(1, n + 1))).entries)
 
 
-@dataclass(frozen=True)
-class InverseFactors:
-    """Sparse factors whose ordered product inverts the q-weighted group sum.
-
-    Every factor is a ZZ[q] numerator; ``denominator`` is the product of the
-    scalar denominators of all factors.  position_inverses[k-1] over
-    (1 + (m-1)q)(1-q) inverts the color sum at position k (supported on the
-    cyclic shifts there).  For each block size j = 2..n,
-    difference_products[j-2] is the product over k < j of
-    (1 - q**(j-k) * cycle(j -> k)), and geometric_products[j-2] is the
-    product over k <= j-1 of truncated geometric series in cycle(j-1 -> k),
-    whose scalar denominators are the (1 - q**((j-k)(j-k+1))); both families
-    are neutral-colored.
-    """
-
-    m: int
-    n: int
-    position_inverses: tuple
-    difference_products: tuple
-    geometric_products: tuple
-    denominator: Polynomial
-
-
 def _difference_product(m, n, j):
     """Product over k = 1..j-1 of (1 - q**(j-k) * insertion_cycle(j, k))."""
     q = Polynomial.q()
@@ -160,78 +135,53 @@ def _geometric_product(m, n, j):
     denominator = one
     for k in range(j - 1, 0, -1):
         top = j - 1 - k
-        series = GroupAlgebraElement.zero(m, n)
         cyc = insertion_cycle(m, n, j - 1, k)
         power = ColoredPermutation.neutral(m, n)
+        terms = {}
         for i in range(top + 1):
-            series = series + GroupAlgebraElement.from_element(
-                power, Polynomial.monomial((top + 2) * i)
-            )
+            terms[power] = Polynomial.monomial((top + 2) * i)
             power = act(power, cyc)
-        factors.append(series)
+        factors.append(GroupAlgebraElement(m, n, terms))
         denominator = denominator * (one - Polynomial.monomial((top + 1) * (top + 2)))
     return product_chain(factors), denominator
 
 
-def inverse_factors(m, n):
-    """All sparse factors of the closed-form inverse, unassembled."""
+@lru_cache(maxsize=None)
+def inverse_closed_form(m, n):
+    """The closed-form inverse of cinv_sum(m, n), assembled from sparse factors.
+
+    Every factor is a ZZ[q] numerator over a scalar ZZ[q] denominator.  The
+    color part is the product over positions k = 1..n of the inverse of the
+    color sum at k, supported on the cyclic shifts there, over (1 + (m-1)q)
+    (1-q).  The permutation part has one block for each size j = n..2, the
+    largest acting first: the difference product, over k < j, of (1 -
+    q**(j-k) * cycle(j -> k)), then the geometric product, over k <= j-1,
+    of truncated geometric series in cycle(j-1 -> k), whose scalars are the
+    (1 - q**((j-k)(j-k+1))); both are neutral-colored.  The color part acts
+    after the permutation part, and verify_inverse pins these orders
+    two-sidedly.  Each coefficient of the result is the reduced quotient of
+    a coefficient of the numerator N by the product D of all the scalars:
+    the only quotients the package builds.  Memoised like ``cinv_sum``, so a
+    caller that prints and then verifies the inverse assembles it once.
+    """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     color_inverse, color_denominator = all_shifts_inverse(m)
-    position_inverses = tuple(
+    color = product_chain(
         embed_single_position(color_inverse, n, pos) for pos in range(1, n + 1)
     )
-    difference_products = tuple(_difference_product(m, n, j) for j in range(2, n + 1))
-    geometric = [_geometric_product(m, n, j) for j in range(2, n + 1)]
     denominator = color_denominator**n
-    for _, scalar in geometric:
-        denominator = denominator * scalar
-    return InverseFactors(
-        m=m,
-        n=n,
-        position_inverses=position_inverses,
-        difference_products=difference_products,
-        geometric_products=tuple(series for series, _ in geometric),
-        denominator=denominator,
-    )
-
-
-@lru_cache(maxsize=None)
-def inverse_closed_form(m, n):
-    """The closed-form inverse of cinv_sum(m, n), assembled from its factors.
-
-    The numerator N multiplies the per-block pairs (difference product, then
-    geometric product) with the largest block acting first, and the color
-    part acts after the permutation part; verify_inverse pins these orders
-    two-sidedly.  Each coefficient of the result is the reduced quotient of
-    a coefficient of N by the product D of the scalar denominators: the only
-    quotients the package builds.  Memoised like ``cinv_sum``, so a caller
-    that prints and then verifies the inverse assembles it once.
-    """
-    factors = inverse_factors(m, n)
-    color_inverse = product_chain(factors.position_inverses)
     blocks = []
     for j in range(n, 1, -1):
-        blocks.append(
-            product_chain(
-                [
-                    factors.difference_products[j - 2],
-                    factors.geometric_products[j - 2],
-                ]
-            )
-        )
-    if blocks:
-        perm_inverse = product_chain(blocks)
-    else:
-        perm_inverse = GroupAlgebraElement.identity(m, n)
-    numerator = ga_mul(perm_inverse, color_inverse)
+        series, scalar = _geometric_product(m, n, j)
+        blocks.append(ga_mul(series, _difference_product(m, n, j)))
+        denominator = denominator * scalar
+    perm = product_chain(blocks) if blocks else GroupAlgebraElement.identity(m, n)
+    numerator = ga_mul(perm, color)
     return GroupAlgebraElement(
         m,
         n,
-        {
-            pi: RationalFunction(c, factors.denominator)
-            for pi, c in numerator.terms.items()
-        },
+        {pi: RationalFunction(c, denominator) for pi, c in numerator.terms.items()},
     )
 
 

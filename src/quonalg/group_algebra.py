@@ -71,10 +71,6 @@ class GroupAlgebraElement:
         raise AttributeError("GroupAlgebraElement is immutable")
 
     @classmethod
-    def zero(cls, m, n):
-        return cls(m, n)
-
-    @classmethod
     def identity(cls, m, n):
         return cls(m, n, {ColoredPermutation.neutral(m, n): 1})
 

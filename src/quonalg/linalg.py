@@ -1,7 +1,7 @@
 """Fraction-free exact linear algebra over ZZ[q] and over the rationals.
 
 Determinants take Polynomial matrices (every block of the package lies in
-ZZ[q]); leading minors take matrices of ints or Fractions.
+ZZ[q]); leading minors take a matrix of ints and one common scale.
 
 Every elimination is one Bareiss loop, ``_bareiss``: its entries are minors
 of the input, so every division is exact, and its pivots are the leading
@@ -12,20 +12,20 @@ for each other.  Polynomial determinants run on the image of the matrix
 under q -> 2**stride (balanced-digit Kronecker packing by ``_pack_coeffs``
 and ``_unpack_int``, the package's only packing; the proof is in
 ``poly_det``).  Leading minors of a rational matrix are those of one
-integer matrix with one common scale.  Before it eliminates, the tensor-
-product split (``_int_leading_minors``, not to be confused with the
-Kronecker packing above) tests whether that matrix is a tensor product
-(A (x) B) / c and, if so, takes its minors from those of A and B by a closed
-formula, recursively.  The regular Gram block is Q_n (x) K (x) ... (x) K
-with n factors K (see ``posdef``), so its minors come from those of Q_n
-and of the m-by-m K.  A matrix that does not split takes one Bareiss pass
-without row swaps.
+integer matrix with one common scale, both given by the caller.  Before it
+eliminates, the tensor-product split (``_int_leading_minors``, not to be
+confused with the Kronecker packing above) tests whether that matrix is a
+tensor product (A (x) B) / c and, if so, takes its minors from those of A
+and B by a closed formula, recursively.  The regular Gram block is Q_n (x)
+K (x) ... (x) K with n factors K (see ``posdef``), so its minors come from
+those of Q_n and of the m-by-m K.  A matrix that does not split takes one
+Bareiss pass without row swaps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from operator import attrgetter, not_
 
 from .exact_arith import Polynomial
@@ -65,14 +65,6 @@ def _bareiss(rows, divexact, is_zero, swap=True):
     return sign, pivots
 
 
-def _det(rows, divexact, is_zero, zero):
-    """Determinant of a nonempty square matrix by ``_bareiss``, destructively."""
-    sign, pivots = _bareiss(rows, divexact, is_zero)
-    if len(pivots) < len(rows):
-        return zero
-    return pivots[-1] if sign > 0 else -pivots[-1]
-
-
 def _int_divexact(num, den):
     quot, rem = divmod(num, den)
     if rem:
@@ -80,8 +72,15 @@ def _int_divexact(num, den):
     return quot
 
 
-def _int_det(rows):
-    return _det(rows, _int_divexact, not_, 0)
+def _det(rows, divexact=_int_divexact, is_zero=not_, zero=0):
+    """Determinant of a nonempty square matrix by ``_bareiss``, destructively.
+
+    The defaults are the integer ring; Polynomial callers pass their own.
+    """
+    sign, pivots = _bareiss(rows, divexact, is_zero)
+    if len(pivots) < len(rows):
+        return zero
+    return pivots[-1] if sign > 0 else -pivots[-1]
 
 
 def _stride(rows):
@@ -127,7 +126,7 @@ def _unpack_int(value, stride):
 def _packed_det(rows, stride):
     """Determinant of the image of ``rows`` under q -> 2**stride, unpacked."""
     packed = [[_pack_coeffs(p.coeffs, stride) for p in row] for row in rows]
-    return Polynomial(_unpack_int(_int_det(packed), stride))
+    return Polynomial(_unpack_int(_det(packed), stride))
 
 
 def poly_det(rows, method="packed"):
@@ -178,7 +177,7 @@ def _bareiss_minors(ints):
     if len(minors) < n:
         minors.append(0)
         minors += [
-            _int_det([row[:k] for row in ints[:k]]) for k in range(len(minors) + 1, n + 1)
+            _det([row[:k] for row in ints[:k]]) for k in range(len(minors) + 1, n + 1)
         ]
     return minors
 
@@ -256,22 +255,17 @@ def _int_leading_minors(ints):
     return minors
 
 
-def leading_minors(rows, scale=1):
-    """Exact leading principal minors of the rational matrix ``rows / scale``.
+def leading_minors(ints, scale=1):
+    """Exact leading principal minors of the rational matrix ``ints / scale``.
 
-    ``rows`` is a square matrix of ints or Fractions, ``scale`` a positive
-    int; entry [k-1] of the result is the Fraction determinant of the
-    top-left k-by-k submatrix.  One common denominator clears the matrix to
-    integers, whose minors ``_int_leading_minors`` computes: through the
-    tensor-product split where the matrix is a tensor product, and by one
-    Bareiss pass otherwise.
+    ``ints`` is a square matrix of ints, left unchanged, and ``scale`` a
+    positive int; entry [k-1] of the result is the Fraction determinant of
+    the top-left k-by-k submatrix, D_k(ints) / scale**k.
+    ``_int_leading_minors`` computes the D_k: through the tensor-product
+    split where the matrix is a tensor product, and by one Bareiss pass
+    otherwise.
     """
-    n = len(rows)
-    den = 1
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        den = lcm(den, *(entry.denominator for entry in row))
-    ints = [[e.numerator * (den // e.denominator) for e in row] for row in rows]
-    scale *= den
+    n = len(ints)
+    if any(len(row) != n for row in ints):
+        raise ValueError("matrix is not square")
     return [Fraction(value, scale**k) for k, value in enumerate(_int_leading_minors(ints), 1)]

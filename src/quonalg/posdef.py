@@ -74,22 +74,22 @@ def _scaled_block(block, q0):
     With q0 = p/r in lowest terms and D the largest entry degree, the entry
     sum(c_i q**i) maps to the integer sum(c_i p**i r**(D-i)) and the common
     scale is r**D.  Entries must be Polynomials, as every ``build_gram``
-    entry is.
+    entry is.  Each distinct entry is evaluated once: a regular block of
+    size N holds a handful of distinct values among its N**2 entries.
     """
     q0 = Fraction(q0)
     p, r = q0.numerator, q0.denominator
-    degree = 0
+    values = {}
     for row in block.entries:
         for entry in row:
             if not isinstance(entry, Polynomial):
                 raise ValueError(f"block entry is not a polynomial: {entry}")
-            degree = max(degree, entry.degree)
+            values[entry] = None
+    degree = max([0] + [entry.degree for entry in values])
     weights = [p**i * r ** (degree - i) for i in range(degree + 1)]
-    ints = [
-        [sum(c * w for c, w in zip(entry.coeffs, weights)) for entry in row]
-        for row in block.entries
-    ]
-    return ints, r**degree
+    for entry in values:
+        values[entry] = sum(c * w for c, w in zip(entry.coeffs, weights))
+    return [[values[entry] for entry in row] for row in block.entries], r**degree
 
 
 def certify_block(block, q0):

@@ -154,6 +154,7 @@ def test_inverse_verify():
     [
         (["inverse", "--m", "2", "--n", "2", "--verify"], "inverse_m2_n2_verify"),
         (["inverse", "--m", "1", "--n", "3", "--verify"], "inverse_m1_n3_verify"),
+        (["inverse", "--m", "2", "--n", "3", "--verify"], "inverse_m2_n3_verify"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])

@@ -240,11 +240,3 @@ def test_color_shift_powers():
     for k in range(1, 2 * m + 1):
         acc = act(acc, color_shift(m, 3, 2, 1))
         assert acc == color_shift(m, 3, 2, k)
-
-
-def test_validate():
-    with pytest.raises(ValueError):
-        ColoredPermutation(2, (1, 1), (2, 2)).validate()
-    with pytest.raises(ValueError):
-        ColoredArrangement(2, (1, 2), (3, 1)).validate()
-    ColoredArrangement(3, (5, 2), (1, 3)).validate()

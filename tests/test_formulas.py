@@ -6,10 +6,11 @@ from quonalg import linalg
 from quonalg.colored_perm import ColoredPermutation
 from quonalg.exact_arith import Polynomial, RationalFunction
 from quonalg.formulas import (
+    _difference_product,
+    _geometric_product,
     det_closed_form,
     det_factorization,
     inverse_closed_form,
-    inverse_factors,
     regular_block_det,
     verify_inverse,
 )
@@ -162,20 +163,28 @@ def test_inverse_two_positions_one_color_explicit():
 
 
 def test_inverse_factor_shapes():
-    factors = inverse_factors(2, 3)
-    assert len(factors.position_inverses) == 3
-    assert len(factors.difference_products) == 2
-    assert len(factors.geometric_products) == 2
+    m, n = 2, 3
+    color_inverse, color_denominator = all_shifts_inverse(m)
+    position_inverses = [
+        embed_single_position(color_inverse, n, pos) for pos in range(1, n + 1)
+    ]
+    difference_products = [_difference_product(m, n, j) for j in range(2, n + 1)]
+    geometric = [_geometric_product(m, n, j) for j in range(2, n + 1)]
+    assert len(position_inverses) == 3
+    assert len(difference_products) == 2
+    assert len(geometric) == 2
     # the color scalar (1 + q)(1 - q) at three positions, then one
     # geometric scalar per cycle: 1 - q^2 for block 2, (1 - q^2)(1 - q^6)
     # for block 3
-    color = (ONE + Q) * (ONE - Q)
-    assert factors.denominator == color**3 * (ONE - Q**2) ** 2 * (ONE - Q**6)
+    denominator = color_denominator**3
+    for _, scalar in geometric:
+        denominator = denominator * scalar
+    assert denominator == ((ONE + Q) * (ONE - Q)) ** 3 * (ONE - Q**2) ** 2 * (ONE - Q**6)
     neutral_word = (1, 2, 3)
-    for element in factors.difference_products + factors.geometric_products:
+    for element in difference_products + [series for series, _ in geometric]:
         for pi in set(element.terms):
             assert set(pi.colors) <= {2}
-    for pos, element in enumerate(factors.position_inverses, start=1):
+    for pos, element in enumerate(position_inverses, start=1):
         for pi in set(element.terms):
             assert pi.values == neutral_word
             for i, color in enumerate(pi.colors, start=1):

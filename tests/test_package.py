@@ -24,6 +24,17 @@ def test_all_lists_each_name_once_and_every_name_resolves():
         assert hasattr(quonalg, name), name
 
 
+def test_all_is_exactly_what_init_imports_from_the_modules():
+    tree = ast.parse(Path(quonalg.__file__).read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert sorted(imported) == sorted(quonalg.__all__)
+
+
 def test_every_export_has_a_caller():
     # a caller loads the name or attribute; imports and docstrings do not count
     callers = [path for path in MODULES if path.name != "__init__.py"] + DEMOS

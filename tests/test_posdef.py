@@ -99,6 +99,16 @@ def test_integer_evaluation_matches_fraction_evaluation():
         for q0 in (lo, hi, inside):
             expected = fraction_minors(evaluate_block(block, q0))
             assert list(certify_block(block, q0).minors) == expected
+    # Equal entries held by separate Polynomial objects, as a block built
+    # outside build_gram may hold them.
+    block = build_gram(2, (1, 2))
+    entries = tuple(tuple(Polynomial(e.coeffs) for e in row) for row in block.entries)
+    copied = Block(m=block.m, multiset=block.multiset, basis=block.basis, entries=entries)
+    flat = [e for row in entries for e in row]
+    assert len(set(map(id, flat))) == len(flat) > len(set(flat))
+    for q0 in (Fraction(-1), Fraction(1), Fraction(2, 7)):
+        expected = fraction_minors(evaluate_block(copied, q0))
+        assert list(certify_block(copied, q0).minors) == expected
 
 
 def test_integer_evaluation_needs_polynomial_entries():
