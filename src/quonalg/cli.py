@@ -20,7 +20,9 @@ verification finds a mismatch, 2 on usage or parse errors and on an
 ``--output`` path that cannot be written.  The block-size guard (default
 10000 basis elements) can be lifted with QUON_MAX_BLOCK; ``gram --path
 combinatorial`` also walks the whole group of m**n * n! elements, so the
-same limit applies to the group's size there.
+same limit applies to the group's size there.  ``det --verify`` eliminates
+the n!-by-n! factor Q_n of the regular block, so it is refused above
+n = 4 whatever the block size.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ from .posdef import certify, scan
 from .quon_engine import vacuum_expectation
 
 DEFAULT_MAX_BLOCK = 10000
+# The det oracle eliminates Q_n, n!-by-n!: Q_4 (24-by-24) takes well under a
+# second, and Q_5 (120-by-120) did not finish in 9 minutes.
+MAX_VERIFY_N = 4
 
 
 class UsageError(Exception):
@@ -144,6 +149,11 @@ def cmd_gram(args):
 
 def cmd_det(args):
     size = _regular_size(args, positive_n=True)
+    if args.verify and args.n > MAX_VERIFY_N:
+        raise UsageError(
+            f"det --verify eliminates the {args.n}!-by-{args.n}! factor Q_n of the "
+            f"regular block, too slow above n = {MAX_VERIFY_N}; drop --verify"
+        )
     fact = det_factorization(args.m, args.n)
     expanded = fact.expand()
     payload = {

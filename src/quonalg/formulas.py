@@ -109,7 +109,11 @@ def det_closed_form(m, n):
 
 
 def regular_block_det(m, n):
-    """Brute-force determinant of the regular representation of the group sum."""
+    """Determinant of the regular representation of the group sum, by ``poly_det``.
+
+    The representation matrix is the regular Gram block, Q_n (x) K (x) ...
+    (x) K, so ``poly_det`` eliminates only Q_n and the m-by-m K.
+    """
     return linalg.poly_det(rep_matrix(cinv_sum(m, n), tuple(range(1, n + 1))).entries)
 
 

@@ -12,14 +12,21 @@ for each other.  Polynomial determinants run on the image of the matrix
 under q -> 2**stride (balanced-digit Kronecker packing by ``_pack_coeffs``
 and ``_unpack_int``, the package's only packing; the proof is in
 ``poly_det``).  Leading minors of a rational matrix are those of one
-integer matrix with one common scale, both given by the caller.  Before it
-eliminates, the tensor-product split (``_int_leading_minors``, not to be
-confused with the Kronecker packing above) tests whether that matrix is a
-tensor product (A (x) B) / c and, if so, takes its minors from those of A
-and B by a closed formula, recursively.  The regular Gram block is Q_n (x)
-K (x) ... (x) K with n factors K (see ``posdef``), so its minors come from
-those of Q_n and of the m-by-m K.  A matrix that does not split takes one
-Bareiss pass without row swaps.
+integer matrix with one common scale, both given by the caller.
+
+Before either eliminates, the tensor-product split (``_tensor_split``, not
+to be confused with the Kronecker packing above) tests exactly, in the ring
+of the entries, whether the matrix is a tensor product (A (x) B) / c.  If
+so, leading minors come from those of A and B by a closed formula
+(``_int_leading_minors``), and the determinant is det(A)**b * det(B)**a /
+c**(a*b) for A of size a and B of size b, an exact division in ZZ[q]
+(``_split_det``); A and B split again where they can.  The regular Gram
+block is Q_n (x) K (x) ... (x) K with n factors K (see ``posdef``), so its
+minors and its determinant come from those of Q_n and of the m-by-m K.  A
+matrix that does not split takes one Bareiss pass: without row swaps for
+minors, and packed at the stride of its own entries for a determinant.  The
+plain Polynomial route of ``poly_det`` never splits: it eliminates the
+whole matrix and stays the oracle for the packed one.
 """
 
 from __future__ import annotations
@@ -129,25 +136,67 @@ def _packed_det(rows, stride):
     return Polynomial(_unpack_int(_det(packed), stride))
 
 
+def _split_det(rows):
+    """Determinant of a nonempty square Polynomial matrix, packed and split.
+
+    Where ``_tensor_split`` finds rows = (A (x) B) / c, the determinant is
+    det(A)**b * det(B)**a / c**(a*b), with both factors from this function
+    again; a factor that does not split takes ``_packed_det`` at its own
+    ``_stride``, followed by the degree check (see ``poly_det``).
+    """
+    split = _tensor_split(rows)
+    if split is not None:
+        corners, block = split
+        a, b = len(corners), len(block)
+        num = _split_det(corners) ** b * _split_det(block) ** a
+        return num.divexact(rows[0][0] ** (a * b))
+    result = _packed_det(rows, _stride(rows))
+    max_degree = sum(
+        max((p.degree for p in row if not p.is_zero), default=0) for row in rows
+    )
+    if not result.is_zero and result.degree > max_degree:
+        raise ArithmeticError("packed determinant exceeded its degree bound")
+    return result
+
+
 def poly_det(rows, method="packed"):
     """Exact determinant of a square matrix of Polynomial entries.
 
-    ``method`` chooses between the packed-integer Bareiss (default) and the
-    plain Bareiss over Polynomial values used for cross-checks.
+    ``method`` chooses between the packed route (default) and the plain
+    Bareiss over Polynomial values, which eliminates the whole matrix
+    without splitting and so stays an independent cross-check of the
+    packed route.
 
-    Why the packed stride s = B.bit_length() + 1 of ``_stride`` suffices.
-    phi: q -> 2**s is a ring homomorphism ZZ[q] -> ZZ.  Run Bareiss over
-    ZZ[q] and, side by side, over the images.  A polynomial step computes
-    c = (p*a - h*b) / prev, exactly in ZZ[q], so phi(p)*phi(a) -
-    phi(h)*phi(b) = phi(prev)*phi(c): the integer division is exact too and
-    yields phi(c).  The un-reduced numerator may have coefficients up to
-    2*B**2, but it is never unpacked.  Every entry either run tests against
-    zero or returns, pivots included, is a minor of the input, with
+    The packed route first applies the tensor-product split.  When
+    ``_tensor_split`` finds rows * c == A (x) B, with c = rows[0][0] != 0,
+    A of size a and B of size b, then
+
+        det(rows) = det(A)**b * det(B)**a / c**(a*b).
+
+    Proof.  A (x) B = (A (x) I_b) (I_a (x) B).  I_a (x) B is block diagonal
+    with a copies of B, so its determinant is det(B)**a; A (x) I_b is a
+    simultaneous permutation of rows and columns away from I_b (x) A, whose
+    determinant is det(A)**b.  Multiplying all a*b rows by c multiplies the
+    determinant by c**(a*b).  ZZ[q] is an integral domain and det(rows) lies
+    in it, so the division by c**(a*b) is exact; ``Polynomial.divexact``
+    checks it.  A and B split again where they can, and each factor that
+    does not split (a leaf) is packed at its own stride, computed from its
+    own entries, so the regular block Q_n (x) K (x) ... (x) K only ever
+    eliminates Q_n and the m-by-m K.
+
+    Why the packed stride s = B.bit_length() + 1 of ``_stride`` suffices
+    for a leaf.  phi: q -> 2**s is a ring homomorphism ZZ[q] -> ZZ.  Run
+    Bareiss over ZZ[q] and, side by side, over the images.  A polynomial
+    step computes c = (p*a - h*b) / prev, exactly in ZZ[q], so phi(p)*phi(a)
+    - phi(h)*phi(b) = phi(prev)*phi(c): the integer division is exact too
+    and yields phi(c).  The un-reduced numerator may have coefficients up
+    to 2*B**2, but it is never unpacked.  Every entry either run tests
+    against zero or returns, pivots included, is a minor of the input, with
     coefficients of modulus at most B < 2**(s-1).  Balanced base-2**s digits
     represent such a polynomial uniquely, so phi maps it to zero only if it
     is zero: both runs pick the same pivots, and the integer run ends with
-    phi(det), whose balanced digits are the coefficients of det.  The final
-    degree check guards the bound itself.
+    phi(det), whose balanced digits are the coefficients of det.  The
+    degree check on each leaf guards the bound itself.
     """
     n = len(rows)
     if n == 0:
@@ -157,13 +206,7 @@ def poly_det(rows, method="packed"):
     if method == "plain":
         rows = [list(r) for r in rows]
         return _det(rows, Polynomial.divexact, attrgetter("is_zero"), Polynomial.zero())
-    result = _packed_det(rows, _stride(rows))
-    max_degree = sum(
-        max((p.degree for p in row if not p.is_zero), default=0) for row in rows
-    )
-    if not result.is_zero and result.degree > max_degree:
-        raise ArithmeticError("packed determinant exceeded its degree bound")
-    return result
+    return _split_det(rows)
 
 
 def _bareiss_minors(ints):
@@ -182,31 +225,33 @@ def _bareiss_minors(ints):
     return minors
 
 
-def _tensor_split(ints):
-    """``(A, B)`` with ``ints == (A (x) B) / c`` and c = ints[0][0], or None.
+def _tensor_split(rows):
+    """``(A, B)`` with ``rows == (A (x) B) / c`` and c = rows[0][0], or None.
 
-    For each divisor b of the size N with 1 < b < N, smallest first, A is
-    the matrix of corner entries of the b-by-b blocks, A[s][t] =
-    ints[s*b][t*b], and B the top-left block.  The split holds iff
-    ``ints[s*b+i][t*b+j] * c == A[s][t] * B[i][j]`` for every entry, since
-    (A (x) B)[s*b+i][t*b+j] = A[s][t] * B[i][j].  The check stops at the
-    first mismatch, most often in row 0.  A zero c never splits.
+    ``rows`` is a square matrix over an integral domain: ints or
+    Polynomials.  For each divisor b of the size N with 1 < b < N, smallest
+    first, A is the matrix of corner entries of the b-by-b blocks, A[s][t] =
+    rows[s*b][t*b], and B the top-left block.  The split holds iff
+    ``rows[s*b+i][t*b+j] * c == A[s][t] * B[i][j]`` for every entry, since
+    (A (x) B)[s*b+i][t*b+j] = A[s][t] * B[i][j].  The check is exact, in the
+    ring of the entries, and stops at the first mismatch, most often in
+    row 0.  A zero c never splits.
     """
-    n = len(ints)
-    c = ints[0][0] if n else 0
+    n = len(rows)
+    c = rows[0][0] if n else 0
     if not c:
         return None
     for b in range(2, n):
         if n % b:
             continue
-        for r, row in enumerate(ints):
-            corners = ints[r - r % b][::b]
-            inner = ints[r % b][:b]
+        for r, row in enumerate(rows):
+            corners = rows[r - r % b][::b]
+            inner = rows[r % b][:b]
             expected = (a * e for a in corners for e in inner)
             if any(x * c != y for x, y in zip(row, expected)):
                 break
         else:
-            return [row[::b] for row in ints[::b]], [row[:b] for row in ints[:b]]
+            return [row[::b] for row in rows[::b]], [row[:b] for row in rows[:b]]
     return None
 
 

@@ -56,12 +56,17 @@ class CreatorState:
         return not self.terms
 
 
-def creator_state(m, word):
-    """The state of a single creator word (outermost creator first)."""
-    word = tuple((int(v), int(c)) for v, c in word)
+def _check_colors(m, word):
+    """Raise ``ValueError`` unless every color of ``word`` lies in 1..m."""
     for _, c in word:
         if not 1 <= c <= m:
             raise ValueError(f"color {c} outside 1..{m}")
+
+
+def creator_state(m, word):
+    """The state of a single creator word (outermost creator first)."""
+    word = tuple((int(v), int(c)) for v, c in word)
+    _check_colors(m, word)
     return CreatorState(m, {word: Polynomial.one()})
 
 
@@ -93,9 +98,13 @@ def vacuum_expectation(bra, ket, m):
 
     ``bra`` and ``ket`` are sequences of (mode, color) pairs in the written
     order described in the module docstring.  The result is a Polynomial.
+    Every color of both words is checked up front, so a bad bra color
+    raises ``ValueError`` even where the state vanishes before reaching it.
     """
+    bra = tuple(bra)
+    _check_colors(m, bra)
     state = creator_state(m, ket)
-    for mode, color in reversed(tuple(bra)):
+    for mode, color in reversed(bra):
         if state.is_zero:
             break
         state = apply_annihilator(mode, color, state)

@@ -102,7 +102,9 @@ def test_criterion_3_three_way_agreement_under_30s():
 
 
 def test_criterion_4_determinant_oracle_under_3min():
-    cases = [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3)]
+    # (4,2), (5,2) and (3,3) split into three or more tensor factors
+    cases = [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3),
+             (4, 2), (5, 2), (3, 3)]
     start = time.perf_counter()
     for m, n in cases:
         assert regular_block_det(m, n) == det_closed_form(m, n), (m, n)

@@ -121,10 +121,22 @@ def test_gram_output_file(tmp_path):
 
 
 def test_det_verify_match():
-    code, out, _ = run_cli(["det", "--m", "3", "--n", "2", "--verify"])
-    assert code == 0
-    assert "verdict:  MATCH" in out
-    assert "factored:" in out and "expanded:" in out and "oracle:" in out
+    for m, n in [(3, 2), (3, 3)]:
+        code, out, _ = run_cli(["det", "--m", str(m), "--n", str(n), "--verify"])
+        assert code == 0
+        assert out.endswith("verdict:  MATCH\n")
+        assert "factored:" in out and "expanded:" in out and "oracle:" in out
+
+
+def test_det_verify_refused_above_n_4():
+    # (1,5) passes the block-size guard at size 120, but its oracle would
+    # eliminate the 120-by-120 Q_5; the refusal comes before any work.
+    code, out, err = run_cli(["det", "--m", "1", "--n", "5", "--verify"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Q_n" in err and "n = 4" in err
+    code, out, _ = run_cli(["det", "--m", "1", "--n", "5"])
+    assert code == 0 and out.startswith("m=1 n=5 size=120\n")
 
 
 def test_det_json_round_trip():

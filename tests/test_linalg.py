@@ -6,11 +6,12 @@ import pytest
 
 from quonalg import linalg
 from quonalg.exact_arith import Polynomial
+from quonalg.formulas import regular_block_det
 from quonalg.gram import build_gram
 from quonalg.linalg import leading_minors, poly_det
 from quonalg.posdef import _scaled_block, interval_of_definiteness
 
-from lemmas import fraction_minors, kron
+from lemmas import fraction_det, fraction_minors, kron
 
 P = Polynomial
 ONE = P.one()
@@ -184,3 +185,67 @@ def test_split_of_tensor_products_and_near_misses():
     ints = kron([[0, 1], [1, 0]], [[1, 2], [2, 1]])
     assert linalg._tensor_split(ints) is None
     assert leading_minors(ints) == fraction_minors(ints)
+
+
+def test_split_determinant_of_polynomial_tensor_products():
+    # det((A (x) B) / c) = det(A)**b * det(B)**a / c**(a*b) on two- and
+    # three-factor products with c != 1, singular ones included; the plain
+    # route never splits, and the references share no code with Bareiss.
+    rng = random.Random(71)
+    corners = [P((2,)), P((-3,)), Q, ONE + Q, P((2, -1)), P((1, -1, 1)), -(Q**2)]
+    shapes = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 3, 2)]
+    singular = 0
+    for trial in range(36):
+        factors = []
+        for size in shapes[trial % len(shapes)]:
+            factor = [[rand_poly(rng, 1, 2) for _ in range(size)] for _ in range(size)]
+            factor[0][0] = rng.choice(corners) if factors else corners[trial % len(corners)]
+            if trial % 4 == 3 and not factors:
+                factor[-1] = factor[0][:]
+            factors.append(factor)
+        rows = factors[0]
+        for factor in factors[1:]:
+            rows = kron(rows, factor)
+        assert rows[0][0] != ONE
+        for near_miss in (False, True):
+            if near_miss:
+                # One entry off and the matrix is no tensor product.
+                rows[-1][-1] = rows[-1][-1] + ONE
+                assert linalg._tensor_split(rows) is None
+            else:
+                assert linalg._tensor_split(rows) is not None
+            packed = poly_det(rows)
+            assert packed == poly_det(rows, method="plain")
+            if len(rows) <= 6:
+                assert packed == laplace_det(rows)
+            # Both sides have degree at most the sum of the row degrees, so
+            # agreement at that many points plus one is equality.
+            bound = sum(max(0, *(e.degree for e in row)) for row in rows)
+            assert packed.degree <= bound
+            for x in range(-(bound // 2), bound - bound // 2 + 1):
+                at_x = [[e.evaluate(x) for e in row] for row in rows]
+                assert packed.evaluate(x) == fraction_det(at_x), (trial, near_miss, x)
+            singular += not near_miss and packed.is_zero
+    assert singular >= 5
+    # A zero corner never splits.
+    rows = kron([[P.zero(), ONE], [ONE, P.zero()]], [[ONE, Q], [Q, 2 * ONE]])
+    assert linalg._tensor_split(rows) is None
+    assert poly_det(rows) == laplace_det(rows) == (Q**2 - 2 * ONE) ** 2
+
+
+def test_regular_block_determinant_packs_only_q_n_and_k(monkeypatch):
+    # The regular block is Q_n (x) K (x) ... (x) K: the packed route packs
+    # only leaves of at most n! rows, each at the stride of its own entries.
+    leaves = []
+    packed_det = linalg._packed_det
+
+    def recording(rows, stride):
+        leaves.append((len(rows), stride, linalg._stride(rows)))
+        return packed_det(rows, stride)
+
+    monkeypatch.setattr(linalg, "_packed_det", recording)
+    for m, n in [(2, 3), (4, 2), (3, 3)]:
+        leaves.clear()
+        regular_block_det(m, n)
+        assert leaves and all(s == own for _, s, own in leaves), (m, n)
+        assert max(size for size, _, _ in leaves) <= max(m, math.factorial(n)), (m, n)

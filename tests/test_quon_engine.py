@@ -62,6 +62,9 @@ def test_vacuum_expectation_basics():
 def test_color_out_of_range_rejected():
     with pytest.raises(ValueError):
         vacuum_expectation(((1, 3),), ((1, 1),), 2)
+    # The inner annihilator (3,1) already kills the state; (1,5) is still checked.
+    with pytest.raises(ValueError):
+        vacuum_expectation(((1, 5), (3, 1)), ((2, 1),), 2)
     with pytest.raises(ValueError):
         creator_state(2, ((1, 5),))
 
