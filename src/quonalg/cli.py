@@ -12,8 +12,11 @@ Words are written exactly as they appear in the bracket, e.g.
 ``--bra "(2,4)(5,1)(2,4)"`` stands for the annihilators a_{2,4} a_{5,1}
 a_{2,4} read left to right, so the last pair is the innermost operator and
 acts on the ket first.  Rational inputs are integers or ``p/q``; decimal
-floats are rejected.  ``--format`` selects text (default), json, or csv,
-all carrying the same mathematical content in canonical string forms.
+floats are rejected.  A value that starts with a minus sign must be joined
+to its option by ``=``, as in ``--q=-1/2`` or ``--scan=-1/2:1:7``:
+argparse reads ``--q -1/2`` as an option with no value.  ``--format``
+selects text (default), json, or csv, all carrying the same mathematical
+content in canonical string forms.
 
 Exit status: 0 on success (and on a verified match), 1 when a requested
 verification finds a mismatch, 2 on usage or parse errors and on an
@@ -278,8 +281,12 @@ def build_parser():
     )
     _add_subcommand(
         sub, "posdef", cmd_posdef, "exact positive-definiteness certificates",
-        ("--q", dict(default=None, help="one rational point, e.g. 1/2")),
-        ("--scan", dict(default=None, help="rational grid lo:hi:steps, e.g. -1/2:1:7")),
+        ("--q", dict(default=None, help="one rational point, e.g. 1/2 or --q=-1/2")),
+        ("--scan", dict(
+            default=None,
+            help="rational grid lo:hi:steps, e.g. --scan=-1/2:1:7 (a negative value "
+            "needs the = form)",
+        )),
     )
     _add_subcommand(sub, "enumerate", cmd_enumerate, "colored permutations with their cinv")
     return parser

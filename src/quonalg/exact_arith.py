@@ -159,11 +159,9 @@ class Polynomial:
                 base = base * base
         return result
 
-    def times_monomial(self, degree, coeff=1):
-        """Return self * coeff * q**degree without a full convolution."""
-        if coeff == 0 or self.is_zero:
-            return _ZERO
-        return Polynomial((0,) * degree + tuple(c * coeff for c in self.coeffs))
+    def times_monomial(self, degree):
+        """Return self * q**degree without a full convolution."""
+        return Polynomial((0,) * degree + self.coeffs) if degree else self
 
     def evaluate(self, point):
         """Exact value at a rational point, as a Fraction."""

@@ -4,11 +4,12 @@ The block of a multiset I collects the pairwise inner products of the
 creator-word states of all colored arrangements of I, rows indexed by the
 bra arrangement and columns by the ket arrangement, both in the canonical
 enumeration order.  It is a ``Block`` of Polynomials in ZZ[q], since every
-entry is a q**cinv generating sum.  Two constructions are provided: the
-``operator`` path reduces each entry with the annihilator rewriting engine,
-the ``combinatorial`` path counts each column as q**cinv sums over colored
-permutations, walking the group once per ket (``cosym_column``).  The block
-also equals the right-action matrix of the q-weighted group sum on the
+entry is a q**cinv generating sum.  Both constructions fill the block one
+column per ket: the ``operator`` path walks a trie of the bra words from
+the ket with the annihilator rewriting engine (``operator_column``), the
+``combinatorial`` path counts the column as q**cinv sums over colored
+permutations, walking the group once (``cosym_column``).  The block also
+equals the right-action matrix of the q-weighted group sum on the
 arrangement module (``verify_representation`` checks all of this).
 
 The counting loop and ``rep_matrix(cinv_sum(m, n), multiset)`` compute the
@@ -28,17 +29,22 @@ from functools import lru_cache
 
 from .colored_perm import as_multiset, enumerate_arrangements
 from .exact_arith import Polynomial
-from .quon_engine import cosym_column, vacuum_expectation
+from .quon_engine import annihilator_trie, cosym_column, operator_column
+# Unused here; bench/test_bench.py checks that a traced pass also wraps
+# ``gram.vacuum_expectation`` in this namespace.
+from .quon_engine import vacuum_expectation  # noqa: F401
 from .group_algebra import Block, cinv_sum, rep_matrix
 
 
 def build_gram(m, multiset, path="operator"):
     """Build the Gram block of a multiset by either construction path.
 
-    path = "operator" uses the annihilator rewriting engine entry by entry;
-    path = "combinatorial" uses the colored-permutation counting sum, one
-    walk of the group per ket: size * m**n * n! group actions.  The two must
-    agree exactly.
+    path = "operator" uses the annihilator rewriting engine, one walk of the
+    bras' trie per ket: at most size * (trie nodes) annihilator steps, where
+    the trie holds at most n * size nodes and far fewer when bras share
+    their innermost annihilators; path = "combinatorial" uses the
+    colored-permutation counting sum, one walk of the group per ket:
+    size * m**n * n! group actions.  The two must agree exactly.
     """
     if path not in ("operator", "combinatorial"):
         raise ValueError(f"unknown path {path!r}")
@@ -48,21 +54,16 @@ def build_gram(m, multiset, path="operator"):
 @lru_cache(maxsize=None)
 def _build_gram_cached(m, multiset, path):
     basis = enumerate_arrangements(m, multiset)
-    seen = {}
     if path == "operator":
-        rows = []
-        for bra in basis:
-            bra_word = tuple(reversed(bra.tokens))
-            row = (vacuum_expectation(bra_word, ket.tokens, m) for ket in basis)
-            rows.append(_shared(row, seen))
+        keys = [bra.tokens for bra in basis]
+        trie = annihilator_trie(m, keys)
+        columns = (operator_column(m, trie, ket.tokens) for ket in basis)
     else:
-        zero = Polynomial.zero()
-        columns = []
-        for ket in basis:
-            column = cosym_column(ket)
-            columns.append(_shared((column.get(bra, zero) for bra in basis), seen))
-        rows = zip(*columns)
-    return Block(m=m, multiset=multiset, basis=basis, entries=tuple(rows))
+        keys = basis
+        columns = map(cosym_column, basis)
+    zero, seen = Polynomial.zero(), {}
+    columns = [_shared((column.get(key, zero) for key in keys), seen) for column in columns]
+    return Block(m=m, multiset=multiset, basis=basis, entries=tuple(zip(*columns)))
 
 
 def _shared(values, seen):

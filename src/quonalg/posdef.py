@@ -17,8 +17,7 @@ non-neutral color, a count that does not depend on the permutation once
 colors are indexed by value.  ``leading_minors`` finds this structure in
 the evaluated block (the tensor-product split) and takes every minor from
 the minors of Q_n and of the m-by-m K; a block that does not split takes
-one fraction-free elimination pass.  ``evaluate_block`` keeps the plain
-Fraction evaluation as an independent route.
+one fraction-free elimination pass.
 
 ``scan`` samples a closed interval on an exact rational grid.
 """
@@ -60,12 +59,6 @@ def classify_minors(minors):
         if value == 0:
             return SINGULAR if minors[-1] == 0 else INDEFINITE
     return POSITIVE_DEFINITE
-
-
-def evaluate_block(block, q0):
-    """The block as exact Fractions at q = q0 (entries are polynomials)."""
-    q0 = Fraction(q0)
-    return [[entry.evaluate(q0) for entry in row] for row in block.entries]
 
 
 def _scaled_block(block, q0):

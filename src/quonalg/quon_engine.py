@@ -9,6 +9,15 @@ matching mode contributes nothing, and annihilators kill the vacuum.  This
 is enough to evaluate any vacuum expectation, because the annihilators of
 the bra can be removed one at a time from the right.
 
+``vacuum_expectation`` reduces one bra/ket pair.  ``operator_column``
+reduces one ket against many bras at once: the bras' annihilator words,
+innermost first, go into a trie (``annihilator_trie``), and a depth-first
+walk from the ket's creator state applies each trie node's annihilator once
+to its parent's state.  Bras that share their innermost annihilators share
+those steps, so a column costs one ``apply_annihilator`` call per trie node
+rather than one per bra and position.  The walk uses only the rewriting
+rule, never the counting code below, which it checks.
+
 Word-order convention, also used by the CLI: a bra or ket string lists the
 operators exactly as written left to right in the bracket.  The ket word
 (i1,k1)(i2,k2)... denotes the creators applied left to right, and the bra
@@ -109,6 +118,54 @@ def vacuum_expectation(bra, ket, m):
             break
         state = apply_annihilator(mode, color, state)
     return state.coeff(())
+
+
+def annihilator_trie(m, words):
+    """The annihilator words as a trie, innermost annihilator first.
+
+    Each node is a dict from a (mode, color) pair to the child node that
+    applies it next; a word ending at a node is stored under the key None.
+    A word here lists its annihilators in the order they act, which is the
+    written bra reversed; a Gram block's bra arrangement tokens are already
+    in that order.  Every color is checked against 1..m.
+    """
+    root = {}
+    for word in words:
+        word = tuple(word)
+        _check_colors(m, word)
+        node = root
+        for token in word:
+            node = node.setdefault(token, {})
+        node[None] = word
+    return root
+
+
+def operator_column(m, trie, ket):
+    """Every nonzero <bra|ket> over the bra words of ``trie``, in one walk.
+
+    The walk starts from the ket's creator state and goes depth first; each
+    trie node applies its annihilator once to its parent's state, so bras
+    that share their innermost annihilators share those steps, and a state
+    that vanishes cuts off its whole subtree.  A ket costs at most one
+    ``apply_annihilator`` call per trie node instead of one per bra and
+    position.  Returns a dict from each bra word (as stored in the trie) to
+    its nonzero value.
+    """
+    column = {}
+
+    def walk(node, state):
+        for token, child in node.items():
+            if token is None:
+                value = state.coeff(())
+                if value:
+                    column[child] = value
+            else:
+                shorter = apply_annihilator(*token, state)
+                if not shorter.is_zero:
+                    walk(child, shorter)
+
+    walk(trie, creator_state(m, ket))
+    return column
 
 
 def cosym_column(theta_ket):

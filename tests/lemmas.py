@@ -8,7 +8,8 @@ restriction that undoes ``embed_single_position``, and the q**cinv counting
 sum of one inner product, walked pair by pair.  Two more are linear
 algebra that shares no code with ``quonalg.linalg``: leading minors, each
 by its own Gaussian elimination over Fractions, and the tensor product of
-two matrices.
+two matrices.  ``evaluate_block`` evaluates a block entry by entry as
+Fractions, the plain route beside ``posdef``'s scaled integer evaluation.
 """
 
 from fractions import Fraction
@@ -120,6 +121,12 @@ def cosym_reference(theta_bra, theta_ket):
         if act(theta_ket, pi) == theta_bra:
             total = total + Polynomial.monomial(cinv(pi))
     return total
+
+
+def evaluate_block(block, q0):
+    """The block as exact Fractions at q = q0 (entries are polynomials)."""
+    q0 = Fraction(q0)
+    return [[entry.evaluate(q0) for entry in row] for row in block.entries]
 
 
 def fraction_det(rows):

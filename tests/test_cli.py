@@ -225,11 +225,23 @@ def test_usage_error_text_is_pinned(argv, env, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("command", ["expect", "gram", "det", "inverse", "enumerate"])
+@pytest.mark.parametrize("command", ["expect", "gram", "det", "inverse", "posdef", "enumerate"])
 def test_help_is_pinned(command):
     code, out, _ = run_cli([command, "--help"], env={"COLUMNS": "80"})
     assert code == 0
     assert out == (GOLDEN / f"help_{command}.text").read_text(encoding="utf-8")
+
+
+def test_posdef_help_shows_the_equals_form_for_negative_values():
+    code, out, _ = run_cli(["posdef", "--help"], env={"COLUMNS": "200"})
+    assert code == 0
+    assert "--q=-1/2" in out and "--scan=-1/2:1:7" in out
+    # The forms shown run; with a space argparse takes -1/2 for an option.
+    for option in (["--q=-1/2"], ["--scan=-1/2:1:7"]):
+        assert run_cli(["posdef", "--m", "2", "--n", "2", *option])[0] == 0
+    for option in (["--q", "-1/2"], ["--scan", "-1/2:1:7"]):
+        code, out, err = run_cli(["posdef", "--m", "2", "--n", "2", *option])
+        assert (code, out) == (2, "") and "expected one argument" in err
 
 
 def test_posdef_has_no_eigenvalue_option():

@@ -113,6 +113,29 @@ def test_combinatorial_path_walks_the_group_once_per_ket(monkeypatch):
     assert calls == block.size * len(group)
 
 
+def test_operator_path_shares_annihilator_steps_between_bras(monkeypatch):
+    calls = 0
+    real_apply = quon_engine.apply_annihilator
+
+    def counted_apply(mode, color, state):
+        nonlocal calls
+        calls += 1
+        return real_apply(mode, color, state)
+
+    def nodes(node):
+        return sum(1 + nodes(child) for token, child in node.items() if token is not None)
+
+    monkeypatch.setattr(quon_engine, "apply_annihilator", counted_apply)
+    m, multiset = 2, (1, 2, 3)
+    block = _build_gram_cached.__wrapped__(m, multiset, "operator")
+    trie = quon_engine.annihilator_trie(m, [bra.tokens for bra in block.basis])
+    assert block.size == 48 and nodes(trie) == 6 + 6 * 4 + 6 * 4 * 2 == 78
+    # one step per trie node and ket; reducing each entry alone takes
+    # size**2 * n = 6,912 steps
+    assert 0 < calls <= block.size * nodes(trie) == 3744
+    assert block == build_gram(m, multiset, "combinatorial")
+
+
 @pytest.mark.parametrize("path", ["operator", "combinatorial"])
 @pytest.mark.parametrize(
     "m,multiset",

@@ -14,12 +14,11 @@ from quonalg.posdef import (
     certify,
     certify_block,
     classify_minors,
-    evaluate_block,
     interval_of_definiteness,
     scan,
 )
 
-from lemmas import fraction_minors
+from lemmas import evaluate_block, fraction_minors
 
 
 def test_classify_minors():

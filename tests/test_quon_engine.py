@@ -5,11 +5,13 @@ import pytest
 from quonalg.colored_perm import ColoredArrangement, enumerate_arrangements
 from quonalg.exact_arith import Polynomial
 from quonalg.quon_engine import (
+    annihilator_trie,
     apply_annihilator,
     color_mismatch,
     cosym_column,
     cosym_expectation,
     creator_state,
+    operator_column,
     vacuum_expectation,
 )
 
@@ -125,6 +127,42 @@ def test_operator_and_combinatorial_paths_agree():
             bra_word = tuple(reversed(bra.tokens))
             for ket in basis:
                 assert vacuum_expectation(bra_word, ket.tokens, m) == cosym_expectation(bra, ket)
+
+
+@pytest.mark.parametrize(
+    "m,multiset",
+    [(1, (1, 2, 3)), (2, (1, 1, 2)), (3, (2, 2, 2)), (2, (1, 2, 3)), (1, (1, 1, 2, 2))],
+)
+def test_operator_column_equals_per_entry_reduction(m, multiset):
+    basis = enumerate_arrangements(m, multiset)
+    words = [bra.tokens for bra in basis]
+    trie = annihilator_trie(m, words)
+    for ket in basis:
+        expected = {w: vacuum_expectation(tuple(reversed(w)), ket.tokens, m) for w in words}
+        assert operator_column(m, trie, ket.tokens) == {w: v for w, v in expected.items() if v}
+
+
+def test_operator_column_on_mixed_words_randomized():
+    # Words of different lengths and modes, some a prefix of another, the
+    # empty word and repeats: every leaf depth and vanishing subtrees.
+    rng = random.Random(17)
+
+    def draw(m):
+        return tuple((rng.randint(1, 3), rng.randint(1, m)) for _ in range(rng.randint(0, 4)))
+
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        words = [draw(m) for _ in range(12)]
+        words += [w[:-1] for w in words[:4] if w] + words[:2]
+        trie = annihilator_trie(m, words)
+        ket = draw(m)
+        expected = {w: vacuum_expectation(tuple(reversed(w)), ket, m) for w in words}
+        assert operator_column(m, trie, ket) == {w: v for w, v in expected.items() if v}
+
+
+def test_annihilator_trie_checks_colors():
+    with pytest.raises(ValueError):
+        annihilator_trie(2, [((1, 1),), ((1, 1), (2, 3))])
 
 
 def test_hermitian_symmetry_randomized():
