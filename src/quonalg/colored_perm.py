@@ -10,7 +10,11 @@ the arrangements of the multiset {1, ..., n}.
 
 The right action of a colored permutation (perm, pcolors) on an arrangement
 (values, colors) produces (values o perm, colors o perm + pcolors mod m);
-group composition is the same formula applied to two permutations.
+group composition is the same formula applied to two permutations.  The
+formula has one copy, ``act_words``, which acts on plain word tuples with
+permutations compiled to moves (0-based source positions and colors);
+``act`` is its checked entry point for single objects, and ``group_moves``
+caches the moves and cinv values of a whole group per (m, n).
 
 The enumeration order fixed here is part of the package contract (matrix
 rows, CSV exports, and the CLI depend on it): value words ascend
@@ -112,19 +116,55 @@ def act(theta, pi):
     Position i of the result takes theta's value at position pi(i), and its
     color is the mod-m sum of theta's color there and pi's color at i
     (representatives chosen in 1..m).  Returns the same type as theta, so
-    acting on a ColoredPermutation yields the group composition.
+    acting on a ColoredPermutation yields the group composition.  This is
+    the checked entry point to ``act_words``, which holds the formula.
     """
     if theta.n != pi.n:
         raise ValueError(f"length mismatch: {theta.n} vs {pi.n}")
     if theta.m != pi.m:
         raise ValueError(f"color-count mismatch: {theta.m} vs {pi.m}")
     m = theta.m
-    tv, tc = theta.values, theta.colors
-    new_values = tuple(tv[s - 1] for s in pi.values)
-    new_colors = tuple(
-        (tc[s - 1] + c - 1) % m + 1 for s, c in zip(pi.values, pi.colors)
-    )
-    return type(theta)(m, new_values, new_colors)
+    (words,) = act_words(m, theta.values, theta.colors, compile_moves((pi,)))
+    return type(theta)(m, *words)
+
+
+def compile_moves(pis):
+    """Colored permutations compiled for ``act_words``, in order.
+
+    A move is a permutation's 0-based source positions and its colors.
+    """
+    return tuple((tuple([s - 1 for s in pi.values]), pi.colors) for pi in pis)
+
+
+def act_words(m, values, colors, moves):
+    """The words of one arrangement acted on by each move, in order.
+
+    ``(values, colors)`` are the arrangement's words and ``moves`` come from
+    ``compile_moves``; each result is the (values, colors) pair of
+    ``act(theta, pi)``.  This is the package's one copy of the action
+    formula.  The inner loops of the Gram, representation and product code
+    call it on plain tuples, once per arrangement, without checks and
+    without building arrangement objects.
+    """
+    return [
+        (
+            tuple([values[s] for s in sources]),
+            tuple([(colors[s] + c - 1) % m + 1 for s, c in zip(sources, pcolors)]),
+        )
+        for sources, pcolors in moves
+    ]
+
+
+@lru_cache(maxsize=None)
+def group_moves(m, n):
+    """The compiled moves of the whole group and the cinv of each element.
+
+    Both tuples follow ``enumerate_group(m, n)``.  They are built for each
+    (m, n) on first use, never at import, so a walk of the group compiles
+    each element and counts its cinv once per process.
+    """
+    group = enumerate_group(m, n)
+    return compile_moves(group), tuple(map(cinv, group))
 
 
 def color_cycle_order(m):

@@ -14,8 +14,11 @@ arrangement module (``verify_representation`` checks all of this).
 
 The counting loop and ``rep_matrix(cinv_sum(m, n), multiset)`` compute the
 same formula, entry (i, j) = sum of q**cinv(pi) over pi with
-act(basis[j], pi) == basis[i], in different loop orders; they share ``act``
-and ``cinv`` but no loop, so only the operator path is independent of both.
+act(basis[j], pi) == basis[i], in different loop orders.  They share the
+compiled moves and the one action formula of ``colored_perm``
+(``act_words``) and the cinv values cached with the group's moves
+(``group_moves``), but no loop, so only the operator path is independent of
+both.
 
 The infinite form is block diagonal over multisets; this module only ever
 materializes one finite block at a time.

@@ -31,12 +31,13 @@ from functools import lru_cache, reduce
 from .exact_arith import Polynomial
 from .colored_perm import (
     ColoredPermutation,
-    act,
+    act_words,
     as_multiset,
-    cinv,
     color_shift,
+    compile_moves,
     enumerate_arrangements,
     enumerate_group,
+    group_moves,
 )
 
 
@@ -133,16 +134,22 @@ def ga_mul(x, y):
     """Convolution product oriented so rep_matrix is multiplicative.
 
     rep_matrix(ga_mul(x, y), I) == rep_matrix(x, I) @ rep_matrix(y, I); the
-    group term contributed by a pair (pi_x, pi_y) is act(pi_y, pi_x).
+    group term contributed by a pair (pi_x, pi_y) is act(pi_y, pi_x).  The
+    pairs are acted on as plain words (``act_words``), and one
+    ColoredPermutation is built per distinct product, not per pair.
     """
     x._check_sizes(y)
+    m = x.m
+    moves = compile_moves(x.terms)
     out = {}
-    for pi_x, cx in x.terms.items():
-        for pi_y, cy in y.terms.items():
-            g = act(pi_y, pi_x)
-            acc = out.get(g)
-            out[g] = cx * cy if acc is None else acc + cx * cy
-    return GroupAlgebraElement(x.m, x.n, out)
+    for pi_y, cy in y.terms.items():
+        products = act_words(m, pi_y.values, pi_y.colors, moves)
+        for key, cx in zip(products, x.terms.values()):
+            acc = out.get(key)
+            out[key] = cx * cy if acc is None else acc + cx * cy
+    return GroupAlgebraElement(
+        m, x.n, {ColoredPermutation(m, *key): c for key, c in out.items()}
+    )
 
 
 def product_chain(factors):
@@ -163,7 +170,10 @@ def cinv_sum(m, n):
     return GroupAlgebraElement(
         m,
         n,
-        {pi: Polynomial.monomial(cinv(pi)) for pi in enumerate_group(m, n)},
+        {
+            pi: Polynomial.monomial(c)
+            for pi, c in zip(enumerate_group(m, n), group_moves(m, n)[1])
+        },
     )
 
 
@@ -190,22 +200,27 @@ def rep_matrix(x, multiset):
 
     Column j expands basis[j] acted on by x in the canonical arrangement
     basis; for the multiset {1..n} this is the regular representation.
+    Each term of x is compiled to a move once, and the basis is indexed by
+    its (values, colors) words, which ``act_words`` produces.
     """
     multiset = as_multiset(multiset)
     if len(multiset) != x.n:
         raise ValueError(f"multiset size {len(multiset)} does not match n={x.n}")
-    basis = enumerate_arrangements(x.m, multiset)
-    index = {theta: i for i, theta in enumerate(basis)}
-    size = len(basis)
+    m = x.m
+    basis = enumerate_arrangements(m, multiset)
+    index = {(theta.values, theta.colors): i for i, theta in enumerate(basis)}
+    moves = compile_moves(x.terms)
     zero = Polynomial.zero()
-    cols = [[zero] * size for _ in range(size)]
-    for j, theta in enumerate(basis):
-        col = cols[j]
-        for pi, c in x.terms.items():
-            i = index[act(theta, pi)]
-            col[i] = col[i] + c
-    entries = tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
-    return Block(m=x.m, multiset=multiset, basis=basis, entries=entries)
+    cols = []
+    for theta in basis:
+        col = [zero] * len(basis)
+        images = act_words(m, theta.values, theta.colors, moves)
+        for key, c in zip(images, x.terms.values()):
+            i = index[key]
+            acc = col[i]
+            col[i] = c if acc is zero else acc + c
+        cols.append(col)
+    return Block(m=m, multiset=multiset, basis=basis, entries=tuple(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------

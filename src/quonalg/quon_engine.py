@@ -30,7 +30,10 @@ colored permutations carrying the ket arrangement to the bra arrangement
 (``cosym_expectation``), which is independent of the rewriting path.
 ``cosym_column`` counts a whole column of these sums in one walk of the
 group; it computes the same formula as ``rep_matrix(cinv_sum(m, n), ...)``
-in ``group_algebra``, in a different loop order.
+in ``group_algebra``, in a different loop order.  Both act on plain words
+through ``colored_perm.act_words`` and read cinv from the table that
+``colored_perm.group_moves`` builds once per (m, n); they share no loop,
+and the rewriting path above uses none of this.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact_arith import Polynomial
-from .colored_perm import act, cinv, enumerate_group
+from .colored_perm import act_words, group_moves
 
 
 def color_mismatch(creator_color, annihilator_color, m):
@@ -180,18 +183,22 @@ def cosym_column(theta_ket):
 
     This is the same formula as the representation matrix of the q-weighted
     group sum (``rep_matrix(cinv_sum(m, n), multiset)``) in another loop
-    order; the two loops are kept as separate code.
+    order.  The walk runs on plain words: the group's moves and cinv values
+    come from the per-(m, n) table ``group_moves``, the action from
+    ``act_words``, and a bucket becomes an arrangement of the ket's type
+    only once, as a key of the result.
     """
-    n = theta_ket.n
+    m, n = theta_ket.m, theta_ket.n
+    moves, cinvs = group_moves(m, n)
     width = n * (n + 1) // 2 + 1  # cinv is at most n(n-1)/2 inversions + n colors
     buckets = {}
-    for pi in enumerate_group(theta_ket.m, n):
-        theta = act(theta_ket, pi)
-        counts = buckets.get(theta)
+    for key, c in zip(act_words(m, theta_ket.values, theta_ket.colors, moves), cinvs):
+        counts = buckets.get(key)
         if counts is None:
-            counts = buckets[theta] = [0] * width
-        counts[cinv(pi)] += 1
-    return {theta: Polynomial(counts) for theta, counts in buckets.items()}
+            counts = buckets[key] = [0] * width
+        counts[c] += 1
+    cls = type(theta_ket)
+    return {cls(m, *key): Polynomial(counts) for key, counts in buckets.items()}
 
 
 def cosym_expectation(theta_bra, theta_ket):

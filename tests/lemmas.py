@@ -4,8 +4,10 @@ Each one builds an object whose defining property a test checks against
 the package: the group inverse, the split of a colored permutation into its
 permutation and color parts, the split of the q-weighted group sum, the
 cyclic all-shifts sum with the geometric inverse of one shift, the
-restriction that undoes ``embed_single_position``, and the q**cinv counting
-sum of one inner product, walked pair by pair.  Two more are linear
+restriction that undoes ``embed_single_position``, the q**cinv counting
+sum of one inner product, walked pair by pair, and the group-algebra
+product and representation matrix read on objects, one checked ``act`` per
+pair (the package runs both on plain words).  Two more are linear
 algebra that shares no code with ``quonalg.linalg``: leading minors, each
 by its own Gaussian elimination over Fractions, and the tensor product of
 two matrices.  ``evaluate_block`` evaluates a block entry by entry as
@@ -14,7 +16,13 @@ Fractions, the plain route beside ``posdef``'s scaled integer evaluation.
 
 from fractions import Fraction
 
-from quonalg.colored_perm import ColoredPermutation, act, cinv, enumerate_group
+from quonalg.colored_perm import (
+    ColoredPermutation,
+    act,
+    cinv,
+    enumerate_arrangements,
+    enumerate_group,
+)
 from quonalg.exact_arith import Polynomial
 from quonalg.group_algebra import GroupAlgebraElement, cyclic_shift
 
@@ -121,6 +129,30 @@ def cosym_reference(theta_bra, theta_ket):
         if act(theta_ket, pi) == theta_bra:
             total = total + Polynomial.monomial(cinv(pi))
     return total
+
+
+def ga_mul_reference(x, y):
+    """``ga_mul(x, y)`` on objects: each pair (pi_x, pi_y) of terms adds
+    cx * cy at act(pi_y, pi_x)."""
+    out = {}
+    for pi_x, cx in x.terms.items():
+        for pi_y, cy in y.terms.items():
+            g = act(pi_y, pi_x)
+            out[g] = out.get(g, Polynomial.zero()) + cx * cy
+    return GroupAlgebraElement(x.m, x.n, out)
+
+
+def rep_matrix_reference(x, multiset):
+    """The entries of ``rep_matrix(x, multiset)`` on objects: entry (i, j)
+    adds c for every term (pi, c) of x with act(basis[j], pi) == basis[i]."""
+    basis = enumerate_arrangements(x.m, multiset)
+    index = {theta: i for i, theta in enumerate(basis)}
+    rows = [[Polynomial.zero()] * len(basis) for _ in basis]
+    for j, theta in enumerate(basis):
+        for pi, c in x.terms.items():
+            i = index[act(theta, pi)]
+            rows[i][j] = rows[i][j] + c
+    return tuple(map(tuple, rows))
 
 
 def evaluate_block(block, q0):

@@ -9,11 +9,14 @@ from quonalg.colored_perm import (
     ColoredArrangement,
     ColoredPermutation,
     act,
+    act_words,
     as_multiset,
     cinv,
     color_shift,
+    compile_moves,
     enumerate_arrangements,
     enumerate_group,
+    group_moves,
     insertion_cycle,
     parse_word,
     word_str,
@@ -74,6 +77,34 @@ def test_act_size_mismatch_raises():
         act(theta, ColoredPermutation.neutral(2, 3))
     with pytest.raises(ValueError):
         act(theta, ColoredPermutation.neutral(3, 2))
+
+
+def test_act_keeps_the_type_of_what_it_acts_on():
+    pi = ColoredPermutation(3, (2, 1), (1, 3))
+    got = act(ColoredPermutation(3, (2, 1), (2, 2)), pi)
+    assert type(got) is ColoredPermutation and got == ColoredPermutation(3, (1, 2), (3, 2))
+    got = act(ColoredArrangement(3, (4, 4), (2, 2)), pi)
+    assert type(got) is ColoredArrangement and got == ColoredArrangement(3, (4, 4), (3, 2))
+
+
+def test_act_on_one_position_adds_colors():
+    for m in (1, 2, 3, 5):
+        for c in range(1, m + 1):
+            for d in range(1, m + 1):
+                theta = ColoredArrangement(m, (7,), (c,))
+                got = act(theta, ColoredPermutation(m, (1,), (d,)))
+                assert got == ColoredArrangement(m, (7,), ((c + d) % m or m,))
+
+
+def test_group_moves_compile_every_element():
+    for m, n in [(1, 3), (2, 2), (3, 2), (2, 3)]:
+        group = enumerate_group(m, n)
+        moves, cinvs = group_moves(m, n)
+        identity = ColoredPermutation.neutral(m, n)
+        assert moves == compile_moves(group)
+        assert cinvs == tuple(cinv(pi) for pi in group)
+        images = act_words(m, identity.values, identity.colors, moves)
+        assert images == [(pi.values, pi.colors) for pi in group]
 
 
 def test_inverse_defining_property():

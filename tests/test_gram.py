@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quonalg import quon_engine
+from quonalg import colored_perm, quon_engine
 from quonalg.colored_perm import enumerate_group
 from quonalg.exact_arith import Polynomial
 from quonalg.gram import (
@@ -97,20 +97,43 @@ def test_csv_and_json_carry_identical_content():
 
 
 def test_combinatorial_path_walks_the_group_once_per_ket(monkeypatch):
-    calls = 0
-    real_act = quon_engine.act
+    calls = acts = 0
+    real_act_words = quon_engine.act_words
 
-    def counted_act(theta, pi):
-        nonlocal calls
+    def counted_act_words(m, values, colors, moves):
+        nonlocal calls, acts
         calls += 1
-        return real_act(theta, pi)
+        acts += len(moves)
+        return real_act_words(m, values, colors, moves)
 
-    monkeypatch.setattr(quon_engine, "act", counted_act)
+    monkeypatch.setattr(quon_engine, "act_words", counted_act_words)
     m, multiset = 2, (1, 1, 2)
     block = _build_gram_cached.__wrapped__(m, multiset, "combinatorial")
     group = enumerate_group(m, len(multiset))
     assert block.size == 24 and len(group) == 48
-    assert calls == block.size * len(group)
+    assert calls == block.size and acts == block.size * len(group)
+
+
+def test_combinatorial_path_counts_cinv_once_per_group_element(monkeypatch):
+    calls = 0
+    real_cinv = colored_perm.cinv
+
+    def counted_cinv(pi):
+        nonlocal calls
+        calls += 1
+        return real_cinv(pi)
+
+    monkeypatch.setattr(colored_perm, "cinv", counted_cinv)
+    colored_perm.group_moves.cache_clear()
+    try:
+        m, multiset = 2, (1, 1, 2)
+        block = _build_gram_cached.__wrapped__(m, multiset, "combinatorial")
+    finally:
+        colored_perm.group_moves.cache_clear()
+    group = enumerate_group(m, len(multiset))
+    # once per element of the group, not once per (ket, element) pair
+    assert block.size == 24 and calls == len(group) == 48
+    assert block == build_gram(m, multiset, "operator")
 
 
 def test_operator_path_shares_annihilator_steps_between_bras(monkeypatch):

@@ -22,7 +22,13 @@ from quonalg.group_algebra import (
     rep_matrix,
 )
 
-from lemmas import all_shifts_sum, restrict_single_position, single_shift_inverse
+from lemmas import (
+    all_shifts_sum,
+    ga_mul_reference,
+    rep_matrix_reference,
+    restrict_single_position,
+    single_shift_inverse,
+)
 
 P = Polynomial
 ONE = P.one()
@@ -68,6 +74,42 @@ def test_size_mismatch_raises():
         ga_mul(GroupAlgebraElement.identity(2, 2), GroupAlgebraElement.identity(2, 3))
     with pytest.raises(ValueError):
         GroupAlgebraElement(2, 2, {ColoredPermutation.neutral(2, 3): 1})
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (1, 4)])
+def test_ga_mul_equals_the_object_level_product(m, n):
+    rng = random.Random(m * 10 + n)
+    noncommuting = 0
+    for _ in range(20):
+        x, y = rand_element(rng, m, n, 6), rand_element(rng, m, n, 6)
+        xy = ga_mul(x, y)
+        assert xy.terms == ga_mul_reference(x, y).terms
+        assert all(type(pi) is ColoredPermutation for pi in xy.terms)
+        noncommuting += xy != ga_mul(y, x)
+    assert noncommuting
+
+
+@pytest.mark.parametrize(
+    "m,multiset",
+    [(2, (1, 2, 3)), (2, (1, 1, 2)), (3, (1, 2)), (3, (2, 2)), (1, (1, 2, 3, 4))],
+)
+def test_rep_matrix_equals_the_object_level_matrix(m, multiset):
+    rng = random.Random(len(multiset) * 10 + m)
+    n = len(multiset)
+    elements = [rand_element(rng, m, n, 6) for _ in range(5)] + [cinv_sum(m, n)]
+    for x in elements:
+        assert rep_matrix(x, multiset).entries == rep_matrix_reference(x, multiset)
+
+
+def test_rep_matrix_accumulates_terms_that_meet_on_a_repeated_mode():
+    # two elements that differ by swapping the equal values send every basis
+    # arrangement of (1, 1, 2) to the same place, so their coefficients add
+    m = 2
+    pi, swapped = (ColoredPermutation(m, w, (m,) * 3) for w in ((1, 2, 3), (2, 1, 3)))
+    x = GroupAlgebraElement(m, 3, {pi: ONE, swapped: Q})
+    entries = rep_matrix(x, (1, 1, 2)).entries
+    assert entries == rep_matrix_reference(x, (1, 1, 2))
+    assert entries[0][0] == ONE + Q
 
 
 def test_rep_matrix_is_an_algebra_homomorphism():
