@@ -14,9 +14,14 @@ ascending by degree, coefficient 1 elided, constant term printed bare, e.g.
 printed ``(num)/(den)``.  ``parse_polynomial`` / ``parse_rational_function``
 read the same grammar back.
 
-Products are schoolbook convolutions, which suit the sparse closed-form
-factors the package multiplies.  Packing coefficients into one big integer
-(Kronecker substitution) happens only in ``linalg``, for determinants.
+Products of two ``Polynomial`` values are schoolbook convolutions, which
+suit the sparse closed-form factors the package multiplies.  Where many
+products and sums meet, a caller packs each coefficient tuple into one big
+integer instead (Kronecker substitution q -> 2**stride, ``pack_coeffs``),
+computes on plain ints and unpacks each result once (``unpack_int``):
+``linalg`` for determinants, ``group_algebra.ga_mul`` for group-algebra
+products.  Each caller chooses its stride from a bound on the coefficients
+of its results and proves that bound in its docstring.
 """
 
 from __future__ import annotations
@@ -30,6 +35,36 @@ def _trim(coeffs):
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
+
+
+def pack_coeffs(coeffs, stride):
+    """Image of a coefficient tuple under q -> 2**stride."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << stride) + c
+    return acc
+
+
+def unpack_int(value, stride):
+    """Inverse of pack_coeffs under the balanced-digit convention.
+
+    Each digit d is read in -2**(stride-1) <= d < 2**(stride-1), so the
+    coefficients come back exactly when each has modulus below
+    2**(stride-1).  A stride below 2 has no balanced digit for +1, so it is
+    rejected.
+    """
+    if stride < 2:
+        raise ValueError(f"stride must be at least 2, got {stride}")
+    coeffs = []
+    half = 1 << (stride - 1)
+    mask = (1 << stride) - 1
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= mask + 1
+        coeffs.append(d)
+        value = (value - d) >> stride
+    return coeffs
 
 
 class Polynomial:

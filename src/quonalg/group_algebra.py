@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .exact_arith import Polynomial
+from .exact_arith import Polynomial, pack_coeffs, unpack_int
 from .colored_perm import (
     ColoredPermutation,
     act_words,
@@ -130,6 +130,27 @@ class GroupAlgebraElement:
         return "GroupAlgebraElement(" + " + ".join(bits) + ")"
 
 
+def _norms(x):
+    """(max of the sup norms, sum of the l1 norms) of x's coefficients."""
+    sup = l1 = 0
+    for c in x.terms.values():
+        if not isinstance(c, Polynomial):
+            raise TypeError(f"ga_mul needs ZZ[q] coefficients, got {c!r}")
+        sup = max(sup, max(map(abs, c.coeffs)))
+        l1 += sum(map(abs, c.coeffs))
+    return sup, l1
+
+
+def _product_stride(x, y):
+    """Bits per packed coefficient of ga_mul(x, y): B.bit_length() + 1.
+
+    B = min(sup(x) * l1(y), sup(y) * l1(x)) bounds every coefficient of the
+    product (see ``ga_mul``).
+    """
+    (sup_x, l1_x), (sup_y, l1_y) = _norms(x), _norms(y)
+    return min(sup_x * l1_y, sup_y * l1_x).bit_length() + 1
+
+
 def ga_mul(x, y):
     """Convolution product oriented so rep_matrix is multiplicative.
 
@@ -137,18 +158,45 @@ def ga_mul(x, y):
     group term contributed by a pair (pi_x, pi_y) is act(pi_y, pi_x).  The
     pairs are acted on as plain words (``act_words``), and one
     ColoredPermutation is built per distinct product, not per pair.
+
+    Coefficients are multiplied and summed as their images under
+    phi: q -> 2**s (``pack_coeffs``), one image per term of x and of y, and
+    each output is unpacked once (``unpack_int``).  Coefficients that are
+    not Polynomials (the printed inverse's quotients) raise TypeError.
+
+    Why the stride s = B.bit_length() + 1 of ``_product_stride`` suffices.
+    phi is a ring homomorphism ZZ[q] -> ZZ, so the int accumulated at a
+    group element g is phi(c_g), with c_g the sum of a_x * b_y over the
+    pairs (pi_x, pi_y) with act(pi_y, pi_x) = g.  For a fixed pi_y the map
+    pi_x -> act(pi_y, pi_x) is injective (it is a product in the group), so
+    at most one pi_x meets each pi_y at g.  A coefficient of a_x * b_y has
+    modulus at most ||a_x||_inf * ||b_y||_1, so every coefficient of c_g has
+    modulus at most max_x ||a_x||_inf * sum_y ||b_y||_1; with the roles of
+    x and y exchanged (pi_y -> act(pi_y, pi_x) is injective as well), also
+    at most max_y ||b_y||_inf * sum_x ||a_x||_1.  B is the smaller of the
+    two, so B < 2**(s-1), and balanced base-2**s digits recover c_g from
+    phi(c_g) exactly; a c_g that cancels to zero packs to 0, unpacks to the
+    zero Polynomial and is dropped like any zero coefficient.  Partial sums
+    are never unpacked, so their size does not matter.
     """
     x._check_sizes(y)
     m = x.m
+    stride = _product_stride(x, y)
     moves = compile_moves(x.terms)
+    packed_x = [pack_coeffs(c.coeffs, stride) for c in x.terms.values()]
     out = {}
     for pi_y, cy in y.terms.items():
+        py = pack_coeffs(cy.coeffs, stride)
         products = act_words(m, pi_y.values, pi_y.colors, moves)
-        for key, cx in zip(products, x.terms.values()):
-            acc = out.get(key)
-            out[key] = cx * cy if acc is None else acc + cx * cy
+        for key, px in zip(products, packed_x):
+            out[key] = out.get(key, 0) + px * py
     return GroupAlgebraElement(
-        m, x.n, {ColoredPermutation(m, *key): c for key, c in out.items()}
+        m,
+        x.n,
+        {
+            ColoredPermutation(m, *key): Polynomial(unpack_int(v, stride))
+            for key, v in out.items()
+        },
     )
 
 

@@ -9,10 +9,11 @@ principal minors of the row-permuted input.  The caller supplies the exact
 division and the zero test, so packed integers and plain Polynomial values
 share the control flow but keep separate ring arithmetic and stay oracles
 for each other.  Polynomial determinants run on the image of the matrix
-under q -> 2**stride (balanced-digit Kronecker packing by ``_pack_coeffs``
-and ``_unpack_int``, the package's only packing; the proof is in
-``poly_det``).  Leading minors of a rational matrix are those of one
-integer matrix with one common scale, both given by the caller.
+under q -> 2**stride (balanced-digit Kronecker packing by
+``exact_arith.pack_coeffs`` and ``unpack_int``, which ``ga_mul`` shares;
+the proof for determinants is in ``poly_det``).  Leading minors of a
+rational matrix are those of one integer matrix with one common scale,
+both given by the caller.
 
 Before either eliminates, the tensor-product split (``_tensor_split``, not
 to be confused with the Kronecker packing above) tests exactly, in the ring
@@ -35,7 +36,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import attrgetter, not_
 
-from .exact_arith import Polynomial
+from .exact_arith import Polynomial, pack_coeffs, unpack_int
 
 
 def _bareiss(rows, divexact, is_zero, swap=True):
@@ -103,37 +104,10 @@ def _stride(rows):
     return ((isqrt(n**n - 1) + 1) * h**n).bit_length() + 1
 
 
-def _pack_coeffs(coeffs, stride):
-    """Image of a coefficient tuple under q -> 2**stride."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc << stride) + c
-    return acc
-
-
-def _unpack_int(value, stride):
-    """Inverse of _pack_coeffs under the balanced-digit convention.
-
-    A stride below 2 has no balanced digit for +1, so it is rejected.
-    """
-    if stride < 2:
-        raise ValueError(f"stride must be at least 2, got {stride}")
-    coeffs = []
-    half = 1 << (stride - 1)
-    mask = (1 << stride) - 1
-    while value:
-        d = value & mask
-        if d >= half:
-            d -= mask + 1
-        coeffs.append(d)
-        value = (value - d) >> stride
-    return coeffs
-
-
 def _packed_det(rows, stride):
     """Determinant of the image of ``rows`` under q -> 2**stride, unpacked."""
-    packed = [[_pack_coeffs(p.coeffs, stride) for p in row] for row in rows]
-    return Polynomial(_unpack_int(_det(packed), stride))
+    packed = [[pack_coeffs(p.coeffs, stride) for p in row] for row in rows]
+    return Polynomial(unpack_int(_det(packed), stride))
 
 
 def _split_det(rows):

@@ -7,14 +7,15 @@ import pytest
 from quonalg.exact_arith import (
     Polynomial,
     RationalFunction,
+    pack_coeffs,
     parse_polynomial,
     parse_rational,
     parse_rational_function,
     poly_gcd,
     poly_lcm,
+    unpack_int,
     _positive_primitive,
 )
-from quonalg.linalg import _pack_coeffs, _unpack_int
 
 P = Polynomial
 ONE = P.one()
@@ -87,10 +88,10 @@ def test_binomial_powers(k, e):
 def test_unpack_needs_a_stride_of_two_bits():
     # balanced digits of stride 1 are {-1, 0}, which cannot express 1
     with pytest.raises(ValueError):
-        _unpack_int(1, 1)
+        unpack_int(1, 1)
     with pytest.raises(ValueError):
-        _unpack_int(5, 0)
-    assert _unpack_int(_pack_coeffs((1, -1, 1), 2), 2) == [1, -1, 1]
+        unpack_int(5, 0)
+    assert unpack_int(pack_coeffs((1, -1, 1), 2), 2) == [1, -1, 1]
 
 
 def test_divexact():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quonalg import linalg
+from quonalg import group_algebra, linalg
 from quonalg.colored_perm import (
     ColoredPermutation,
     cinv,
@@ -10,6 +10,7 @@ from quonalg.colored_perm import (
     enumerate_group,
 )
 from quonalg.exact_arith import Polynomial
+from quonalg.formulas import inverse_closed_form
 from quonalg.group_algebra import (
     GroupAlgebraElement,
     all_shifts_inverse,
@@ -87,6 +88,87 @@ def test_ga_mul_equals_the_object_level_product(m, n):
         assert all(type(pi) is ColoredPermutation for pi in xy.terms)
         noncommuting += xy != ga_mul(y, x)
     assert noncommuting
+
+
+def group_sum(m, n, coeff):
+    return GroupAlgebraElement(m, n, {pi: coeff for pi in enumerate_group(m, n)})
+
+
+def test_product_stride_is_tight(monkeypatch):
+    # every coefficient of (a * sum G)(b * sum G) is |G| * a * b = B, the bound
+    m, n, a, b = 2, 3, 3, 5
+    x, y = group_sum(m, n, a), group_sum(m, n, b)
+    bound = len(enumerate_group(m, n)) * a * b
+    assert group_algebra._product_stride(x, y) == bound.bit_length() + 1
+    xy = ga_mul(x, y)
+    assert xy.terms == ga_mul_reference(x, y).terms
+    assert set(xy.terms.values()) == {P.constant(bound)}
+    stride = group_algebra._product_stride
+    monkeypatch.setattr(group_algebra, "_product_stride", lambda x, y: stride(x, y) - 1)
+    assert ga_mul(x, y).terms != xy.terms
+
+
+def test_product_stride_takes_the_smaller_bound():
+    # sup(x) * l1(y) = 1 * (7 * 8) against sup(y) * l1(x) = 7 * (2 * 8)
+    x = group_sum(2, 2, ONE + Q)
+    y = group_sum(2, 2, 7)
+    assert group_algebra._product_stride(x, y) == (7 * 8).bit_length() + 1
+    assert group_algebra._product_stride(y, x) == (7 * 8).bit_length() + 1
+    assert ga_mul(x, y).terms == ga_mul_reference(x, y).terms
+
+
+def wide_negative(rng, pis, sign):
+    # coefficients of 65 to 90 bits and degree 40 to 59
+    return GroupAlgebraElement(2, 2, {
+        pi: P([sign * rng.randrange(2**64, 2**90) for _ in range(rng.randint(41, 60))])
+        for pi in pis
+    })
+
+
+def edge_products():
+    """(x, y, number of terms of the product) at the edges of the packing."""
+    rng = random.Random(12)
+    e2 = GroupAlgebraElement.identity(1, 2)
+    t = GroupAlgebraElement.from_element(ColoredPermutation(1, (2, 1), (1, 1)))
+    zero = GroupAlgebraElement(2, 2)
+    x = rand_element(rng, 2, 2, 4)
+    e3 = GroupAlgebraElement.identity(3, 2)
+    group = enumerate_group(2, 2)
+    wide_x = wide_negative(rng, rng.sample(group, 5), -1)
+    wide_y = wide_negative(rng, rng.sample(group, 6), 1)
+    one = GroupAlgebraElement.from_element(enumerate_group(2, 3)[17], P((-4, 0, 9)))
+    full = cinv_sum(2, 3)
+    return {
+        "cancels to zero": (e2 - t, e2 + t, 0),
+        "zero on the left": (zero, x, 0),
+        "zero on the right": (x, zero, 0),
+        "identity times identity": (e3, e3, 1),
+        "wide negative": (wide_x, wide_y, None),
+        "one term times the group": (one, full, len(full)),
+        "the group times one term": (full, one, len(full)),
+    }
+
+
+@pytest.mark.parametrize("case", list(edge_products()))
+def test_ga_mul_equals_the_reference_at_the_edges(case):
+    x, y, size = edge_products()[case]
+    xy = ga_mul(x, y)
+    assert xy.terms == ga_mul_reference(x, y).terms
+    if size is not None:
+        assert len(xy) == size
+
+
+def test_identity_times_identity_packs_at_two_bits():
+    e = GroupAlgebraElement.identity(3, 2)
+    assert group_algebra._product_stride(e, e) == 2
+
+
+def test_ga_mul_refuses_quotient_coefficients():
+    # the printed inverse holds reduced quotients; it is read, never multiplied
+    inverse, s = inverse_closed_form(2, 2), cinv_sum(2, 2)
+    for x, y in [(inverse, s), (s, inverse)]:
+        with pytest.raises(TypeError, match=r"RationalFunction\("):
+            ga_mul(x, y)
 
 
 @pytest.mark.parametrize(
