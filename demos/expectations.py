@@ -9,7 +9,9 @@ annihilator and acts on the ket first.
 
 from quonalg import (
     ColoredArrangement,
+    apply_annihilator,
     cosym_expectation,
+    creator_state,
     vacuum_expectation,
 )
 
@@ -25,6 +27,14 @@ def main():
     print("The three-particle example with four colors:")
     value = show(((2, 4), (5, 1), (2, 4)), ((5, 2), (2, 3), (2, 1)), 4)
     assert str(value) == "q^4 + q^5"
+
+    print("\nThe same value one annihilator at a time, innermost first:")
+    state = creator_state(4, ((5, 2), (2, 3), (2, 1)))
+    for mode, color in reversed(((2, 4), (5, 1), (2, 4))):
+        state = apply_annihilator(mode, color, state)
+        terms = ", ".join(f"({c}) {list(w)}" for w, c in state.terms.items())
+        print(f"    a({mode},{color}) -> {terms}")
+    assert state.coeff(()) == value
 
     print("\nMismatched mode multisets always vanish:")
     show(((1, 1),), ((2, 1),), 2)

@@ -20,7 +20,7 @@ products and sums meet, a caller packs each coefficient tuple into one big
 integer instead (Kronecker substitution q -> 2**stride, ``pack_coeffs``),
 computes on plain ints and unpacks each result once (``unpack_int``):
 ``linalg`` for determinants, ``group_algebra.ga_mul`` for group-algebra
-products.  Each caller chooses its stride from a bound on the coefficients
+products, ``quon_engine`` for annihilator steps.  Each caller chooses its stride from a bound on the coefficients
 of its results and proves that bound in its docstring.
 """
 
@@ -199,12 +199,22 @@ class Polynomial:
         return Polynomial((0,) * degree + self.coeffs) if degree else self
 
     def evaluate(self, point):
-        """Exact value at a rational point, as a Fraction."""
-        acc = Fraction(0)
+        """Exact value at a rational point, as a Fraction.
+
+        With the point p/r in lowest terms and d the degree, Horner's rule
+        runs on integers: it builds N = sum(c_i * p**i * r**(d-i)) and
+        r**d together, and the value is the one Fraction N / r**d.
+        """
+        coeffs = self.coeffs
+        if not coeffs:
+            return Fraction(0)
         x = Fraction(point)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, r = x.numerator, x.denominator
+        acc, scale = coeffs[-1], 1
+        for c in coeffs[-2::-1]:
+            scale *= r
+            acc = acc * p + c * scale
+        return Fraction(acc, scale)
 
     def content(self):
         """Non-negative gcd of the coefficients (0 for the zero polynomial)."""

@@ -72,11 +72,12 @@ def _build_gram_cached(m, multiset, path):
 def _shared(values, seen):
     """``values`` as a tuple in which equal values are one object.
 
-    ``seen`` maps each value met so far to its first object.  Sharing it over
-    a block makes the cached block hold one copy of each distinct entry
-    instead of one per position.
+    ``seen`` maps the coefficient tuple of each value met so far to its
+    first object (tuples hash and compare without a Python-level call).
+    Sharing it over a block makes the cached block hold one copy of each
+    distinct entry instead of one per position.
     """
-    return tuple(seen.setdefault(v, v) for v in values)
+    return tuple(seen.setdefault(v.coeffs, v) for v in values)
 
 
 def verify_representation(m, multiset):

@@ -68,7 +68,9 @@ def _scaled_block(block, q0):
     sum(c_i q**i) maps to the integer sum(c_i p**i r**(D-i)) and the common
     scale is r**D.  Entries must be Polynomials, as every ``build_gram``
     entry is.  Each distinct entry is evaluated once: a regular block of
-    size N holds a handful of distinct values among its N**2 entries.
+    size N holds a handful of distinct values among its N**2 entries.  They
+    are told apart by their coefficient tuples, which hash and compare
+    without a Python-level call.
     """
     q0 = Fraction(q0)
     p, r = q0.numerator, q0.denominator
@@ -77,12 +79,12 @@ def _scaled_block(block, q0):
         for entry in row:
             if not isinstance(entry, Polynomial):
                 raise ValueError(f"block entry is not a polynomial: {entry}")
-            values[entry] = None
-    degree = max([0] + [entry.degree for entry in values])
+            values[entry.coeffs] = None
+    degree = max([0] + [len(coeffs) - 1 for coeffs in values])
     weights = [p**i * r ** (degree - i) for i in range(degree + 1)]
-    for entry in values:
-        values[entry] = sum(c * w for c, w in zip(entry.coeffs, weights))
-    return [[values[entry] for entry in row] for row in block.entries], r**degree
+    for coeffs in values:
+        values[coeffs] = sum(c * w for c, w in zip(coeffs, weights))
+    return [[values[entry.coeffs] for entry in row] for row in block.entries], r**degree
 
 
 def certify_block(block, q0):

@@ -9,14 +9,32 @@ matching mode contributes nothing, and annihilators kill the vacuum.  This
 is enough to evaluate any vacuum expectation, because the annihilators of
 the bra can be removed one at a time from the right.
 
-``vacuum_expectation`` reduces one bra/ket pair.  ``operator_column``
-reduces one ket against many bras at once: the bras' annihilator words,
-innermost first, go into a trie (``annihilator_trie``), and a depth-first
-walk from the ket's creator state applies each trie node's annihilator once
-to its parent's state.  Bras that share their innermost annihilators share
-those steps, so a column costs one ``apply_annihilator`` call per trie node
-rather than one per bra and position.  The walk uses only the rewriting
-rule, never the counting code below, which it checks.
+The rule has one copy, the private kernel ``_annihilate``, which runs on
+packed coefficients: each coefficient c(q) is carried as the int c(2**s)
+for a stride s that the caller chooses, so the weight q**k is a left shift
+by s*k bits and merging two words is one int addition.  ``apply_annihilator``
+packs a ``CreatorState`` at a stride taken from its l1 mass, calls the
+kernel once and unpacks.  ``operator_column`` reduces one ket against many
+bras at once: the bras' annihilator words, innermost first, go into a trie
+(``annihilator_trie``), and a depth-first walk from the ket's word applies
+each trie node's annihilator once to its parent's state, all at the stride
+(L!).bit_length() + 1 for a ket of length L.  Bras that share their
+innermost annihilators share those steps, so a column costs one kernel
+call per trie node rather than one per bra and position.
+``vacuum_expectation`` is the walk over a one-bra trie.
+
+Why that stride reads every value back exactly.  Every weight of the rule
+is +q**k, so a walk that starts from one word with coefficient 1 only ever
+holds coefficients with non-negative integer coefficients, and its q = 1
+mass (the sum of all coefficients of all words at q = 1) bounds each one.
+A step on words of length l makes at most l shorter words from each word,
+each carrying its coefficient times a power of q, so it multiplies the q = 1
+mass by at most l.  After k steps from a word of length L the mass is at
+most L(L-1)...(L-k+1) <= L! < 2**(s-1), so every coefficient lies in
+0..2**(s-1)-1, packed digits never carry into each other, and the balanced
+digits of ``exact_arith.unpack_int`` read each coefficient back exactly.
+The walk uses only the rewriting rule, never the counting code below,
+which it checks.
 
 Word-order convention, also used by the CLI: a bra or ket string lists the
 operators exactly as written left to right in the bracket.  The ket word
@@ -39,8 +57,9 @@ and the rewriting path above uses none of this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
-from .exact_arith import Polynomial
+from .exact_arith import Polynomial, pack_coeffs, unpack_int
 from .colored_perm import act_words, group_moves
 
 
@@ -75,11 +94,48 @@ def _check_colors(m, word):
             raise ValueError(f"color {c} outside 1..{m}")
 
 
-def creator_state(m, word):
-    """The state of a single creator word (outermost creator first)."""
+def _word(m, word):
+    """``word`` as a tuple of int (mode, color) pairs, its colors checked."""
     word = tuple((int(v), int(c)) for v, c in word)
     _check_colors(m, word)
-    return CreatorState(m, {word: Polynomial.one()})
+    return word
+
+
+def creator_state(m, word):
+    """The state of a single creator word (outermost creator first)."""
+    return CreatorState(m, {_word(m, word): Polynomial.one()})
+
+
+def _stride(bound):
+    """Bits per packed coefficient when every coefficient is at most ``bound``
+    in modulus: bound < 2**(stride-1), so balanced digits read it back."""
+    return bound.bit_length() + 1
+
+
+def _annihilate(terms, token, m, stride):
+    """The annihilator ``token`` = (mode, color) on packed coefficients.
+
+    ``terms`` maps creator words to the images of their coefficients under
+    q -> 2**stride.  The creator at 0-based position u of mode ``mode``
+    contributes the word without it, weighted by q**(u + color_mismatch):
+    its image shifted left by stride * (u + color_mismatch) bits, added to
+    what other words already gave the same shorter word.  Packing is a ring
+    map, so each result is the exact image of the rewritten coefficient; it
+    reads back only if every such coefficient has modulus below
+    2**(stride-1), which each caller proves for its stride.  Values that
+    cancel to 0 (only signed input can) stay in the result.
+    """
+    mode, color = token
+    out = {}
+    for word, coeff in terms.items():
+        u = 0
+        for cmode, ccolor in word:
+            if cmode == mode:
+                shorter = word[:u] + word[u + 1 :]
+                shift = stride * (u + color_mismatch(ccolor, color, m))
+                out[shorter] = out.get(shorter, 0) + (coeff << shift)
+            u += 1
+    return out
 
 
 def apply_annihilator(mode, color, state):
@@ -89,20 +145,24 @@ def apply_annihilator(mode, color, state):
     annihilated mode, the word with that position removed, weighted by
     q**(u - 1 + color_mismatch).  Words without the mode vanish, as does the
     empty word.
+
+    The step runs in ``_annihilate`` at stride ``_stride(B)``, where B is
+    the l1 mass of the state, the sum of ||c||_1 over its coefficients c.
+    B bounds every coefficient of the result: two positions u < u' of one
+    word give the same shorter word only if the creators from u to u' are
+    all equal, so they carry one color mismatch and distinct weights
+    q**(u - 1 + mismatch), and each word adds at most its own ||c||_1 to
+    any one coefficient of any one shorter word.
     """
     m = state.m
     if not 1 <= color <= m:
         raise ValueError(f"color {color} outside 1..{m}")
-    out = {}
-    for word, coeff in state.terms.items():
-        for u, (cmode, ccolor) in enumerate(word, start=1):
-            if cmode != mode:
-                continue
-            weight = coeff.times_monomial(u - 1 + color_mismatch(ccolor, color, m))
-            shorter = word[: u - 1] + word[u:]
-            acc = out.get(shorter)
-            out[shorter] = weight if acc is None else acc + weight
-    return CreatorState(m, {w: c for w, c in out.items() if not c.is_zero})
+    stride = _stride(sum(sum(map(abs, c.coeffs)) for c in state.terms.values()))
+    packed = {w: pack_coeffs(c.coeffs, stride) for w, c in state.terms.items()}
+    out = _annihilate(packed, (mode, color), m, stride)
+    return CreatorState(
+        m, {w: Polynomial(unpack_int(v, stride)) for w, v in out.items() if v}
+    )
 
 
 def vacuum_expectation(bra, ket, m):
@@ -112,15 +172,11 @@ def vacuum_expectation(bra, ket, m):
     order described in the module docstring.  The result is a Polynomial.
     Every color of both words is checked up front, so a bad bra color
     raises ``ValueError`` even where the state vanishes before reaching it.
+    It is ``operator_column`` over the trie of the one bra.
     """
-    bra = tuple(bra)
-    _check_colors(m, bra)
-    state = creator_state(m, ket)
-    for mode, color in reversed(bra):
-        if state.is_zero:
-            break
-        state = apply_annihilator(mode, color, state)
-    return state.coeff(())
+    word = _word(m, tuple(bra)[::-1])
+    column = operator_column(m, annihilator_trie(m, [word]), ket)
+    return column.get(word, Polynomial.zero())
 
 
 def annihilator_trie(m, words):
@@ -146,28 +202,40 @@ def annihilator_trie(m, words):
 def operator_column(m, trie, ket):
     """Every nonzero <bra|ket> over the bra words of ``trie``, in one walk.
 
-    The walk starts from the ket's creator state and goes depth first; each
-    trie node applies its annihilator once to its parent's state, so bras
-    that share their innermost annihilators share those steps, and a state
-    that vanishes cuts off its whole subtree.  A ket costs at most one
-    ``apply_annihilator`` call per trie node instead of one per bra and
-    position.  Returns a dict from each bra word (as stored in the trie) to
-    its nonzero value.
-    """
-    column = {}
+    The walk starts from the ket's word (colors checked as by
+    ``creator_state``) with coefficient 1 and goes depth first; each trie
+    node applies its annihilator once to its parent's state through
+    ``_annihilate``, so bras that share their innermost annihilators share
+    those steps, and a state that vanishes cuts off its whole subtree.  A
+    ket costs at most one kernel call per trie node instead of one per bra
+    and position.  Returns a dict from each bra word (as stored in the
+    trie) to its nonzero value.
 
-    def walk(node, state):
+    States hold packed ints at the stride s = (L!).bit_length() + 1 for a
+    ket of length L: the rule's weights are all +q**k, and k steps multiply
+    the q = 1 mass by at most L(L-1)...(L-k+1) <= L! < 2**(s-1), which
+    bounds every coefficient (the module docstring has the proof).  Each
+    distinct nonzero leaf int is unpacked once, into one Polynomial.
+    """
+    ket = _word(m, ket)
+    stride = _stride(factorial(len(ket)))
+    column, values = {}, {}
+
+    def walk(node, terms):
         for token, child in node.items():
             if token is None:
-                value = state.coeff(())
+                value = terms.get(())
                 if value:
-                    column[child] = value
+                    poly = values.get(value)
+                    if poly is None:
+                        poly = values[value] = Polynomial(unpack_int(value, stride))
+                    column[child] = poly
             else:
-                shorter = apply_annihilator(*token, state)
-                if not shorter.is_zero:
+                shorter = _annihilate(terms, token, m, stride)
+                if shorter:
                     walk(child, shorter)
 
-    walk(trie, creator_state(m, ket))
+    walk(trie, {ket: 1})
     return column
 
 

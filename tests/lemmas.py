@@ -11,7 +11,12 @@ pair (the package runs both on plain words).  Two more are linear
 algebra that shares no code with ``quonalg.linalg``: leading minors, each
 by its own Gaussian elimination over Fractions, and the tensor product of
 two matrices.  ``evaluate_block`` evaluates a block entry by entry as
-Fractions, the plain route beside ``posdef``'s scaled integer evaluation.
+Fractions, the plain route beside ``posdef``'s scaled integer evaluation,
+and ``evaluate_reference`` is Horner's rule on Fractions, the plain route
+beside ``Polynomial.evaluate``'s integer one.  ``annihilate_reference`` is
+the annihilator rule on ``Polynomial`` coefficients, one ``times_monomial``
+per step, and ``expectation_reference`` applies it one annihilator at a
+time: the plain route beside ``quon_engine``'s packed walk.
 """
 
 from fractions import Fraction
@@ -193,3 +198,39 @@ def kron(a, b):
     Entry [s*len(b) + i][t*len(b) + j] is a[s][t] * b[i][j].
     """
     return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def evaluate_reference(poly, point):
+    """``poly`` at a rational point by Horner's rule on Fractions."""
+    acc = Fraction(0)
+    x = Fraction(point)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def annihilate_reference(mode, color, m, terms):
+    """One annihilator on {creator word: Polynomial}, the rule read literally.
+
+    Every position u (1-based) holding ``mode`` gives the word without it,
+    weighted by q**(u - 1) and one more q if the colors differ mod m.
+    """
+    out = {}
+    for word, coeff in terms.items():
+        for u, (cmode, ccolor) in enumerate(word, start=1):
+            if cmode != mode:
+                continue
+            mismatch = 0 if (color - ccolor) % m == 0 else 1
+            weight = coeff.times_monomial(u - 1 + mismatch)
+            shorter = word[: u - 1] + word[u:]
+            acc = out.get(shorter)
+            out[shorter] = weight if acc is None else acc + weight
+    return {w: c for w, c in out.items() if not c.is_zero}
+
+
+def expectation_reference(bra, ket, m):
+    """<bra|ket> by ``annihilate_reference``, innermost (last) annihilator first."""
+    terms = {tuple(ket): Polynomial.one()}
+    for mode, color in reversed(tuple(bra)):
+        terms = annihilate_reference(mode, color, m, terms)
+    return terms.get((), Polynomial.zero())

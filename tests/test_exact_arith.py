@@ -17,6 +17,8 @@ from quonalg.exact_arith import (
     _positive_primitive,
 )
 
+from lemmas import evaluate_reference
+
 P = Polynomial
 ONE = P.one()
 Q = P.q()
@@ -166,6 +168,22 @@ def test_rf_evaluation_is_a_homomorphism():
             assert product.evaluate(x) == fv * gv
         except ZeroDivisionError:
             continue
+
+
+def test_evaluate_equals_fraction_horner():
+    # Integer Horner with one Fraction at the end against Horner on
+    # Fractions: zero and constant polynomials, q0 = 0, +-1, negative
+    # points and 17-bit heights.
+    rng = random.Random(41)
+    polys = [P.zero(), P.constant(7), P.constant(-3), Q, ONE - Q**2]
+    polys += [rand_poly(rng, 12, 2**20) for _ in range(60)]
+    points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(-3), Fraction(-2, 5), 4]
+    points += [Fraction(rng.randrange(-2**17, 2**17), rng.randrange(2**16, 2**17)) for _ in range(8)]
+    for poly in polys:
+        for x in points:
+            value = poly.evaluate(x)
+            assert type(value) is Fraction
+            assert value == evaluate_reference(poly, x), (poly, x)
 
 
 def test_evaluation_examples():

@@ -138,17 +138,17 @@ def test_combinatorial_path_counts_cinv_once_per_group_element(monkeypatch):
 
 def test_operator_path_shares_annihilator_steps_between_bras(monkeypatch):
     calls = 0
-    real_apply = quon_engine.apply_annihilator
+    real_annihilate = quon_engine._annihilate
 
-    def counted_apply(mode, color, state):
+    def counted_annihilate(*args):
         nonlocal calls
         calls += 1
-        return real_apply(mode, color, state)
+        return real_annihilate(*args)
 
     def nodes(node):
         return sum(1 + nodes(child) for token, child in node.items() if token is not None)
 
-    monkeypatch.setattr(quon_engine, "apply_annihilator", counted_apply)
+    monkeypatch.setattr(quon_engine, "_annihilate", counted_annihilate)
     m, multiset = 2, (1, 2, 3)
     block = _build_gram_cached.__wrapped__(m, multiset, "operator")
     trie = quon_engine.annihilator_trie(m, [bra.tokens for bra in block.basis])

@@ -1,10 +1,13 @@
 import random
+from math import factorial
 
 import pytest
 
+from quonalg import quon_engine
 from quonalg.colored_perm import ColoredArrangement, enumerate_arrangements
 from quonalg.exact_arith import Polynomial
 from quonalg.quon_engine import (
+    CreatorState,
     annihilator_trie,
     apply_annihilator,
     color_mismatch,
@@ -15,7 +18,7 @@ from quonalg.quon_engine import (
     vacuum_expectation,
 )
 
-from lemmas import cosym_reference
+from lemmas import annihilate_reference, cosym_reference, expectation_reference
 
 P = Polynomial
 ONE = P.one()
@@ -144,19 +147,21 @@ def test_operator_column_equals_per_entry_reduction(m, multiset):
 
 def test_operator_column_on_mixed_words_randomized():
     # Words of different lengths and modes, some a prefix of another, the
-    # empty word and repeats: every leaf depth and vanishing subtrees.
+    # empty word and repeats: every leaf depth and vanishing subtrees.  Few
+    # modes make modes repeat within a word.  The packed walk is checked
+    # against the rule on Polynomial coefficients, one annihilator at a time.
     rng = random.Random(17)
 
-    def draw(m):
-        return tuple((rng.randint(1, 3), rng.randint(1, m)) for _ in range(rng.randint(0, 4)))
+    def draw(m, modes):
+        return tuple((rng.randint(1, modes), rng.randint(1, m)) for _ in range(rng.randint(0, 5)))
 
-    for _ in range(60):
-        m = rng.randint(1, 3)
-        words = [draw(m) for _ in range(12)]
+    for _ in range(80):
+        m, modes = rng.randint(1, 4), rng.randint(1, 3)
+        words = [draw(m, modes) for _ in range(12)]
         words += [w[:-1] for w in words[:4] if w] + words[:2]
         trie = annihilator_trie(m, words)
-        ket = draw(m)
-        expected = {w: vacuum_expectation(tuple(reversed(w)), ket, m) for w in words}
+        ket = draw(m, modes)
+        expected = {w: expectation_reference(tuple(reversed(w)), ket, m) for w in words}
         assert operator_column(m, trie, ket) == {w: v for w, v in expected.items() if v}
 
 
@@ -189,3 +194,46 @@ def test_mode_multiset_mismatch_vanishes_randomized():
             continue
         checked += 1
         assert vacuum_expectation(bra, ket, m) == P.zero()
+
+
+def test_stride_reads_back_a_merged_coefficient_at_its_bound(monkeypatch):
+    # Two words of length 1 merge into the empty word at degree 1, so the
+    # coefficient there is a + b, exactly the bound: the state's l1 mass.
+    a, b = 2**20 - 5, 5
+    state = CreatorState(2, {((1, 1),): P.monomial(1, a), ((1, 2),): P.constant(b)})
+    expected = {(): P.monomial(1, a + b)}
+    assert annihilate_reference(1, 1, 2, state.terms) == expected
+    assert apply_annihilator(1, 1, state).terms == expected
+    real_stride = quon_engine._stride
+    monkeypatch.setattr(quon_engine, "_stride", lambda bound: real_stride(bound) - 1)
+    assert apply_annihilator(1, 1, state).terms != expected
+
+
+def _random_word(rng, m, modes, length):
+    return tuple((rng.randint(1, modes), rng.randint(1, m)) for _ in range(length))
+
+
+def test_apply_annihilator_equals_the_polynomial_rule_on_signed_states():
+    rng = random.Random(23)
+    for _ in range(200):
+        m = rng.randint(1, 4)
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            word = _random_word(rng, m, 3, rng.randint(0, 4))
+            terms[word] = P([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))])
+        terms = {w: c for w, c in terms.items() if c}
+        mode, color = rng.randint(1, 3), rng.randint(1, m)
+        out = apply_annihilator(mode, color, CreatorState(m, terms))
+        assert out.terms == annihilate_reference(mode, color, m, terms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_packed_walk_on_a_same_mode_word_of_length_7(m):
+    # Every creator matches every annihilator and every weight is 1 at q = 1,
+    # so the value reaches the walk's mass bound 7! whatever the colors.
+    rng = random.Random(m)
+    ket = tuple((1, rng.randint(1, m)) for _ in range(7))
+    for bra in [tuple((1, c) for _, c in ket), _random_word(rng, m, 1, 7)]:
+        value = vacuum_expectation(bra, ket, m)
+        assert value == expectation_reference(bra, ket, m)
+        assert value.evaluate(1) == factorial(7)
