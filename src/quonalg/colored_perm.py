@@ -11,10 +11,12 @@ the arrangements of the multiset {1, ..., n}.
 The right action of a colored permutation (perm, pcolors) on an arrangement
 (values, colors) produces (values o perm, colors o perm + pcolors mod m);
 group composition is the same formula applied to two permutations.  The
-formula has one copy, ``act_words``, which acts on plain word tuples with
-permutations compiled to moves (0-based source positions and colors);
-``act`` is its checked entry point for single objects, and ``group_moves``
-caches the moves and cinv values of a whole group per (m, n).
+formula has one copy, ``act``.  Loops over the whole group use the tables
+of ``GroupTable`` instead, built by calling ``act``: the color sums, one
+lazily filled row per color word, and per multiset an image table
+(``GroupTable.basis``) from value word and color index to basis position.
+Composing an arrangement with the n! permutations costs n! word builds,
+and each of the m**n * n! group elements then costs one list index.
 
 The enumeration order fixed here is part of the package contract (matrix
 rows, CSV exports, and the CLI depend on it): value words ascend
@@ -116,55 +118,106 @@ def act(theta, pi):
     Position i of the result takes theta's value at position pi(i), and its
     color is the mod-m sum of theta's color there and pi's color at i
     (representatives chosen in 1..m).  Returns the same type as theta, so
-    acting on a ColoredPermutation yields the group composition.  This is
-    the checked entry point to ``act_words``, which holds the formula.
+    acting on a ColoredPermutation yields the group composition.  Colors
+    of either argument outside 1..m raise ``ValueError``.
     """
     if theta.n != pi.n:
         raise ValueError(f"length mismatch: {theta.n} vs {pi.n}")
     if theta.m != pi.m:
         raise ValueError(f"color-count mismatch: {theta.m} vs {pi.m}")
-    m = theta.m
-    (words,) = act_words(m, theta.values, theta.colors, compile_moves((pi,)))
-    return type(theta)(m, *words)
+    m, values, colors = theta.m, theta.values, theta.colors
+    for c in colors + pi.colors:
+        if not 1 <= c <= m:
+            raise ValueError(f"color {c} outside 1..{m}")
+    sources = [s - 1 for s in pi.values]
+    return type(theta)(
+        m,
+        tuple([values[s] for s in sources]),
+        tuple([(colors[s] + c - 1) % m + 1 for s, c in zip(sources, pi.colors)]),
+    )
 
 
-def compile_moves(pis):
-    """Colored permutations compiled for ``act_words``, in order.
+class GroupTable:
+    """The colored permutation group of one (m, n), compiled for lookup.
 
-    A move is a permutation's 0-based source positions and its colors.
+    The action factors through the semidirect product:
+    act((v, c), (sigma, p)) = (v o sigma, c o sigma (+) p), with (+) the
+    position-wise color sum.  A color word is stored as its index among the
+    first m**n elements (identity value word).  ``moves`` is the whole
+    group compiled by ``compile`` with each element's cinv as payload;
+    ``elements`` and ``cinvs`` follow ``enumerate_group(m, n)``.
     """
-    return tuple((tuple([s - 1 for s in pi.values]), pi.colors) for pi in pis)
 
+    def __init__(self, m, n):
+        self.m = m
+        self.elements = enumerate_group(m, n)
+        self.cinvs = tuple(map(cinv, self.elements))
+        self.index = {pi.colors: i for i, pi in enumerate(self.elements[: m**n])}
+        self._rows = [None] * m**n
+        self._bases = {}
+        self.moves = self.compile(zip(self.elements, self.cinvs))
 
-def act_words(m, values, colors, moves):
-    """The words of one arrangement acted on by each move, in order.
+    def basis(self, multiset):
+        """The arrangements of a sorted multiset of size n, and its image
+        table: value word -> color index -> position among them (for 1..n,
+        also in ``elements``).  Built once per multiset."""
+        found = self._bases.get(multiset)
+        if found is None:
+            basis, image = _enumerate(self.m, multiset, False), {}
+            for i, theta in enumerate(basis):
+                row = image.setdefault(theta.values, [0] * len(self.index))
+                row[self.index[theta.colors]] = i
+            found = self._bases[multiset] = basis, image
+        return found
 
-    ``(values, colors)`` are the arrangement's words and ``moves`` come from
-    ``compile_moves``; each result is the (values, colors) pair of
-    ``act(theta, pi)``.  This is the package's one copy of the action
-    formula.  The inner loops of the Gram, representation and product code
-    call it on plain tuples, once per arrangement, without checks and
-    without building arrangement objects.
-    """
-    return [
-        (
-            tuple([values[s] for s in sources]),
-            tuple([(colors[s] + c - 1) % m + 1 for s, c in zip(sources, pcolors)]),
-        )
-        for sources, pcolors in moves
-    ]
+    def compile(self, items):
+        """Distinct (element, payload) pairs grouped by value word sigma:
+        one (0-based sources, color indices ascending or ``None`` for all
+        m**n, payloads) per sigma."""
+        groups = {}
+        for pi, payload in items:
+            groups.setdefault(pi.values, []).append((self.index[pi.colors], payload))
+        moves = []
+        for values, pairs in groups.items():
+            ps, payloads = zip(*sorted(pairs))  # the indices are distinct
+            full = len(ps) == len(self.index)
+            moves.append((tuple([v - 1 for v in values]), None if full else ps, payloads))
+        return tuple(moves)
+
+    def walk(self, image, moves, values, colors):
+        """Per sigma of ``moves``: the words of the arrangement (values,
+        colors) composed with sigma, built once, then the position in
+        ``image``'s basis of each move's image, one list index each, beside
+        the moves' payloads."""
+        for sources, ps, payloads in moves:
+            row = image[tuple([values[s] for s in sources])]
+            sums = self.sums(self.index[tuple([colors[s] for s in sources])], ps)
+            yield map(row.__getitem__, sums), payloads
+
+    def sums(self, a, ps):
+        """Indices of a (+) p for the indices p of ``ps`` (all, in order,
+        when ``ps`` is None).  Each entry is computed by ``act`` the first
+        time a walk meets it, so the table never costs more color sums than
+        the pairs it serves, nor more than m**(2n); a full row becomes a
+        tuple."""
+        row = self._rows[a]
+        if type(row) is not tuple:
+            if row is None:
+                row = self._rows[a] = [None] * len(self._rows)
+            elements, index = self.elements, self.index
+            for p in range(len(row)) if ps is None else ps:
+                if row[p] is None:
+                    row[p] = index[act(elements[a], elements[p]).colors]
+            if ps is None:
+                row = self._rows[a] = tuple(row)
+        return row if ps is None else [row[p] for p in ps]
 
 
 @lru_cache(maxsize=None)
-def group_moves(m, n):
-    """The compiled moves of the whole group and the cinv of each element.
-
-    Both tuples follow ``enumerate_group(m, n)``.  They are built for each
-    (m, n) on first use, never at import, so a walk of the group compiles
-    each element and counts its cinv once per process.
-    """
-    group = enumerate_group(m, n)
-    return compile_moves(group), tuple(map(cinv, group))
+def group_table(m, n):
+    """The ``GroupTable`` of (m, n), built on first use: the one cache of
+    the compiled group and its cinv values."""
+    return GroupTable(m, n)
 
 
 def color_cycle_order(m):

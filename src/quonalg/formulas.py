@@ -103,8 +103,10 @@ def det_factorization(m, n):
     )
 
 
+@lru_cache(maxsize=None)
 def det_closed_form(m, n):
-    """Expanded closed form of the regular-block determinant."""
+    """Expanded closed form of the regular-block determinant, cached per
+    (m, n) like ``cinv_sum`` and ``inverse_closed_form``."""
     return det_factorization(m, n).expand()
 
 

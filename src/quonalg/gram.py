@@ -15,10 +15,9 @@ arrangement module (``verify_representation`` checks all of this).
 The counting loop and ``rep_matrix(cinv_sum(m, n), multiset)`` compute the
 same formula, entry (i, j) = sum of q**cinv(pi) over pi with
 act(basis[j], pi) == basis[i], in different loop orders.  They share the
-compiled moves and the one action formula of ``colored_perm``
-(``act_words``) and the cinv values cached with the group's moves
-(``group_moves``), but no loop, so only the operator path is independent of
-both.
+lookup tables of ``colored_perm.GroupTable`` (the color sums, the image
+table of the multiset and the cinv values compiled with the group), but no
+loop, so only the operator path is independent of both.
 
 The infinite form is block diagonal over multisets; this module only ever
 materializes one finite block at a time.
@@ -46,8 +45,9 @@ def build_gram(m, multiset, path="operator"):
     bras' trie per ket: at most size * (trie nodes) annihilator steps, where
     the trie holds at most n * size nodes and far fewer when bras share
     their innermost annihilators; path = "combinatorial" uses the
-    colored-permutation counting sum, one walk of the group per ket:
-    size * m**n * n! group actions.  The two must agree exactly.
+    colored-permutation counting sum, one table walk of the group per ket:
+    size * n! word builds and size * m**n * n! list indices.  The two must
+    agree exactly.
     """
     if path not in ("operator", "combinatorial"):
         raise ValueError(f"unknown path {path!r}")
@@ -60,12 +60,15 @@ def _build_gram_cached(m, multiset, path):
     if path == "operator":
         keys = [bra.tokens for bra in basis]
         trie = annihilator_trie(m, keys)
-        columns = (operator_column(m, trie, ket.tokens) for ket in basis)
+        zero = Polynomial.zero()
+        columns = (
+            [column.get(key, zero) for key in keys]
+            for column in (operator_column(m, trie, ket.tokens) for ket in basis)
+        )
     else:
-        keys = basis
         columns = map(cosym_column, basis)
-    zero, seen = Polynomial.zero(), {}
-    columns = [_shared((column.get(key, zero) for key in keys), seen) for column in columns]
+    seen = {}
+    columns = [_shared(column, seen) for column in columns]
     return Block(m=m, multiset=multiset, basis=basis, entries=tuple(zip(*columns)))
 
 

@@ -9,7 +9,9 @@ pairs multiply numerators and denominators separately.  The module of
 formal combinations of the colored arrangements of a multiset I carries a
 right action of the group; ``rep_matrix`` expands that action in the
 canonical arrangement basis, one column per basis element, as a ``Block``:
-the one matrix type of the package, which Gram blocks share.
+the one matrix type of the package, which Gram blocks share.  Both
+``rep_matrix`` and ``ga_mul`` walk the terms of x by the lookup tables of
+``colored_perm.GroupTable``, with coefficients packed into ints.
 
 ``ga_mul`` is oriented so that ``rep_matrix`` is multiplicative:
 ``rep_matrix(ga_mul(x, y), I)`` equals ``rep_matrix(x, I) @ rep_matrix(y, I)``.
@@ -31,13 +33,9 @@ from functools import lru_cache, reduce
 from .exact_arith import Polynomial, pack_coeffs, unpack_int
 from .colored_perm import (
     ColoredPermutation,
-    act_words,
     as_multiset,
     color_shift,
-    compile_moves,
-    enumerate_arrangements,
-    enumerate_group,
-    group_moves,
+    group_table,
 )
 
 
@@ -63,6 +61,9 @@ class GroupAlgebraElement:
                     continue
                 if pi.m != m or pi.n != n:
                     raise ValueError(f"term {pi} does not live in ({m}, {n})")
+                for c in pi.colors:
+                    if not 1 <= c <= m:
+                        raise ValueError(f"color {c} outside 1..{m}")
                 clean[pi] = coeff
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -155,9 +156,9 @@ def ga_mul(x, y):
     """Convolution product oriented so rep_matrix is multiplicative.
 
     rep_matrix(ga_mul(x, y), I) == rep_matrix(x, I) @ rep_matrix(y, I); the
-    group term contributed by a pair (pi_x, pi_y) is act(pi_y, pi_x).  The
-    pairs are acted on as plain words (``act_words``), and one
-    ColoredPermutation is built per distinct product, not per pair.
+    group term contributed by a pair (pi_x, pi_y) is act(pi_y, pi_x), found
+    by ``GroupTable.walk`` as a position in the group, whose cached element
+    keys the result.
 
     Coefficients are multiplied and summed as their images under
     phi: q -> 2**s (``pack_coeffs``), one image per term of x and of y, and
@@ -180,22 +181,24 @@ def ga_mul(x, y):
     are never unpacked, so their size does not matter.
     """
     x._check_sizes(y)
-    m = x.m
+    m, n = x.m, x.n
     stride = _product_stride(x, y)
-    moves = compile_moves(x.terms)
-    packed_x = [pack_coeffs(c.coeffs, stride) for c in x.terms.values()]
-    out = {}
+    table = group_table(m, n)
+    moves = table.compile((pi, pack_coeffs(c.coeffs, stride)) for pi, c in x.terms.items())
+    image = table.basis(tuple(range(1, n + 1)))[1]
+    out = [0] * len(table.elements)
     for pi_y, cy in y.terms.items():
         py = pack_coeffs(cy.coeffs, stride)
-        products = act_words(m, pi_y.values, pi_y.colors, moves)
-        for key, px in zip(products, packed_x):
-            out[key] = out.get(key, 0) + px * py
+        for targets, packed_x in table.walk(image, moves, pi_y.values, pi_y.colors):
+            for i, px in zip(targets, packed_x):
+                out[i] += px * py
     return GroupAlgebraElement(
         m,
-        x.n,
+        n,
         {
-            ColoredPermutation(m, *key): Polynomial(unpack_int(v, stride))
-            for key, v in out.items()
+            pi: Polynomial(unpack_int(v, stride))
+            for pi, v in zip(table.elements, out)
+            if v
         },
     )
 
@@ -215,13 +218,9 @@ def product_chain(factors):
 @lru_cache(maxsize=None)
 def cinv_sum(m, n):
     """The q-weighted group sum: every element with coefficient q**cinv."""
+    table = group_table(m, n)
     return GroupAlgebraElement(
-        m,
-        n,
-        {
-            pi: Polynomial.monomial(c)
-            for pi, c in zip(enumerate_group(m, n), group_moves(m, n)[1])
-        },
+        m, n, {pi: Polynomial.monomial(c) for pi, c in zip(table.elements, table.cinvs)}
     )
 
 
@@ -248,27 +247,46 @@ def rep_matrix(x, multiset):
 
     Column j expands basis[j] acted on by x in the canonical arrangement
     basis; for the multiset {1..n} this is the regular representation.
-    Each term of x is compiled to a move once, and the basis is indexed by
-    its (values, colors) words, which ``act_words`` produces.
+    Entries are summed as packed ints and unpacked once per distinct value;
+    coefficients that are not Polynomials raise TypeError.
+
+    Why the stride s = B.bit_length() + 1 of ``_rep_stride``, with B the
+    sum of ||c||_inf over the terms of x, suffices: packing is a ring
+    homomorphism, so the int at entry (i, j) is the image of the sum of c
+    over the terms (pi, c) with act(basis[j], pi) = basis[i].  Each term
+    sends basis[j] to exactly one basis element, so it enters that sum at
+    most once, and every coefficient of the sum has modulus at most
+    B < 2**(s-1).  Balanced base-2**s digits (``unpack_int``) therefore
+    read it back exactly; an entry that cancels is the zero Polynomial.
     """
     multiset = as_multiset(multiset)
     if len(multiset) != x.n:
         raise ValueError(f"multiset size {len(multiset)} does not match n={x.n}")
     m = x.m
-    basis = enumerate_arrangements(m, multiset)
-    index = {(theta.values, theta.colors): i for i, theta in enumerate(basis)}
-    moves = compile_moves(x.terms)
-    zero = Polynomial.zero()
+    stride = _rep_stride(x)
+    table = group_table(m, x.n)
+    basis, image = table.basis(multiset)
+    moves = table.compile((pi, pack_coeffs(c.coeffs, stride)) for pi, c in x.terms.items())
     cols = []
     for theta in basis:
-        col = [zero] * len(basis)
-        images = act_words(m, theta.values, theta.colors, moves)
-        for key, c in zip(images, x.terms.values()):
-            i = index[key]
-            acc = col[i]
-            col[i] = c if acc is zero else acc + c
+        col = [0] * len(basis)
+        for targets, packed in table.walk(image, moves, theta.values, theta.colors):
+            for i, c in zip(targets, packed):
+                col[i] += c
         cols.append(col)
-    return Block(m=m, multiset=multiset, basis=basis, entries=tuple(zip(*cols)))
+    zero = Polynomial.zero()
+    polys = {v: Polynomial(unpack_int(v, stride)) if v else zero for v in set().union(*cols)}
+    entries = tuple(tuple(map(polys.__getitem__, row)) for row in zip(*cols))
+    return Block(m=m, multiset=multiset, basis=basis, entries=entries)
+
+
+def _rep_stride(x):
+    """Bits per packed entry of ``rep_matrix(x, ...)``: B.bit_length() + 1,
+    with B the sum of the sup norms of x's coefficients."""
+    for c in x.terms.values():
+        if not isinstance(c, Polynomial):
+            raise TypeError(f"rep_matrix needs ZZ[q] coefficients, got {c!r}")
+    return sum(max(map(abs, c.coeffs)) for c in x.terms.values()).bit_length() + 1
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,10 @@ colored permutations carrying the ket arrangement to the bra arrangement
 (``cosym_expectation``), which is independent of the rewriting path.
 ``cosym_column`` counts a whole column of these sums in one walk of the
 group; it computes the same formula as ``rep_matrix(cinv_sum(m, n), ...)``
-in ``group_algebra``, in a different loop order.  Both act on plain words
-through ``colored_perm.act_words`` and read cinv from the table that
-``colored_perm.group_moves`` builds once per (m, n); they share no loop,
-and the rewriting path above uses none of this.
+in ``group_algebra``, in a different loop order.  Both walk the group by
+the lookup tables of ``colored_perm.GroupTable``, built once per (m, n)
+with each element's cinv; they share no loop, and the rewriting path
+above uses none of this.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .exact_arith import Polynomial, pack_coeffs, unpack_int
-from .colored_perm import act_words, group_moves
+from .colored_perm import group_table
 
 
 def color_mismatch(creator_color, annihilator_color, m):
@@ -240,33 +240,32 @@ def operator_column(m, trie, ket):
 
 
 def cosym_column(theta_ket):
-    """Every nonzero inner product with the ket, from one walk of the group.
+    """Every inner product with the ket, from one walk of the group.
 
-    Returns a dict from each arrangement theta reachable from the ket to
-    <theta|ket> = sum of q**cinv(pi) over the colored permutations pi with
-    act(theta_ket, pi) == theta.  Each pi adds 1 to the count of its cinv in
-    the bucket of act(theta_ket, pi), and each bucket's counts are the
-    coefficients of its entry.  Arrangements absent from the dict (other
-    multisets or lengths) have inner product 0.
+    Returns the tuple of <theta|ket> = sum of q**cinv(pi) over the colored
+    permutations pi with act(theta_ket, pi) == theta, for the arrangements
+    theta of the ket's multiset in basis order: the ket's column of the
+    Gram block.  Arrangements of other multisets or lengths have inner
+    product 0.
 
-    This is the same formula as the representation matrix of the q-weighted
-    group sum (``rep_matrix(cinv_sum(m, n), multiset)``) in another loop
-    order.  The walk runs on plain words: the group's moves and cinv values
-    come from the per-(m, n) table ``group_moves``, the action from
-    ``act_words``, and a bucket becomes an arrangement of the ket's type
-    only once, as a key of the result.
+    Each pi adds 1 to the count of its cinv at the basis position of
+    act(theta_ket, pi), found by ``GroupTable.walk``: size * n! word
+    builds and size * m**n * n! list indices per block.  This is
+    ``rep_matrix(cinv_sum(m, n), multiset)`` in another loop order.  A ket
+    color outside 1..m raises ``ValueError``, as on the rewriting path.
     """
-    m, n = theta_ket.m, theta_ket.n
-    moves, cinvs = group_moves(m, n)
-    width = n * (n + 1) // 2 + 1  # cinv is at most n(n-1)/2 inversions + n colors
-    buckets = {}
-    for key, c in zip(act_words(m, theta_ket.values, theta_ket.colors, moves), cinvs):
-        counts = buckets.get(key)
-        if counts is None:
-            counts = buckets[key] = [0] * width
-        counts[c] += 1
-    cls = type(theta_ket)
-    return {cls(m, *key): Polynomial(counts) for key, counts in buckets.items()}
+    m, values = theta_ket.m, theta_ket.values
+    _check_colors(m, theta_ket.tokens)
+    table = group_table(m, len(values))
+    basis, image = table.basis(tuple(sorted(values)))
+    width = len(values) * (len(values) + 1) // 2 + 1  # cinv <= n(n-1)/2 + n
+    counts = [[0] * width for _ in basis]
+    for targets, cinvs in table.walk(image, table.moves, values, theta_ket.colors):
+        for i, c in zip(targets, cinvs):
+            counts[i][c] += 1
+    counts = list(map(tuple, counts))
+    polys = {row: Polynomial(row) for row in set(counts)}
+    return tuple(map(polys.__getitem__, counts))
 
 
 def cosym_expectation(theta_bra, theta_ket):
@@ -276,8 +275,13 @@ def cosym_expectation(theta_bra, theta_ket):
     act(theta_ket, pi) == theta_bra: the bra's entry of
     ``cosym_column(theta_ket)``.  If the two arrangements draw on different
     multisets (or lengths) the sum is empty and the value is 0, matching the
-    operator computation.
+    operator computation.  Colors of either arrangement outside 1..m raise
+    ``ValueError``, as on the rewriting path.
     """
     if theta_bra.m != theta_ket.m:
         raise ValueError(f"color-count mismatch: {theta_bra.m} vs {theta_ket.m}")
-    return cosym_column(theta_ket).get(theta_bra, Polynomial.zero())
+    _check_colors(theta_bra.m, theta_bra.tokens)
+    column = cosym_column(theta_ket)
+    table = group_table(theta_ket.m, theta_ket.n)
+    row = table.basis(tuple(sorted(theta_ket.values)))[1].get(theta_bra.values)
+    return Polynomial.zero() if row is None else column[row[table.index[theta_bra.colors]]]

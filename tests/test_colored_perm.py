@@ -8,15 +8,14 @@ import pytest
 from quonalg.colored_perm import (
     ColoredArrangement,
     ColoredPermutation,
+    GroupTable,
     act,
-    act_words,
     as_multiset,
     cinv,
     color_shift,
-    compile_moves,
     enumerate_arrangements,
     enumerate_group,
-    group_moves,
+    group_table,
     insertion_cycle,
     parse_word,
     word_str,
@@ -96,15 +95,99 @@ def test_act_on_one_position_adds_colors():
                 assert got == ColoredArrangement(m, (7,), ((c + d) % m or m,))
 
 
-def test_group_moves_compile_every_element():
+def test_group_table_compiles_every_element():
     for m, n in [(1, 3), (2, 2), (3, 2), (2, 3)]:
         group = enumerate_group(m, n)
-        moves, cinvs = group_moves(m, n)
+        table = group_table(m, n)
+        assert table.elements is group
+        assert table.cinvs == tuple(cinv(pi) for pi in group)
+        assert len(table.moves) == math.factorial(n)
+        assert sorted(c for _, _, cinvs in table.moves for c in cinvs) == sorted(table.cinvs)
+        # the identity's images are the group itself, in the order of the moves
         identity = ColoredPermutation.neutral(m, n)
-        assert moves == compile_moves(group)
-        assert cinvs == tuple(cinv(pi) for pi in group)
-        images = act_words(m, identity.values, identity.colors, moves)
-        assert images == [(pi.values, pi.colors) for pi in group]
+        image = table.basis(tuple(range(1, n + 1)))[1]
+        walked = [
+            (group[i], c)
+            for targets, cinvs in table.walk(image, table.moves, identity.values, identity.colors)
+            for i, c in zip(targets, cinvs)
+        ]
+        assert sorted(walked, key=lambda t: group.index(t[0])) == list(zip(group, table.cinvs))
+
+
+def table_mismatches(table, multiset, as_group, sparse_seed=None):
+    """The (ket, pi) pairs where the walk of ``table`` and ``act`` disagree.
+
+    Every basis element of the multiset (the group itself when ``as_group``)
+    is walked by the whole group, compiled with each element as its own
+    payload, or by a seeded sparse subset of it when ``sparse_seed`` is set.
+    """
+    m, n = table.m, len(multiset)
+    basis = enumerate_group(m, n) if as_group else enumerate_arrangements(m, multiset)
+    group = list(enumerate_group(m, n))
+    if sparse_seed is not None:
+        group = random.Random(sparse_seed).sample(group, max(1, len(group) // 3))
+    moves = table.compile((pi, pi) for pi in group)
+    image = table.basis(multiset)[1]
+    bad, seen = [], 0
+    for ket in basis:
+        for targets, pis in table.walk(image, moves, ket.values, ket.colors):
+            for i, pi in zip(targets, pis):
+                seen += 1
+                if basis[i] != act(ket, pi):
+                    bad.append((ket, pi))
+    assert seen == len(basis) * len(group)
+    return bad
+
+
+COMPILED_CASES = [
+    (1, (1, 2, 3)), (2, (1, 2)), (3, (1, 2)), (2, (1, 2, 3)),
+    (3, ()), (1, (1,)), (4, (1,)), (2, (1, 1, 2)), (3, (2, 2)),
+]
+
+
+@pytest.mark.parametrize("m,multiset", COMPILED_CASES)
+def test_compiled_action_equals_act_exhaustively(m, multiset):
+    regular = multiset == tuple(range(1, len(multiset) + 1))
+    for as_group in (False, True) if regular else (False,):
+        # a fresh table: partly filled rows first, then completed ones
+        table = GroupTable(m, len(multiset))
+        for sparse_seed in (5, None):
+            assert table_mismatches(table, multiset, as_group, sparse_seed) == []
+
+
+def test_a_color_sum_off_by_one_is_caught(monkeypatch):
+    real_sums = GroupTable.sums
+
+    def shifted(self, a, ps):
+        row = list(real_sums(self, a, ps))
+        row[-1] = (row[-1] + 1) % len(self.index)
+        return row
+
+    monkeypatch.setattr(GroupTable, "sums", shifted)
+    for m, multiset in [(2, (1, 2)), (3, (1,)), (2, (1, 1, 2))]:
+        assert table_mismatches(GroupTable(m, len(multiset)), multiset, False)
+
+
+def test_color_sums_are_filled_only_where_a_walk_meets_them():
+    table = GroupTable(3, 2)
+    met = table.sums(4, (2, 7))
+    assert met == [table.index[act(table.elements[4], table.elements[p]).colors] for p in (2, 7)]
+    filled = sum(e is not None for row in table._rows if row for e in row)
+    assert filled == 2
+    assert table.sums(4, None)[2] == met[0]
+    filled = sum(e is not None for row in table._rows if row for e in row)
+    assert filled == 9
+
+
+def test_act_rejects_colors_outside_the_range():
+    good = ColoredPermutation(2, (1, 2), (1, 2))
+    for theta, pi in [
+        (ColoredArrangement(2, (1, 2), (0, 1)), ColoredPermutation(2, (1, 2), (5, 1))),
+        (ColoredArrangement(2, (1, 2), (0, 1)), good),
+        (ColoredArrangement(2, (1, 2), (1, 1)), ColoredPermutation(2, (1, 2), (5, 1))),
+    ]:
+        with pytest.raises(ValueError, match=r"color (0|5) outside 1\.\.2"):
+            act(theta, pi)
 
 
 def test_inverse_defining_property():

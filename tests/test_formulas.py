@@ -44,6 +44,13 @@ def test_det_specific_forms():
     assert det_closed_form(3, 2) == ((ONE + 2 * Q) * (ONE - Q) ** 2) ** 12 * (ONE - Q**2) ** 9
 
 
+def test_det_closed_form_is_cached_per_m_and_n():
+    for m, n in [(2, 2), (1, 4), (3, 2)]:
+        first = det_closed_form(m, n)
+        assert det_closed_form(m, n) is first
+        assert first == det_factorization(m, n).expand()
+
+
 def test_det_closed_form_through_the_tensor_product():
     # det(A (x) B) = det(A)**size(B) * det(B)**size(A), with the regular block
     # = Q_n (x) K (x) ... (x) K: a route that shares no code with formulas.

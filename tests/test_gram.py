@@ -1,6 +1,7 @@
 import csv
 import io
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -97,21 +98,27 @@ def test_csv_and_json_carry_identical_content():
 
 
 def test_combinatorial_path_walks_the_group_once_per_ket(monkeypatch):
-    calls = acts = 0
-    real_act_words = quon_engine.act_words
+    walks = builds = lookups = 0
+    real_walk = colored_perm.GroupTable.walk
 
-    def counted_act_words(m, values, colors, moves):
-        nonlocal calls, acts
-        calls += 1
-        acts += len(moves)
-        return real_act_words(m, values, colors, moves)
+    def counted_walk(self, image, moves, values, colors):
+        nonlocal walks, builds, lookups
+        walks += 1
+        for targets, payloads in real_walk(self, image, moves, values, colors):
+            builds += 1  # the value and color words of one permutation
+            targets = list(targets)
+            lookups += len(targets)
+            yield targets, payloads
 
-    monkeypatch.setattr(quon_engine, "act_words", counted_act_words)
+    monkeypatch.setattr(colored_perm.GroupTable, "walk", counted_walk)
     m, multiset = 2, (1, 1, 2)
     block = _build_gram_cached.__wrapped__(m, multiset, "combinatorial")
     group = enumerate_group(m, len(multiset))
     assert block.size == 24 and len(group) == 48
-    assert calls == block.size and acts == block.size * len(group)
+    assert walks == block.size
+    assert builds == block.size * factorial(len(multiset))
+    assert lookups == block.size * len(group)
+    assert block == build_gram(m, multiset, "operator")
 
 
 def test_combinatorial_path_counts_cinv_once_per_group_element(monkeypatch):
@@ -124,12 +131,12 @@ def test_combinatorial_path_counts_cinv_once_per_group_element(monkeypatch):
         return real_cinv(pi)
 
     monkeypatch.setattr(colored_perm, "cinv", counted_cinv)
-    colored_perm.group_moves.cache_clear()
+    colored_perm.group_table.cache_clear()
     try:
         m, multiset = 2, (1, 1, 2)
         block = _build_gram_cached.__wrapped__(m, multiset, "combinatorial")
     finally:
-        colored_perm.group_moves.cache_clear()
+        colored_perm.group_table.cache_clear()
     group = enumerate_group(m, len(multiset))
     # once per element of the group, not once per (ket, element) pair
     assert block.size == 24 and calls == len(group) == 48

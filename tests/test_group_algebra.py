@@ -169,6 +169,8 @@ def test_ga_mul_refuses_quotient_coefficients():
     for x, y in [(inverse, s), (s, inverse)]:
         with pytest.raises(TypeError, match=r"RationalFunction\("):
             ga_mul(x, y)
+    with pytest.raises(TypeError, match=r"RationalFunction\("):
+        rep_matrix(inverse, (1, 2))
 
 
 @pytest.mark.parametrize(
@@ -192,6 +194,41 @@ def test_rep_matrix_accumulates_terms_that_meet_on_a_repeated_mode():
     entries = rep_matrix(x, (1, 1, 2)).entries
     assert entries == rep_matrix_reference(x, (1, 1, 2))
     assert entries[0][0] == ONE + Q
+
+
+def test_rep_matrix_stride_is_tight(monkeypatch):
+    # on (1, 1) with one color both group elements fix the one arrangement,
+    # so its entry is the sum of the two coefficients: 8 - 3q, and 8 is the
+    # bound B = 3 + 5 on the sum of the sup norms
+    m = 1
+    e, swap = enumerate_group(m, 2)
+    x = GroupAlgebraElement(m, 2, {e: P((3, -2)), swap: P((5, -1))})
+    assert group_algebra._rep_stride(x) == (3 + 5).bit_length() + 1
+    block = rep_matrix(x, (1, 1))
+    assert block.entries == rep_matrix_reference(x, (1, 1)) == ((P((8, -3)),),)
+    stride = group_algebra._rep_stride
+    monkeypatch.setattr(group_algebra, "_rep_stride", lambda x: stride(x) - 1)
+    assert rep_matrix(x, (1, 1)).entries != block.entries
+
+
+def test_rep_matrix_of_signed_and_zero_elements():
+    rng = random.Random(31)
+    zero = GroupAlgebraElement(2, 3)
+    assert rep_matrix(zero, (1, 1, 2)).entries == rep_matrix_reference(zero, (1, 1, 2))
+    assert all(c.is_zero for row in rep_matrix(zero, (1, 2, 3)).entries for c in row)
+    group = enumerate_group(2, 2)
+    for _ in range(10):
+        x = GroupAlgebraElement(2, 2, {
+            pi: P([rng.randint(-2**70, 2**70) for _ in range(rng.randint(1, 6))])
+            for pi in rng.sample(group, rng.randint(1, len(group)))
+        })
+        for multiset in [(1, 2), (3, 3)]:
+            assert rep_matrix(x, multiset).entries == rep_matrix_reference(x, multiset)
+
+
+def test_terms_with_colors_outside_the_range_are_refused():
+    with pytest.raises(ValueError, match=r"color 3 outside 1\.\.2"):
+        GroupAlgebraElement(2, 2, {ColoredPermutation(2, (1, 2), (3, 1)): 1})
 
 
 def test_rep_matrix_is_an_algebra_homomorphism():

@@ -95,6 +95,22 @@ def test_cosym_multiset_mismatch_is_zero():
         cosym_expectation(a, ColoredArrangement(3, (1, 2), (3, 3)))
 
 
+def test_both_routes_reject_the_same_bad_colors():
+    # (bra, ket) words with one color outside 1..2
+    for bra, ket in [
+        (((1, 1), (2, 1)), ((1, 3), (2, 1))),
+        (((1, 1), (2, 0)), ((1, 1), (2, 1))),
+        (((1, 5), (2, 1)), ((2, 1), (1, 1))),
+    ]:
+        arrangements = [ColoredArrangement(2, *zip(*w)) for w in (bra, ket)]
+        with pytest.raises(ValueError, match=r"color \d outside 1\.\.2"):
+            vacuum_expectation(bra, ket, 2)
+        with pytest.raises(ValueError, match=r"color \d outside 1\.\.2"):
+            cosym_expectation(*arrangements)
+    with pytest.raises(ValueError, match=r"color 3 outside 1\.\.2"):
+        cosym_column(ColoredArrangement(2, (1, 2), (3, 1)))
+
+
 @pytest.mark.parametrize(
     "m,multiset",
     [(1, (1, 2, 3)), (1, (1, 1, 2)), (2, (1, 2)), (2, (2, 2)), (2, (1, 1, 2)),
@@ -105,7 +121,8 @@ def test_cosym_column_equals_the_pairwise_counting_sum(m, multiset):
     for ket in basis:
         column = cosym_column(ket)
         expected = {bra: cosym_reference(bra, ket) for bra in basis}
-        assert column == {bra: value for bra, value in expected.items() if value}
+        assert column == tuple(expected[bra] for bra in basis)
+        assert all(column)  # the group acts transitively on the arrangements
         for bra in basis:
             assert cosym_expectation(bra, ket) == expected[bra]
 
@@ -117,7 +134,7 @@ def test_cosym_across_multisets_and_lengths_is_zero():
         for ket_multiset, kets in blocks.items():
             others = [bra for ms, bras in blocks.items() if ms != ket_multiset for bra in bras]
             for ket in kets:
-                assert not set(cosym_column(ket)) & set(others)
+                assert len(cosym_column(ket)) == len(kets)
             for bra in others:
                 assert cosym_expectation(bra, kets[-1]) == P.zero()
                 assert cosym_reference(bra, kets[-1]) == P.zero()
