@@ -8,7 +8,11 @@ of the input, so every division is exact, and its pivots are the leading
 principal minors of the row-permuted input.  The caller supplies the exact
 division and the zero test, so packed integers and plain Polynomial values
 share the control flow but keep separate ring arithmetic and stay oracles
-for each other.  Polynomial determinants run on the image of the matrix
+for each other.  The matrices the package's own paths eliminate are
+symmetric (Gram blocks, the representation matrix of ``cinv_sum`` and the
+leaves of their split), and an int matrix that equals its transpose,
+checked exactly, is eliminated on its upper triangle alone: half the work
+of the full square (the proof is in ``_bareiss``).  Polynomial determinants run on the image of the matrix
 under q -> 2**stride (balanced-digit Kronecker packing by
 ``exact_arith.pack_coeffs`` and ``unpack_int``, which ``ga_mul`` shares;
 the proof for determinants is in ``poly_det``).  Leading minors of a
@@ -16,8 +20,9 @@ rational matrix are those of one integer matrix with one common scale,
 both given by the caller.
 
 Before either eliminates, the tensor-product split (``_tensor_split``, not
-to be confused with the Kronecker packing above) tests exactly, in the ring
-of the entries, whether the matrix is a tensor product (A (x) B) / c.  If
+to be confused with the Kronecker packing above) tests exactly whether the
+matrix is a tensor product (A (x) B) / c: on the ints for minors, and on
+packed images of the polynomials for determinants (``_split_det``).  If
 so, leading minors come from those of A and B by a closed formula
 (``_int_leading_minors``), and the determinant is det(A)**b * det(B)**a /
 c**(a*b) for A of size a and B of size b, an exact division in ZZ[q]
@@ -27,7 +32,8 @@ minors and its determinant come from those of Q_n and of the m-by-m K.  A
 matrix that does not split takes one Bareiss pass: without row swaps for
 minors, and packed at the stride of its own entries for a determinant.  The
 plain Polynomial route of ``poly_det`` never splits: it eliminates the
-whole matrix and stays the oracle for the packed one.
+whole matrix, over the full square, and stays the oracle for the packed
+one.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from operator import attrgetter, not_
 from .exact_arith import Polynomial, pack_coeffs, unpack_int
 
 
-def _bareiss(rows, divexact, is_zero, swap=True):
+def _bareiss(rows, divexact, is_zero, swap=True, symmetric=False):
     """One fraction-free elimination pass over a square matrix, destructively.
 
     Returns ``(sign, pivots)``: pivot k is the (k+1)-th leading principal
@@ -48,12 +54,29 @@ def _bareiss(rows, divexact, is_zero, swap=True):
     below it with a nonzero entry in its column.  Without ``swap``, or when
     no such row exists, the pass stops with fewer pivots than rows, and the
     next leading minor is zero.
+
+    ``symmetric`` is the caller's exact promise that the matrix equals its
+    transpose; the pass then reads and writes only the upper triangle.
+    Proof.  After step k (Bareiss, Math. Comp. 22, 1968), entry (i, j) for
+    i, j > k is the minor on rows {0..k, i} and columns {0..k, j} of the
+    row-permuted input, and before step 0 it is the input entry.  While no
+    row has been swapped, that input is the symmetric M itself, and
+    transposing M maps this minor to the one on rows {0..k, j} and columns
+    {0..k, i}: entry (j, i).  So step k needs, for row i > k, only the
+    entries j >= i, and its multiplier, entry (i, k), equals entry (k, i),
+    which the pivot row holds.  A swap breaks the symmetry: the pass then
+    first mirrors the trailing upper triangle into the lower one and goes on
+    over the full square.
     """
     n = len(rows)
     sign, prev, pivots = 1, None, []
     for k in range(n):
         row_k = rows[k]
         if is_zero(row_k[k]):
+            if swap and symmetric:
+                for i in range(k + 1, n):
+                    rows[i][k:i] = [rows[j][i] for j in range(k, i)]
+                symmetric = False
             below = (i for i in range(k + 1, n) if not is_zero(rows[i][k]))
             i = next(below, None) if swap else None
             if i is None:
@@ -63,14 +86,20 @@ def _bareiss(rows, divexact, is_zero, swap=True):
             sign = -sign
         pivot = row_k[k]
         pivots.append(pivot)
-        for row_i in rows[k + 1 :]:
-            head = row_i[k]
+        for i in range(k + 1, n):
+            row_i = rows[i]
+            head, start = (row_k[i], i) if symmetric else (row_i[k], k + 1)
             row_i[k] = None  # never read again; dropping it keeps memory flat
-            for j in range(k + 1, n):
+            for j in range(start, n):
                 num = pivot * row_i[j] - head * row_k[j]
                 row_i[j] = num if prev is None else divexact(num, prev)
         prev = pivot
     return sign, pivots
+
+
+def _is_symmetric(rows):
+    """Whether a list of int lists equals its transpose, compared exactly in C."""
+    return rows == [list(col) for col in zip(*rows)]
 
 
 def _int_divexact(num, den):
@@ -80,12 +109,12 @@ def _int_divexact(num, den):
     return quot
 
 
-def _det(rows, divexact=_int_divexact, is_zero=not_, zero=0):
+def _det(rows, divexact=_int_divexact, is_zero=not_, zero=0, symmetric=False):
     """Determinant of a nonempty square matrix by ``_bareiss``, destructively.
 
     The defaults are the integer ring; Polynomial callers pass their own.
     """
-    sign, pivots = _bareiss(rows, divexact, is_zero)
+    sign, pivots = _bareiss(rows, divexact, is_zero, symmetric=symmetric)
     if len(pivots) < len(rows):
         return zero
     return pivots[-1] if sign > 0 else -pivots[-1]
@@ -100,14 +129,31 @@ def _stride(rows):
     coefficient of a polynomial exceeds its maximum modulus there.
     """
     n = len(rows)
-    h = max([1] + [sum(map(abs, p.coeffs)) for row in rows for p in row])
-    return ((isqrt(n**n - 1) + 1) * h**n).bit_length() + 1
+    return ((isqrt(n**n - 1) + 1) * _height(rows) ** n).bit_length() + 1
+
+
+def _height(rows):
+    """The largest l1 coefficient norm of an entry, at least 1."""
+    return max([1] + [sum(map(abs, p.coeffs)) for row in rows for p in row])
+
+
+def _split_stride(rows):
+    """Bits per packed coefficient for the split test: (2 h**2).bit_length().
+
+    See ``_split_det`` for why it suffices and ``_height`` for h.
+    """
+    return (2 * _height(rows) ** 2).bit_length()
+
+
+def _pack(rows, stride):
+    """The image of a Polynomial matrix under q -> 2**stride, as int lists."""
+    return [[pack_coeffs(p.coeffs, stride) for p in row] for row in rows]
 
 
 def _packed_det(rows, stride):
     """Determinant of the image of ``rows`` under q -> 2**stride, unpacked."""
-    packed = [[pack_coeffs(p.coeffs, stride) for p in row] for row in rows]
-    return Polynomial(unpack_int(_det(packed), stride))
+    packed = _pack(rows, stride)
+    return Polynomial(unpack_int(_det(packed, symmetric=_is_symmetric(packed)), stride))
 
 
 def _split_det(rows):
@@ -117,8 +163,22 @@ def _split_det(rows):
     det(A)**b * det(B)**a / c**(a*b), with both factors from this function
     again; a factor that does not split takes ``_packed_det`` at its own
     ``_stride``, followed by the degree check (see ``poly_det``).
+
+    The split is tested on the images of the entries under q -> 2**s, with
+    s = ``_split_stride(rows)`` = (2 h**2).bit_length() and h the largest l1
+    coefficient norm of an entry.  Proof that this test is exact.  The test
+    compares x * c with a * e for entries x, c, a, e, and phi: q -> 2**s is a
+    ring homomorphism, so it compares phi(d) with 0 for d = x * c - a * e.
+    A coefficient of x * c is at most ||x||_1 * max|c_i| <= h**2 in modulus,
+    and so is one of a * e, so every coefficient of d has modulus at most
+    2 h**2 < 2**s.  If d != 0 and d_t is its lowest nonzero coefficient,
+    phi(d) = 2**(s*t) * (d_t + 2**s * r) for an integer r, and d_t is not a
+    multiple of 2**s, so phi(d) != 0.  Hence phi(d) == 0 iff d == 0 (and
+    phi(c) == 0 iff c == 0, since |c_i| <= h), so the packed test splits
+    exactly the matrices the Polynomial test splits; the factors are
+    returned as Polynomial sub-blocks of ``rows``.
     """
-    split = _tensor_split(rows)
+    split = _tensor_split(rows, _pack(rows, _split_stride(rows)))
     if split is not None:
         corners, block = split
         a, b = len(corners), len(block)
@@ -187,19 +247,24 @@ def _bareiss_minors(ints):
     """Leading principal minors of a square int matrix by elimination.
 
     One Bareiss pass without row swaps gives every minor as a pivot.  After
-    a zero pivot, each later minor takes its own elimination.
+    a zero pivot, each later minor takes its own elimination.  A symmetric
+    matrix, checked once, is eliminated on its upper triangle, and so are
+    its leading submatrices, which are symmetric too.
     """
     n = len(ints)
-    _, minors = _bareiss([row[:] for row in ints], _int_divexact, not_, swap=False)
+    rows = [row[:] for row in ints]
+    symmetric = _is_symmetric(rows)
+    _, minors = _bareiss(rows, _int_divexact, not_, swap=False, symmetric=symmetric)
     if len(minors) < n:
         minors.append(0)
         minors += [
-            _det([row[:k] for row in ints[:k]]) for k in range(len(minors) + 1, n + 1)
+            _det([row[:k] for row in ints[:k]], symmetric=symmetric)
+            for k in range(len(minors) + 1, n + 1)
         ]
     return minors
 
 
-def _tensor_split(rows):
+def _tensor_split(rows, images=None):
     """``(A, B)`` with ``rows == (A (x) B) / c`` and c = rows[0][0], or None.
 
     ``rows`` is a square matrix over an integral domain: ints or
@@ -207,20 +272,24 @@ def _tensor_split(rows):
     first, A is the matrix of corner entries of the b-by-b blocks, A[s][t] =
     rows[s*b][t*b], and B the top-left block.  The split holds iff
     ``rows[s*b+i][t*b+j] * c == A[s][t] * B[i][j]`` for every entry, since
-    (A (x) B)[s*b+i][t*b+j] = A[s][t] * B[i][j].  The check is exact, in the
-    ring of the entries, and stops at the first mismatch, most often in
-    row 0.  A zero c never splits.
+    (A (x) B)[s*b+i][t*b+j] = A[s][t] * B[i][j].  The check is exact and
+    stops at the first mismatch, most often in row 0.  It runs on
+    ``images``, the entries' images under a ring homomorphism that is
+    injective on every difference it compares (``rows`` itself by default;
+    see ``_split_det`` for packed images), and A and B are returned from
+    ``rows``.  A zero c never splits.
     """
     n = len(rows)
-    c = rows[0][0] if n else 0
+    images = rows if images is None else images
+    c = images[0][0] if n else 0
     if not c:
         return None
     for b in range(2, n):
         if n % b:
             continue
-        for r, row in enumerate(rows):
-            corners = rows[r - r % b][::b]
-            inner = rows[r % b][:b]
+        for r, row in enumerate(images):
+            corners = images[r - r % b][::b]
+            inner = images[r % b][:b]
             expected = (a * e for a in corners for e in inner)
             if any(x * c != y for x, y in zip(row, expected)):
                 break

@@ -88,9 +88,20 @@ def _scaled_block(block, q0):
 
 
 def certify_block(block, q0):
-    """Exact Sylvester certification of one block at one rational point."""
+    """Exact Sylvester certification of one block at one rational point.
+
+    Sylvester's criterion holds only for a symmetric matrix, so a block that
+    differs from its transpose at q0 raises ``ValueError``.
+    """
     q0 = Fraction(q0)
-    minors = tuple(linalg.leading_minors(*_scaled_block(block, q0)))
+    ints, scale = _scaled_block(block, q0)
+    if ints != [list(col) for col in zip(*ints)]:
+        i, j = next((i, j) for i, row in enumerate(ints) for j in range(i) if row[j] != ints[j][i])
+        raise ValueError(
+            f"block is not symmetric at q = {q0}: entry ({i}, {j}) is {block.entries[i][j]}"
+            f" but entry ({j}, {i}) is {block.entries[j][i]}"
+        )
+    minors = tuple(linalg.leading_minors(ints, scale))
     return PosDefReport(
         m=block.m,
         multiset=block.multiset,

@@ -182,6 +182,13 @@ def test_det_output_is_pinned():
     assert out == (GOLDEN / "det_m3_n2_verify.text").read_text(encoding="utf-8")
 
 
+def test_unsplit_det_output_is_pinned():
+    # Q_4 is 24 x 24 and does not split: one packed elimination, end to end.
+    code, out, _ = run_cli(["det", "--m", "1", "--n", "4", "--verify"])
+    assert code == 0
+    assert out == (GOLDEN / "det_m1_n4_verify.text").read_text(encoding="utf-8")
+
+
 PINNED = {
     "expect_worked_example": [
         "expect", "--m", "4", "--bra", "(2,4)(5,1)(2,4)", "--ket", "(5,2)(2,3)(2,1)"

@@ -1,12 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from operator import not_
 
 import pytest
 
 from quonalg import linalg
 from quonalg.exact_arith import Polynomial
-from quonalg.formulas import regular_block_det
+from quonalg.formulas import det_closed_form, regular_block_det
 from quonalg.gram import build_gram
 from quonalg.linalg import leading_minors, poly_det
 from quonalg.posdef import _scaled_block, interval_of_definiteness
@@ -214,6 +215,9 @@ def test_split_determinant_of_polynomial_tensor_products():
                 assert linalg._tensor_split(rows) is None
             else:
                 assert linalg._tensor_split(rows) is not None
+            # The packed test, which poly_det runs, agrees with the plain one.
+            images = linalg._pack(rows, linalg._split_stride(rows))
+            assert (linalg._tensor_split(rows, images) is None) == near_miss
             packed = poly_det(rows)
             assert packed == poly_det(rows, method="plain")
             if len(rows) <= 6:
@@ -249,3 +253,130 @@ def test_regular_block_determinant_packs_only_q_n_and_k(monkeypatch):
         regular_block_det(m, n)
         assert leaves and all(s == own for _, s, own in leaves), (m, n)
         assert max(size for size, _, _ in leaves) <= max(m, math.factorial(n)), (m, n)
+
+
+def rand_symmetric(rng, n, values):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.choice(values)
+    return rows
+
+
+def test_symmetric_elimination_matches_fractions():
+    # The half-triangle pass gives the pivots of the full-square pass, and
+    # both match references that share no code with Bareiss.  Zero pivots
+    # are frequent, so with ``swap`` the pass often mirrors its trailing
+    # triangle and goes on over the full square.
+    rng = random.Random(83)
+    values = (-2, -1, 0, 0, 0, 1, 2, 3)
+    mirrored = 0
+    for trial in range(300):
+        n = rng.randint(1, 8)
+        rows = rand_symmetric(rng, n, values)
+        if trial % 3 == 0:
+            rows[0][0] = 0
+        assert linalg._is_symmetric(rows)
+        expected = fraction_minors(rows)
+        for swap in (True, False):
+            half = linalg._bareiss([r[:] for r in rows], linalg._int_divexact, not_, swap, True)
+            full = linalg._bareiss([r[:] for r in rows], linalg._int_divexact, not_, swap)
+            assert half == full, (trial, swap)
+        assert linalg._det([r[:] for r in rows], symmetric=True) == expected[-1]
+        assert leading_minors(rows) == expected
+        # A zero leading minor and a nonzero determinant force a swap.
+        mirrored += 0 in expected[:-1] and expected[-1] != 0
+    assert mirrored >= 100
+
+
+def test_one_asymmetric_entry_takes_the_full_loop(monkeypatch):
+    flags = []
+    bareiss = linalg._bareiss
+
+    def recording(rows, divexact, is_zero, swap=True, symmetric=False):
+        flags.append(symmetric)
+        return bareiss(rows, divexact, is_zero, swap, symmetric)
+
+    monkeypatch.setattr(linalg, "_bareiss", recording)
+    rng = random.Random(89)
+    for trial in range(60):
+        n = rng.randint(2, 7)
+        rows = rand_symmetric(rng, n, (-3, -1, 0, 1, 2, 4))
+        i, j = sorted(rng.sample(range(n), 2))
+        rows[i][j] += rng.choice((-2, -1, 1, 2))
+        flags.clear()
+        assert leading_minors(rows) == fraction_minors(rows)
+        polys = [[P.constant(e) for e in row] for row in rows]
+        assert poly_det(polys).evaluate(0) == fraction_det(rows)
+        assert flags and not any(flags), trial
+
+
+def test_packed_q4_determinant_halves_the_divisions(monkeypatch):
+    # Q_4 is 24 x 24, symmetric, and does not split.  Its pivots are all
+    # nonzero, so the full square divides sum(k**2, k = 1..22) = 3795 times
+    # and the upper triangle sum(k*(k+1)/2, k = 1..22) = 2024 times.
+    rows = build_gram(1, (1, 2, 3, 4)).entries
+    assert linalg._tensor_split(rows) is None
+    bareiss = linalg._bareiss
+    for full_square, divisions in ((False, 2024), (True, 3795)):
+        calls = []
+
+        def counting_divexact(num, den):
+            calls.append(den)
+            return linalg._int_divexact(num, den)
+
+        def counting(rows, divexact, is_zero, swap=True, symmetric=False):
+            return bareiss(rows, counting_divexact, is_zero, swap, symmetric and not full_square)
+
+        monkeypatch.setattr(linalg, "_bareiss", counting)
+        assert poly_det(rows) == det_closed_form(1, 4)
+        assert len(calls) == divisions, full_square
+
+
+def test_packed_and_plain_agree_on_symmetric_matrices_with_swaps():
+    # Symmetric Polynomial matrices whose packed elimination needs a row
+    # swap: the plain route keeps the full-square loop and checks the
+    # half-triangle one with its mirror fallback.
+    rng = random.Random(97)
+    swapped = 0
+    for trial in range(80):
+        n = rng.randint(2, 6)
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rand_poly(rng, 2, 3) if rng.random() < 0.7 else P.zero()
+        if trial % 2:
+            rows[0][0] = rows[0][1] = rows[1][0] = rows[1][1] = rand_poly(rng, 2, 3) + Q**3
+        else:
+            rows[0][0] = P.zero()
+        packed = poly_det([r[:] for r in rows])
+        assert packed == poly_det(rows, method="plain"), trial
+        if n <= 4:
+            assert packed == laplace_det(rows)
+        # A zero leading minor (of size 1 or 2) and a nonzero determinant
+        # force a swap, as above.
+        swapped += not packed.is_zero
+    assert swapped >= 50
+
+
+def test_split_stride_is_tight(monkeypatch):
+    # A 4 x 4 matrix with h = 5 that is a tensor product except at entry
+    # (0, 3): there x * c - a * e = (q - 4)(-5) - (-4)(3 + q) = 32 - q,
+    # which q -> 2**5 maps to 0 but q -> 2**6 does not.
+    c = P.constant
+    rows = [
+        [c(-5), 3 + Q, c(-4), Q - 4],
+        [c(5), c(-5), c(4), c(-4)],
+        [c(5), -3 - Q, c(-5), 3 + Q],
+        [c(-5), c(5), c(5), c(-5)],
+    ]
+    stride = linalg._split_stride(rows)
+    assert stride == (2 * 5**2).bit_length() == 6
+    assert linalg._tensor_split(rows) is None
+    assert linalg._tensor_split(rows, linalg._pack(rows, stride)) is None
+    expected = poly_det(rows, method="plain")
+    assert poly_det(rows) == expected == laplace_det(rows)
+    # One bit less and the packed test accepts a false split.
+    assert linalg._tensor_split(rows, linalg._pack(rows, stride - 1)) is not None
+    monkeypatch.setattr(linalg, "_split_stride", lambda rows: stride - 1)
+    assert poly_det(rows) != expected

@@ -169,3 +169,20 @@ def test_verdict_invariant_under_basis_shuffles():
             entries=tuple(tuple(block.entries[i][j] for j in order) for i in order),
         )
         assert certify_block(shuffled, q0).verdict == certify_block(block, q0).verdict
+
+
+def test_certify_block_refuses_a_non_symmetric_block():
+    # Leading minors 1, 1 would read positive definite, but the symmetric
+    # part [[1, 5/2], [5/2, 1]] is indefinite: Sylvester needs symmetry.
+    with pytest.raises(ValueError, match=r"at q = 0: entry \(1, 0\) is 0 but entry \(0, 1\) is 5"):
+        certify_block(hand_block([[1, 5], [0, 1]]), 0)
+    rows = [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]
+    rows[3][1] = 1
+    with pytest.raises(ValueError, match=r"entry \(3, 1\) is 1 but entry \(1, 3\) is 0"):
+        certify_block(hand_block(rows), Fraction(1, 3))
+    # The check is on the point: a block symmetric at q0 is certified there.
+    q, one = Polynomial.q(), Polynomial.one()
+    block = Block(m=1, multiset=(1, 1), basis=(0, 1), entries=((one, q), (q * q, one)))
+    assert certify_block(block, 0).verdict == POSITIVE_DEFINITE
+    with pytest.raises(ValueError):
+        certify_block(block, Fraction(1, 2))
