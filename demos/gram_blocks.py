@@ -4,7 +4,7 @@
 The inner-product matrix of all creator words over a fixed multiset of modes
 is computed three independent ways and compared exactly:
 
-  1. operator path      - normal-ordering reduction, one trie walk per ket,
+  1. operator path      - normal-ordering reduction, one trie walk per block,
   2. combinatorial path - q**cinv counting over colored permutations,
   3. representation     - right-action matrix of the q-weighted group sum.
 """

@@ -13,8 +13,9 @@ The right action of a colored permutation (perm, pcolors) on an arrangement
 group composition is the same formula applied to two permutations.  The
 formula has one copy, ``act``.  Loops over the whole group use the tables
 of ``GroupTable`` instead, built by calling ``act``: the color sums, one
-lazily filled row per color word, and per multiset an image table
-(``GroupTable.basis``) from value word and color index to basis position.
+row per color word, built on first use by composing generator rows, and per
+multiset an image table (``GroupTable.basis``) from value word and color
+index to basis position.
 Composing an arrangement with the n! permutations costs n! word builds,
 and each of the m**n * n! group elements then costs one list index.
 
@@ -196,21 +197,36 @@ class GroupTable:
 
     def sums(self, a, ps):
         """Indices of a (+) p for the indices p of ``ps`` (all, in order,
-        when ``ps`` is None).  Each entry is computed by ``act`` the first
-        time a walk meets it, so the table never costs more color sums than
-        the pairs it serves, nor more than m**(2n); a full row becomes a
-        tuple."""
-        row = self._rows[a]
-        if type(row) is not tuple:
-            if row is None:
-                row = self._rows[a] = [None] * len(self._rows)
-            elements, index = self.elements, self.index
-            for p in range(len(row)) if ps is None else ps:
-                if row[p] is None:
-                    row[p] = index[act(elements[a], elements[p]).colors]
-            if ps is None:
-                row = self._rows[a] = tuple(row)
+        when ``ps`` is None), from the row of a."""
+        row = self._row(a)
         return row if ps is None else [row[p] for p in ps]
+
+    def _row(self, a):
+        """The indices of a (+) p for every p, built on first use.
+
+        The color words form the abelian group (Z_m)**n.  Let i be the first
+        non-neutral position of a, g the generator with color 1 at i alone,
+        and b the word a with the color at i one step back (1 goes to m), so
+        a = b (+) g and a (+) p = b (+) (g (+) p): the row of a is the row
+        of b read at the row of g.  Only the n generators' rows call
+        ``act``, m**n times each; the neutral row is the identity.
+        """
+        row = self._rows[a]
+        if row is None:
+            m, colors, size = self.m, self.elements[a].colors, len(self._rows)
+            i = next((i for i, c in enumerate(colors) if c != m), None)
+            if i is None:
+                row = tuple(range(size))
+            else:
+                g = self.index[(m,) * i + (1,) + (m,) * (len(colors) - i - 1)]
+                if a == g:
+                    elements, index = self.elements, self.index
+                    row = tuple([index[act(elements[a], pi).colors] for pi in elements[:size]])
+                else:
+                    b = self.index[colors[:i] + ((colors[i] - 2) % m + 1,) + colors[i + 1 :]]
+                    row = tuple(map(self._row(b).__getitem__, self._row(g)))
+            self._rows[a] = row
+        return row
 
 
 @lru_cache(maxsize=None)

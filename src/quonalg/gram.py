@@ -4,13 +4,14 @@ The block of a multiset I collects the pairwise inner products of the
 creator-word states of all colored arrangements of I, rows indexed by the
 bra arrangement and columns by the ket arrangement, both in the canonical
 enumeration order.  It is a ``Block`` of Polynomials in ZZ[q], since every
-entry is a q**cinv generating sum.  Both constructions fill the block one
-column per ket: the ``operator`` path walks a trie of the bra words from
-the ket with the annihilator rewriting engine (``operator_column``), the
-``combinatorial`` path counts the column as q**cinv sums over colored
-permutations, walking the group once (``cosym_column``).  The block also
-equals the right-action matrix of the q-weighted group sum on the
-arrangement module (``verify_representation`` checks all of this).
+entry is a q**cinv generating sum.  The ``operator`` path builds the
+whole block in one walk of a trie of the bra words with the annihilator
+rewriting engine, every ket packed into its own slot of one int
+(``operator_column``); the ``combinatorial`` path fills it one column per
+ket, counting the column as q**cinv sums over colored permutations in one
+walk of the group (``cosym_column``).  The block also equals the
+right-action matrix of the q-weighted group sum on the arrangement module
+(``verify_representation`` checks all of this).
 
 The counting loop and ``rep_matrix(cinv_sum(m, n), multiset)`` compute the
 same formula, entry (i, j) = sum of q**cinv(pi) over pi with
@@ -42,12 +43,13 @@ def build_gram(m, multiset, path="operator"):
     """Build the Gram block of a multiset by either construction path.
 
     path = "operator" uses the annihilator rewriting engine, one walk of the
-    bras' trie per ket: at most size * (trie nodes) annihilator steps, where
-    the trie holds at most n * size nodes and far fewer when bras share
-    their innermost annihilators; path = "combinatorial" uses the
-    colored-permutation counting sum, one table walk of the group per ket:
-    size * n! word builds and size * m**n * n! list indices.  The two must
-    agree exactly.
+    bras' trie for all kets together: at most one annihilator step per trie
+    node, where the trie holds at most n * size nodes and far fewer when
+    bras share their innermost annihilators (a block wider than one walk,
+    see ``operator_column``, takes a walk per part); path = "combinatorial"
+    uses the colored-permutation counting sum, one table walk of the group
+    per ket: size * n! word builds and size * m**n * n! list indices.  The
+    two must agree exactly.
     """
     if path not in ("operator", "combinatorial"):
         raise ValueError(f"unknown path {path!r}")
@@ -58,18 +60,17 @@ def build_gram(m, multiset, path="operator"):
 def _build_gram_cached(m, multiset, path):
     basis = enumerate_arrangements(m, multiset)
     if path == "operator":
-        keys = [bra.tokens for bra in basis]
-        trie = annihilator_trie(m, keys)
-        zero = Polynomial.zero()
-        columns = (
-            [column.get(key, zero) for key in keys]
-            for column in (operator_column(m, trie, ket.tokens) for ket in basis)
-        )
+        # A bra's annihilators, innermost first, are its tokens, as are a
+        # ket's creators: one word list serves as the bras and the kets.
+        words = [theta.tokens for theta in basis]
+        rows = operator_column(m, annihilator_trie(m, words), words)
+        zeros = (Polynomial.zero(),) * len(basis)
+        entries = tuple(rows.get(word, zeros) for word in words)
     else:
-        columns = map(cosym_column, basis)
-    seen = {}
-    columns = [_shared(column, seen) for column in columns]
-    return Block(m=m, multiset=multiset, basis=basis, entries=tuple(zip(*columns)))
+        seen = {}
+        columns = [_shared(column, seen) for column in map(cosym_column, basis)]
+        entries = tuple(zip(*columns))
+    return Block(m=m, multiset=multiset, basis=basis, entries=entries)
 
 
 def _shared(values, seen):

@@ -120,16 +120,16 @@ def _det(rows, divexact=_int_divexact, is_zero=not_, zero=0, symmetric=False):
     return pivots[-1] if sign > 0 else -pivots[-1]
 
 
-def _stride(rows):
-    """Bits per packed coefficient: B.bit_length() + 1 (see ``poly_det``).
+def _stride(n, h):
+    """Bits per packed coefficient of an n x n matrix of height h (see
+    ``_height``): B.bit_length() + 1 (see ``poly_det``).
 
     B bounds every coefficient of every minor.  On the unit circle each entry
-    is bounded in modulus by its l1 coefficient norm h, so Hadamard bounds a
-    k-minor by (sqrt(k) h)**k <= ceil(sqrt(n**n)) h**n = B, and no
+    is bounded in modulus by its l1 coefficient norm, at most h, so Hadamard
+    bounds a k-minor by (sqrt(k) h)**k <= ceil(sqrt(n**n)) h**n = B, and no
     coefficient of a polynomial exceeds its maximum modulus there.
     """
-    n = len(rows)
-    return ((isqrt(n**n - 1) + 1) * _height(rows) ** n).bit_length() + 1
+    return ((isqrt(n**n - 1) + 1) * h**n).bit_length() + 1
 
 
 def _height(rows):
@@ -137,12 +137,12 @@ def _height(rows):
     return max([1] + [sum(map(abs, p.coeffs)) for row in rows for p in row])
 
 
-def _split_stride(rows):
+def _split_stride(h):
     """Bits per packed coefficient for the split test: (2 h**2).bit_length().
 
     See ``_split_det`` for why it suffices and ``_height`` for h.
     """
-    return (2 * _height(rows) ** 2).bit_length()
+    return (2 * h**2).bit_length()
 
 
 def _pack(rows, stride):
@@ -162,29 +162,31 @@ def _split_det(rows):
     Where ``_tensor_split`` finds rows = (A (x) B) / c, the determinant is
     det(A)**b * det(B)**a / c**(a*b), with both factors from this function
     again; a factor that does not split takes ``_packed_det`` at its own
-    ``_stride``, followed by the degree check (see ``poly_det``).
+    ``_stride``, followed by the degree check (see ``poly_det``).  Both
+    strides read the height h, the largest l1 coefficient norm of an entry,
+    computed once per call.
 
     The split is tested on the images of the entries under q -> 2**s, with
-    s = ``_split_stride(rows)`` = (2 h**2).bit_length() and h the largest l1
-    coefficient norm of an entry.  Proof that this test is exact.  The test
-    compares x * c with a * e for entries x, c, a, e, and phi: q -> 2**s is a
-    ring homomorphism, so it compares phi(d) with 0 for d = x * c - a * e.
-    A coefficient of x * c is at most ||x||_1 * max|c_i| <= h**2 in modulus,
-    and so is one of a * e, so every coefficient of d has modulus at most
-    2 h**2 < 2**s.  If d != 0 and d_t is its lowest nonzero coefficient,
+    s = ``_split_stride(h)`` = (2 h**2).bit_length().  Proof that this test
+    is exact.  The test compares x * c with a * e for entries x, c, a, e,
+    and phi: q -> 2**s is a ring homomorphism, so it compares phi(d) with 0
+    for d = x * c - a * e.  A coefficient of x * c is at most ||x||_1 *
+    max|c_i| <= h**2 in modulus, and so is one of a * e, so every
+    coefficient of d has modulus at most 2 h**2 < 2**s.  If d != 0 and d_t is its lowest nonzero coefficient,
     phi(d) = 2**(s*t) * (d_t + 2**s * r) for an integer r, and d_t is not a
     multiple of 2**s, so phi(d) != 0.  Hence phi(d) == 0 iff d == 0 (and
     phi(c) == 0 iff c == 0, since |c_i| <= h), so the packed test splits
     exactly the matrices the Polynomial test splits; the factors are
     returned as Polynomial sub-blocks of ``rows``.
     """
-    split = _tensor_split(rows, _pack(rows, _split_stride(rows)))
+    h = _height(rows)
+    split = _tensor_split(rows, _pack(rows, _split_stride(h)))
     if split is not None:
         corners, block = split
         a, b = len(corners), len(block)
         num = _split_det(corners) ** b * _split_det(block) ** a
         return num.divexact(rows[0][0] ** (a * b))
-    result = _packed_det(rows, _stride(rows))
+    result = _packed_det(rows, _stride(len(rows), h))
     max_degree = sum(
         max((p.degree for p in row if not p.is_zero), default=0) for row in rows
     )

@@ -14,25 +14,45 @@ packed coefficients: each coefficient c(q) is carried as the int c(2**s)
 for a stride s that the caller chooses, so the weight q**k is a left shift
 by s*k bits and merging two words is one int addition.  ``apply_annihilator``
 packs a ``CreatorState`` at a stride taken from its l1 mass, calls the
-kernel once and unpacks.  ``operator_column`` reduces one ket against many
-bras at once: the bras' annihilator words, innermost first, go into a trie
-(``annihilator_trie``), and a depth-first walk from the ket's word applies
-each trie node's annihilator once to its parent's state, all at the stride
-(L!).bit_length() + 1 for a ket of length L.  Bras that share their
-innermost annihilators share those steps, so a column costs one kernel
-call per trie node rather than one per bra and position.
-``vacuum_expectation`` is the walk over a one-bra trie.
+kernel once and unpacks.  ``operator_column`` reduces many kets against
+many bras in one walk: the bras' annihilator words, innermost first, go
+into a trie (``annihilator_trie``), and a depth-first walk applies each
+trie node's annihilator once to its parent's state.  The root state holds
+every ket's word, and ket j carries the int 2**(S*j): a second level of
+packing with one slot of S bits per ket.  Bras that share their innermost
+annihilators share those steps, and all kets share every step, so a whole
+block costs at most one kernel call per trie node (a block wider than
+``_WALK_BITS`` takes one walk per that many bits of kets).  A leaf's int
+holds the bra's row over every ket of the walk; it is cut into its slots
+once, and each distinct slot becomes one Polynomial.  ``vacuum_expectation`` is the walk with one
+bra and one ket.
 
-Why that stride reads every value back exactly.  Every weight of the rule
-is +q**k, so a walk that starts from one word with coefficient 1 only ever
-holds coefficients with non-negative integer coefficients, and its q = 1
-mass (the sum of all coefficients of all words at q = 1) bounds each one.
-A step on words of length l makes at most l shorter words from each word,
-each carrying its coefficient times a power of q, so it multiplies the q = 1
-mass by at most l.  After k steps from a word of length L the mass is at
-most L(L-1)...(L-k+1) <= L! < 2**(s-1), so every coefficient lies in
-0..2**(s-1)-1, packed digits never carry into each other, and the balanced
-digits of ``exact_arith.unpack_int`` read each coefficient back exactly.
+Why the stride reads every coefficient back exactly.  For a walk whose
+longest ket has length L, s is (L!).bit_length() + 1 rounded up to whole
+bytes.  Every weight of the rule is +q**k, so a walk that starts from one
+word with coefficient 1 only ever holds coefficients with non-negative
+integer coefficients, and its q = 1 mass (the sum of all coefficients of
+all words at q = 1) bounds each one.  A step on words of length l makes at
+most l shorter words from each word, each carrying its coefficient times a
+power of q, so it multiplies the q = 1 mass by at most l.  After k steps
+from a word of length L the mass is at most L(L-1)...(L-k+1) <= L! <
+2**(s-1), so every coefficient lies in 0..2**(s-1)-1, packed digits never
+carry into each other, and the balanced digits of
+``exact_arith.unpack_int`` read each coefficient back exactly.  A shorter
+ket has a smaller mass bound.
+
+Why the slot S = s*(D+1), with D = L(L+1)/2, keeps kets apart.  A step on a
+word of length l shifts by q**(u + mismatch) with u <= l-1 and mismatch <=
+1, so it adds at most l to the degree, and the walk from a ket of length at
+most L to the empty word adds at most L + (L-1) + ... + 1 = D.  Every entry
+is thus a polynomial of degree at most D whose coefficients lie in
+0..2**(s-1)-1, so its image under q -> 2**s lies in 0..2**(s*(D+1))-1 =
+0..2**S-1.  The kernel's operations (a shift by a multiple of s, an
+addition) are linear, so the int of a word is the sum over kets j of
+2**(S*j) times the image of that word's coefficient in ket j's own walk,
+and each term fits its slot: slots never carry into each other, and slot j
+of a leaf holds exactly the image of <bra|ket_j>.  s and S are multiples
+of 8, so the slots are whole bytes of the leaf's ``to_bytes``.
 The walk uses only the rewriting rule, never the counting code below,
 which it checks.
 
@@ -172,11 +192,11 @@ def vacuum_expectation(bra, ket, m):
     order described in the module docstring.  The result is a Polynomial.
     Every color of both words is checked up front, so a bad bra color
     raises ``ValueError`` even where the state vanishes before reaching it.
-    It is ``operator_column`` over the trie of the one bra.
+    It is ``operator_column`` over the trie of the one bra, for the one ket.
     """
     word = _word(m, tuple(bra)[::-1])
-    column = operator_column(m, annihilator_trie(m, [word]), ket)
-    return column.get(word, Polynomial.zero())
+    row = operator_column(m, annihilator_trie(m, [word]), [ket]).get(word)
+    return Polynomial.zero() if row is None else row[0]
 
 
 def annihilator_trie(m, words):
@@ -199,44 +219,77 @@ def annihilator_trie(m, words):
     return root
 
 
-def operator_column(m, trie, ket):
-    """Every nonzero <bra|ket> over the bra words of ``trie``, in one walk.
+def _slot_bits(stride, length):
+    """Bits per ket in a multi-ket walk: room for the D + 1 coefficients of
+    an entry of degree at most D = length(length+1)/2, ``stride`` bits each
+    (the module docstring has the proof)."""
+    return stride * (length * (length + 1) // 2 + 1)
 
-    The walk starts from the ket's word (colors checked as by
-    ``creator_state``) with coefficient 1 and goes depth first; each trie
-    node applies its annihilator once to its parent's state through
-    ``_annihilate``, so bras that share their innermost annihilators share
-    those steps, and a state that vanishes cuts off its whole subtree.  A
-    ket costs at most one kernel call per trie node instead of one per bra
-    and position.  Returns a dict from each bra word (as stored in the
-    trie) to its nonzero value.
 
-    States hold packed ints at the stride s = (L!).bit_length() + 1 for a
-    ket of length L: the rule's weights are all +q**k, and k steps multiply
-    the q = 1 mass by at most L(L-1)...(L-k+1) <= L! < 2**(s-1), which
-    bounds every coefficient (the module docstring has the proof).  Each
-    distinct nonzero leaf int is unpacked once, into one Polynomial.
+# The most bits one walk packs its kets into.  A state's ints span all the
+# slots of a walk, so one walk over k kets holds about k**2 * S / 2 bits in
+# its root alone; past this width more, narrower walks are faster as well
+# as smaller.  The operator block of (2, (1, 2, 3, 4, 5)), 3840 kets, took
+# 4.4 s at a 138 MB peak in walks of 512 kets and 6.4 s at 320 MB in one
+# walk (Python 3.11, one core of a shared 2-core x86-64 machine).
+_WALK_BITS = 1 << 16
+
+
+def operator_column(m, trie, kets):
+    """Every nonzero row <bra|ket_j> over the bra words of ``trie``.
+
+    A walk starts from the state holding each ket's word (colors checked
+    as by ``creator_state``) with the coefficient 1 in the ket's own slot,
+    and goes depth first; each trie node applies its annihilator once to
+    its parent's state through ``_annihilate``, so bras that share their
+    innermost annihilators share those steps, every ket of the walk shares
+    every step, and a state that vanishes cuts off its whole subtree.  A
+    walk costs at most one kernel call per trie node, and one walk takes up
+    to ``_WALK_BITS`` // S kets, so every block of up to 512 kets of length
+    at most 5 is one walk.  Returns a dict from each bra word (as stored in
+    the trie) whose row is not all zero to its row: a tuple with one
+    Polynomial per ket, in the order of ``kets``.
+
+    States hold packed ints at the stride s and the slot S of the module
+    docstring, for the longest ket.  Each leaf int is cut into its slots
+    with one ``to_bytes``, and each distinct slot is unpacked once, into
+    one Polynomial, so equal entries are one object.
     """
-    ket = _word(m, ket)
-    stride = _stride(factorial(len(ket)))
-    column, values = {}, {}
+    kets = [_word(m, ket) for ket in kets]
+    length = max(map(len, kets), default=0)
+    stride = -(-_stride(factorial(length)) // 8) * 8
+    width = _slot_bits(stride, length) // 8
+    zero = Polynomial.zero()
+    rows, values = {}, {bytes(width): zero}
 
-    def walk(node, terms):
+    def walk(node, terms, start, total):
         for token, child in node.items():
             if token is None:
                 value = terms.get(())
                 if value:
-                    poly = values.get(value)
-                    if poly is None:
-                        poly = values[value] = Polynomial(unpack_int(value, stride))
-                    column[child] = poly
+                    data = value.to_bytes(total, "little")
+                    slots = [data[k : k + width] for k in range(0, total, width)]
+                    for slot in set(slots).difference(values):
+                        unpacked = unpack_int(int.from_bytes(slot, "little"), stride)
+                        values[slot] = Polynomial(unpacked)
+                    row = rows.get(child)
+                    if row is None:
+                        row = rows[child] = [zero] * len(kets)
+                    row[start : start + len(slots)] = map(values.__getitem__, slots)
             else:
                 shorter = _annihilate(terms, token, m, stride)
                 if shorter:
-                    walk(child, shorter)
+                    walk(child, shorter, start, total)
 
-    walk(trie, {ket: 1})
-    return column
+    per_walk = max(1, _WALK_BITS // (8 * width))
+    for start in range(0, len(kets), per_walk):
+        part, root = kets[start : start + per_walk], {}
+        for j, ket in enumerate(part):
+            root[ket] = root.get(ket, 0) + (1 << (8 * width * j))
+        walk(trie, root, start, width * len(part))
+    for word, row in rows.items():
+        rows[word] = tuple(row)  # one list at a time: a block's rows are big
+    return rows
 
 
 def cosym_column(theta_ket):

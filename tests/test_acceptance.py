@@ -87,6 +87,7 @@ def test_criterion_3_three_way_agreement_under_30s():
         (2, (2, 2, 5)),
         (3, (1, 2, 3)),
         (2, (1, 1, 2, 3)),
+        (2, (1, 2, 3, 4)),
     ]
     start = time.perf_counter()
     for m, multiset in cases:

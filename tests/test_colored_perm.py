@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from quonalg import colored_perm
 from quonalg.colored_perm import (
     ColoredArrangement,
     ColoredPermutation,
@@ -149,7 +150,7 @@ COMPILED_CASES = [
 def test_compiled_action_equals_act_exhaustively(m, multiset):
     regular = multiset == tuple(range(1, len(multiset) + 1))
     for as_group in (False, True) if regular else (False,):
-        # a fresh table: partly filled rows first, then completed ones
+        # a fresh table: a sparse walk first, then the whole group
         table = GroupTable(m, len(multiset))
         for sparse_seed in (5, None):
             assert table_mismatches(table, multiset, as_group, sparse_seed) == []
@@ -168,15 +169,28 @@ def test_a_color_sum_off_by_one_is_caught(monkeypatch):
         assert table_mismatches(GroupTable(m, len(multiset)), multiset, False)
 
 
-def test_color_sums_are_filled_only_where_a_walk_meets_them():
-    table = GroupTable(3, 2)
-    met = table.sums(4, (2, 7))
-    assert met == [table.index[act(table.elements[4], table.elements[p]).colors] for p in (2, 7)]
-    filled = sum(e is not None for row in table._rows if row for e in row)
-    assert filled == 2
-    assert table.sums(4, None)[2] == met[0]
-    filled = sum(e is not None for row in table._rows if row for e in row)
-    assert filled == 9
+def test_color_sum_rows_call_act_only_for_the_generators(monkeypatch):
+    calls = 0
+
+    def counted_act(theta, pi):
+        nonlocal calls
+        calls += 1
+        return act(theta, pi)
+
+    monkeypatch.setattr(colored_perm, "act", counted_act)
+    for m, n in [(1, 3), (2, 3), (3, 2), (5, 2), (4, 1)]:
+        table, size = GroupTable(m, n), m**n
+        calls = 0
+        # a walk may ask for a few entries of a row first
+        last = size - 1
+        assert table.sums(last, (0, last)) == [last, table.sums(last, None)[last]]
+        for a in range(size):
+            assert table.sums(a, None) == tuple(
+                table.index[act(table.elements[a], table.elements[p]).colors]
+                for p in range(size)
+            )
+        # m**n act calls for each of the n generators, none for m = 1
+        assert calls == (n * size if m > 1 else 0), (m, n)
 
 
 def test_act_rejects_colors_outside_the_range():

@@ -65,7 +65,7 @@ def test_stride_fits_an_extremal_minor():
     rows = [
         [P((h2[i // 2][j // 2] * h2[i % 2][j % 2],)) for j in range(4)] for i in range(4)
     ]
-    stride = linalg._stride(rows)
+    stride = linalg._stride(len(rows), linalg._height(rows))
     assert poly_det(rows) == linalg._packed_det(rows, stride) == P((16,))
     # One bit less and the determinant no longer unpacks: the bound is tight.
     assert linalg._packed_det(rows, stride - 1) != P((16,))
@@ -216,7 +216,7 @@ def test_split_determinant_of_polynomial_tensor_products():
             else:
                 assert linalg._tensor_split(rows) is not None
             # The packed test, which poly_det runs, agrees with the plain one.
-            images = linalg._pack(rows, linalg._split_stride(rows))
+            images = linalg._pack(rows, linalg._split_stride(linalg._height(rows)))
             assert (linalg._tensor_split(rows, images) is None) == near_miss
             packed = poly_det(rows)
             assert packed == poly_det(rows, method="plain")
@@ -244,7 +244,7 @@ def test_regular_block_determinant_packs_only_q_n_and_k(monkeypatch):
     packed_det = linalg._packed_det
 
     def recording(rows, stride):
-        leaves.append((len(rows), stride, linalg._stride(rows)))
+        leaves.append((len(rows), stride, linalg._stride(len(rows), linalg._height(rows))))
         return packed_det(rows, stride)
 
     monkeypatch.setattr(linalg, "_packed_det", recording)
@@ -370,7 +370,7 @@ def test_split_stride_is_tight(monkeypatch):
         [c(5), -3 - Q, c(-5), 3 + Q],
         [c(-5), c(5), c(5), c(-5)],
     ]
-    stride = linalg._split_stride(rows)
+    stride = linalg._split_stride(linalg._height(rows))
     assert stride == (2 * 5**2).bit_length() == 6
     assert linalg._tensor_split(rows) is None
     assert linalg._tensor_split(rows, linalg._pack(rows, stride)) is None
@@ -378,5 +378,5 @@ def test_split_stride_is_tight(monkeypatch):
     assert poly_det(rows) == expected == laplace_det(rows)
     # One bit less and the packed test accepts a false split.
     assert linalg._tensor_split(rows, linalg._pack(rows, stride - 1)) is not None
-    monkeypatch.setattr(linalg, "_split_stride", lambda rows: stride - 1)
+    monkeypatch.setattr(linalg, "_split_stride", lambda h: stride - 1)
     assert poly_det(rows) != expected

@@ -149,24 +149,37 @@ def test_operator_and_combinatorial_paths_agree():
                 assert vacuum_expectation(bra_word, ket.tokens, m) == cosym_expectation(bra, ket)
 
 
+def _expected_rows(m, words, kets):
+    """Each bra word's row over the kets, by the rule on Polynomial
+    coefficients one entry at a time; all-zero rows left out."""
+    rows = {
+        w: tuple(expectation_reference(tuple(reversed(w)), ket, m) for ket in kets)
+        for w in words
+    }
+    return {w: row for w, row in rows.items() if any(row)}
+
+
 @pytest.mark.parametrize(
     "m,multiset",
     [(1, (1, 2, 3)), (2, (1, 1, 2)), (3, (2, 2, 2)), (2, (1, 2, 3)), (1, (1, 1, 2, 2))],
 )
 def test_operator_column_equals_per_entry_reduction(m, multiset):
+    # One walk for every ket of the block gives every row of the block.
     basis = enumerate_arrangements(m, multiset)
-    words = [bra.tokens for bra in basis]
-    trie = annihilator_trie(m, words)
-    for ket in basis:
-        expected = {w: vacuum_expectation(tuple(reversed(w)), ket.tokens, m) for w in words}
-        assert operator_column(m, trie, ket.tokens) == {w: v for w, v in expected.items() if v}
+    words = [theta.tokens for theta in basis]
+    rows = operator_column(m, annihilator_trie(m, words), words)
+    assert rows == _expected_rows(m, words, words)
+    assert len(rows) == len(basis)  # no row of a block is all zero
+    entries = [e for row in rows.values() for e in row]
+    assert len({id(e) for e in entries}) == len(set(entries))
 
 
 def test_operator_column_on_mixed_words_randomized():
-    # Words of different lengths and modes, some a prefix of another, the
-    # empty word and repeats: every leaf depth and vanishing subtrees.  Few
-    # modes make modes repeat within a word.  The packed walk is checked
-    # against the rule on Polynomial coefficients, one annihilator at a time.
+    # Bra words and kets of different lengths and modes, some bras a prefix
+    # of another, the empty word and repeats, in one walk: every leaf depth,
+    # vanishing subtrees and kets whose slots stay zero.  Few modes make
+    # modes repeat within a word.  The packed walk is checked against the
+    # rule on Polynomial coefficients, one annihilator at a time.
     rng = random.Random(17)
 
     def draw(m, modes):
@@ -176,10 +189,60 @@ def test_operator_column_on_mixed_words_randomized():
         m, modes = rng.randint(1, 4), rng.randint(1, 3)
         words = [draw(m, modes) for _ in range(12)]
         words += [w[:-1] for w in words[:4] if w] + words[:2]
-        trie = annihilator_trie(m, words)
-        ket = draw(m, modes)
-        expected = {w: expectation_reference(tuple(reversed(w)), ket, m) for w in words}
-        assert operator_column(m, trie, ket) == {w: v for w, v in expected.items() if v}
+        kets = [draw(m, modes) for _ in range(rng.randint(1, 6))]
+        kets += [tuple(reversed(w)) for w in words[:2]] + kets[:1]
+        rows = operator_column(m, annihilator_trie(m, words), kets)
+        assert rows == _expected_rows(m, words, kets)
+    assert operator_column(2, annihilator_trie(2, words), []) == {}
+
+
+def test_operator_column_slot_holds_the_largest_degree(monkeypatch):
+    # At (2, (1, 2)) the first bra word, innermost first (1,2)(2,2), reduces
+    # the last ket (2,1)(1,1) to q**3: the first annihilator passes over one
+    # creator, and both colors differ.  That is the degree bound L(L+1)/2
+    # for L = 2.  The empty ket after it has a zero slot in every row.
+    m, words = 2, [theta.tokens for theta in enumerate_arrangements(2, (1, 2))]
+    trie, kets = annihilator_trie(m, words), words + [()]
+    expected = _expected_rows(m, words, kets)
+    assert expected[words[0]][-2:] == (Q**3, P.zero())
+    assert operator_column(m, trie, kets) == expected
+    # One coefficient less per slot and the q**3 coefficient carries into
+    # the next ket's slot.
+    monkeypatch.setattr(
+        quon_engine, "_slot_bits", lambda stride, length: stride * (length * (length + 1) // 2)
+    )
+    assert operator_column(m, trie, kets)[words[0]][-2:] == (P.zero(), ONE)
+
+
+@pytest.mark.parametrize("walk_bits", [1, 5 * 56, 1000])
+def test_operator_column_splits_many_kets_into_walks(monkeypatch, walk_bits):
+    # 35 kets of lengths 0 to 3, so S = 56 bits: one, five and 17 kets per
+    # walk.  Each walk makes at most one kernel call per trie node.
+    m = 2
+    multisets = [(1, 2), (1, 1, 2), (2,), ()]
+    words = [theta.tokens for ms in multisets for theta in enumerate_arrangements(m, ms)]
+    trie = annihilator_trie(m, words)
+    expected = _expected_rows(m, words, words)
+    assert operator_column(m, trie, words) == expected
+    calls = 0
+    real_annihilate = quon_engine._annihilate
+
+    def counted_annihilate(*args):
+        nonlocal calls
+        calls += 1
+        return real_annihilate(*args)
+
+    def nodes(node):
+        return sum(1 + nodes(child) for token, child in node.items() if token is not None)
+
+    monkeypatch.setattr(quon_engine, "_annihilate", counted_annihilate)
+    monkeypatch.setattr(quon_engine, "_WALK_BITS", walk_bits)
+    rows = operator_column(m, trie, words)
+    assert rows == expected
+    per_walk = max(1, walk_bits // 56)
+    assert nodes(trie) < calls <= -(-len(words) // per_walk) * nodes(trie)
+    entries = [e for row in rows.values() for e in row]
+    assert len({id(e) for e in entries}) == len(set(entries))
 
 
 def test_annihilator_trie_checks_colors():
