@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from quonalg import (
     certify,
+    det_closed_form,
     interval_of_definiteness,
     scan,
 )
@@ -29,6 +30,15 @@ def main():
     print("\nOne certificate in full (m=1, n=2 at q=1/2):")
     report = certify(1, 2, Fraction(1, 2))
     print(f"  minors: {report.minors}  ->  {report.verdict}")
+
+    q0 = Fraction(-54321, 2**17 - 1)
+    print(f"\nm=2, n=4 (384x384) at the 17-bit point q = {q0}:")
+    report = certify(2, 4, q0)
+    det = det_closed_form(2, 4).evaluate(q0)
+    print(f"  {report.verdict}; determinant has {det.numerator.bit_length()}-bit numerator")
+    print(f"  last minor equals det_closed_form(2, 4) at q: {report.minors[-1] == det}")
+    if report.verdict != "positive_definite" or report.minors[-1] != det:
+        raise SystemExit("certificate disagrees with the closed-form determinant")
 
 
 if __name__ == "__main__":

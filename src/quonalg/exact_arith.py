@@ -194,10 +194,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def times_monomial(self, degree):
-        """Return self * q**degree without a full convolution."""
-        return Polynomial((0,) * degree + self.coeffs) if degree else self
-
     def evaluate(self, point):
         """Exact value at a rational point, as a Fraction.
 

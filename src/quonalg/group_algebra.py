@@ -28,9 +28,10 @@ numerator/denominator pair) live here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 from .exact_arith import Polynomial, pack_coeffs, unpack_int
+from .linalg import split_tree
 from .colored_perm import (
     ColoredPermutation,
     as_multiset,
@@ -229,7 +230,8 @@ class Block:
     """A square matrix over the arrangements of a multiset, in basis order.
 
     Entries are Polynomials, in Gram blocks and representation matrices
-    alike.
+    alike.  The cached properties are not fields: ``==`` and ``hash`` ignore
+    them.
     """
 
     m: int
@@ -240,6 +242,17 @@ class Block:
     @property
     def size(self):
         return len(self.basis)
+
+    @cached_property
+    def split_tree(self):
+        """The tensor-product split tree of the entries (``linalg.split_tree``)."""
+        return split_tree(self.entries)
+
+    @cached_property
+    def symmetric(self):
+        """Whether the entries equal their transpose in ZZ[q], on coefficient tuples."""
+        coeffs = [[p.coeffs for p in row] for row in self.entries]
+        return coeffs == [list(col) for col in zip(*coeffs)]
 
 
 def rep_matrix(x, multiset):

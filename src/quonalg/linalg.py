@@ -1,39 +1,23 @@
 """Fraction-free exact linear algebra over ZZ[q] and over the rationals.
 
-Determinants take Polynomial matrices (every block of the package lies in
-ZZ[q]); leading minors take a matrix of ints and one common scale.
-
 Every elimination is one Bareiss loop, ``_bareiss``: its entries are minors
 of the input, so every division is exact, and its pivots are the leading
 principal minors of the row-permuted input.  The caller supplies the exact
 division and the zero test, so packed integers and plain Polynomial values
-share the control flow but keep separate ring arithmetic and stay oracles
-for each other.  The matrices the package's own paths eliminate are
-symmetric (Gram blocks, the representation matrix of ``cinv_sum`` and the
-leaves of their split), and an int matrix that equals its transpose,
-checked exactly, is eliminated on its upper triangle alone: half the work
-of the full square (the proof is in ``_bareiss``).  Polynomial determinants run on the image of the matrix
-under q -> 2**stride (balanced-digit Kronecker packing by
-``exact_arith.pack_coeffs`` and ``unpack_int``, which ``ga_mul`` shares;
-the proof for determinants is in ``poly_det``).  Leading minors of a
-rational matrix are those of one integer matrix with one common scale,
-both given by the caller.
+share the control flow and stay oracles for each other.  An int matrix
+equal to its transpose is eliminated on its upper triangle alone.
+Polynomial determinants run on the image of the matrix under q -> 2**stride
+(balanced-digit Kronecker packing, ``exact_arith.pack_coeffs``; proof in
+``poly_det``).  Leading minors of an int matrix take one pass.
 
-Before either eliminates, the tensor-product split (``_tensor_split``, not
-to be confused with the Kronecker packing above) tests exactly whether the
-matrix is a tensor product (A (x) B) / c: on the ints for minors, and on
-packed images of the polynomials for determinants (``_split_det``).  If
-so, leading minors come from those of A and B by a closed formula
-(``_int_leading_minors``), and the determinant is det(A)**b * det(B)**a /
-c**(a*b) for A of size a and B of size b, an exact division in ZZ[q]
-(``_split_det``); A and B split again where they can.  The regular Gram
-block is Q_n (x) K (x) ... (x) K with n factors K (see ``posdef``), so its
-minors and its determinant come from those of Q_n and of the m-by-m K.  A
-matrix that does not split takes one Bareiss pass: without row swaps for
-minors, and packed at the stride of its own entries for a determinant.  The
-plain Polynomial route of ``poly_det`` never splits: it eliminates the
-whole matrix, over the full square, and stays the oracle for the packed
-one.
+The tensor-product split (not the Kronecker packing) is found once per
+Polynomial matrix, in ZZ[q]: ``split_tree`` tests whether the matrix is
+(A (x) B) / c, with c its corner entry, and splits A and B again.  The
+regular Gram block Q_n (x) K (x) ... (x) K (see ``posdef``) splits down to
+leaves Q_n and K with c = 1 at every node.  Determinants (``_split_det``)
+and leading minors at a point (``tree_minors``) are assembled from the
+leaves'.  The plain route of ``poly_det`` never splits and stays the
+oracle for the packed one.
 """
 
 from __future__ import annotations
@@ -134,20 +118,21 @@ def _stride(n, h):
 
 def _height(rows):
     """The largest l1 coefficient norm of an entry, at least 1."""
-    return max([1] + [sum(map(abs, p.coeffs)) for row in rows for p in row])
+    return max([1] + [sum(map(abs, c)) for c in {p.coeffs for row in rows for p in row}])
 
 
 def _split_stride(h):
-    """Bits per packed coefficient for the split test: (2 h**2).bit_length().
-
-    See ``_split_det`` for why it suffices and ``_height`` for h.
-    """
+    """Bits per packed coefficient of the split test (proof in ``split_tree``)."""
     return (2 * h**2).bit_length()
 
 
 def _pack(rows, stride):
-    """The image of a Polynomial matrix under q -> 2**stride, as int lists."""
-    return [[pack_coeffs(p.coeffs, stride) for p in row] for row in rows]
+    """The image of a Polynomial matrix under q -> 2**stride, as int lists;
+    each distinct coefficient tuple (hashed in C) is packed once."""
+    values = dict.fromkeys(p.coeffs for row in rows for p in row)
+    for coeffs in values:
+        values[coeffs] = pack_coeffs(coeffs, stride)
+    return [[values[p.coeffs] for p in row] for row in rows]
 
 
 def _packed_det(rows, stride):
@@ -156,40 +141,79 @@ def _packed_det(rows, stride):
     return Polynomial(unpack_int(_det(packed, symmetric=_is_symmetric(packed)), stride))
 
 
-def _split_det(rows):
-    """Determinant of a nonempty square Polynomial matrix, packed and split.
+def _tensor_split(rows):
+    """The block size b of a split ``rows == (A (x) B) / c``, or None.
 
-    Where ``_tensor_split`` finds rows = (A (x) B) / c, the determinant is
-    det(A)**b * det(B)**a / c**(a*b), with both factors from this function
-    again; a factor that does not split takes ``_packed_det`` at its own
-    ``_stride``, followed by the degree check (see ``poly_det``).  Both
-    strides read the height h, the largest l1 coefficient norm of an entry,
-    computed once per call.
+    ``rows`` is a square matrix over an integral domain (the packed images
+    of ``split_tree``).  For each divisor b of the size N with 1 < b < N,
+    smallest first, A[s][t] = rows[s*b][t*b] holds the corners of the b-by-b
+    blocks, B is the top-left block and c = rows[0][0].  The split holds iff
+    rows[s*b+i][t*b+j] * c == A[s][t] * B[i][j] for every entry, checked
+    exactly, row 0 first.  A zero c never splits.
+    """
+    n = len(rows)
+    c = rows[0][0] if n else 0
+    if not c:
+        return None
+    for b in range(2, n):
+        if n % b:
+            continue
+        for r, row in enumerate(rows):
+            corners = rows[r - r % b][::b]
+            inner = rows[r % b][:b]
+            if [x * c for x in row] != [a * e for a in corners for e in inner]:
+                break
+        else:
+            return b
+    return None
 
-    The split is tested on the images of the entries under q -> 2**s, with
-    s = ``_split_stride(h)`` = (2 h**2).bit_length().  Proof that this test
-    is exact.  The test compares x * c with a * e for entries x, c, a, e,
-    and phi: q -> 2**s is a ring homomorphism, so it compares phi(d) with 0
+
+def split_tree(rows, images=None):
+    """The tensor-product split tree of a square Polynomial matrix.
+
+    A node is ``(rows, children)``: ``children`` is None for a leaf, and
+    otherwise the nodes of A and B with rows = (A (x) B) / c, c = rows[0][0]
+    (also the corner of A and B), from ``_tensor_split``.  A non-Polynomial
+    entry raises ``ValueError`` first.
+
+    Every split is tested on ``images`` (passed only in the recursion), the
+    entries' images under phi: q -> 2**s, s = ``_split_stride(h)`` = (2
+    h**2).bit_length(), h the largest l1 coefficient norm of a root entry.
+    Proof that the test is exact.  It compares x * c with a * e for entries
+    x, c, a, e, and phi is a ring homomorphism, so it compares phi(d) with 0
     for d = x * c - a * e.  A coefficient of x * c is at most ||x||_1 *
     max|c_i| <= h**2 in modulus, and so is one of a * e, so every
-    coefficient of d has modulus at most 2 h**2 < 2**s.  If d != 0 and d_t is its lowest nonzero coefficient,
-    phi(d) = 2**(s*t) * (d_t + 2**s * r) for an integer r, and d_t is not a
-    multiple of 2**s, so phi(d) != 0.  Hence phi(d) == 0 iff d == 0 (and
-    phi(c) == 0 iff c == 0, since |c_i| <= h), so the packed test splits
-    exactly the matrices the Polynomial test splits; the factors are
-    returned as Polynomial sub-blocks of ``rows``.
+    coefficient of d has modulus at most 2 h**2 < 2**s.  If d != 0 and d_t
+    is its lowest nonzero coefficient, phi(d) = 2**(s*t) * (d_t + 2**s * r)
+    for an integer r, and d_t is not a multiple of 2**s, so phi(d) != 0.
+    Hence phi(d) == 0 iff d == 0 (and phi(c) == 0 iff c == 0), and the
+    entries of every node are root entries, so the packed test splits
+    exactly where the Polynomial test would.
     """
-    h = _height(rows)
-    split = _tensor_split(rows, _pack(rows, _split_stride(h)))
-    if split is not None:
-        corners, block = split
-        a, b = len(corners), len(block)
-        num = _split_det(corners) ** b * _split_det(block) ** a
-        return num.divexact(rows[0][0] ** (a * b))
-    result = _packed_det(rows, _stride(len(rows), h))
-    max_degree = sum(
-        max((p.degree for p in row if not p.is_zero), default=0) for row in rows
-    )
+    if images is None:
+        for row in rows:
+            for p in row:
+                if not isinstance(p, Polynomial):
+                    raise ValueError(f"matrix entry is not a polynomial: {p}")
+        images = _pack(rows, _split_stride(_height(rows)))
+    b = _tensor_split(images)
+    if b is None:
+        return rows, None
+    corners = [[row[::b] for row in m[::b]] for m in (rows, images)]
+    top = [[row[:b] for row in m[:b]] for m in (rows, images)]
+    return rows, (split_tree(*corners), split_tree(*top))
+
+
+def _split_det(node):
+    """Determinant of the matrix of a ``split_tree`` node (see ``poly_det``);
+    a leaf takes ``_packed_det`` at its own ``_stride`` and a degree check."""
+    rows, children = node
+    if children:
+        a, b = children
+        num = _split_det(a) ** len(b[0]) * _split_det(b) ** len(a[0])
+        return num.divexact(rows[0][0] ** len(rows))
+    result = _packed_det(rows, _stride(len(rows), _height(rows)))
+    max_degree = sum(max([0] + [p.degree for p in row if not p.is_zero]) for row in rows)
     if not result.is_zero and result.degree > max_degree:
         raise ArithmeticError("packed determinant exceeded its degree bound")
     return result
@@ -198,14 +222,11 @@ def _split_det(rows):
 def poly_det(rows, method="packed"):
     """Exact determinant of a square matrix of Polynomial entries.
 
-    ``method`` chooses between the packed route (default) and the plain
-    Bareiss over Polynomial values, which eliminates the whole matrix
-    without splitting and so stays an independent cross-check of the
-    packed route.
-
-    The packed route first applies the tensor-product split.  When
-    ``_tensor_split`` finds rows * c == A (x) B, with c = rows[0][0] != 0,
-    A of size a and B of size b, then
+    ``method="plain"`` runs Bareiss over Polynomial values on the whole
+    matrix, without splitting: the independent check of the default packed
+    route, which assembles the determinant from the leaves of ``split_tree``
+    (``_split_det``).  Where rows * c == A (x) B, with c = rows[0][0] != 0,
+    A of size a and B of size b,
 
         det(rows) = det(A)**b * det(B)**a / c**(a*b).
 
@@ -215,10 +236,8 @@ def poly_det(rows, method="packed"):
     determinant is det(A)**b.  Multiplying all a*b rows by c multiplies the
     determinant by c**(a*b).  ZZ[q] is an integral domain and det(rows) lies
     in it, so the division by c**(a*b) is exact; ``Polynomial.divexact``
-    checks it.  A and B split again where they can, and each factor that
-    does not split (a leaf) is packed at its own stride, computed from its
-    own entries, so the regular block Q_n (x) K (x) ... (x) K only ever
-    eliminates Q_n and the m-by-m K.
+    checks it.  Each leaf is packed at the stride of its own entries, so the
+    regular block only ever eliminates Q_n and the m-by-m K.
 
     Why the packed stride s = B.bit_length() + 1 of ``_stride`` suffices
     for a leaf.  phi: q -> 2**s is a ring homomorphism ZZ[q] -> ZZ.  Run
@@ -242,7 +261,7 @@ def poly_det(rows, method="packed"):
     if method == "plain":
         rows = [list(r) for r in rows]
         return _det(rows, Polynomial.divexact, attrgetter("is_zero"), Polynomial.zero())
-    return _split_det(rows)
+    return _split_det(split_tree(rows))
 
 
 def _bareiss_minors(ints):
@@ -266,82 +285,38 @@ def _bareiss_minors(ints):
     return minors
 
 
-def _tensor_split(rows, images=None):
-    """``(A, B)`` with ``rows == (A (x) B) / c`` and c = rows[0][0], or None.
+def _kron_minors(da, db, c):
+    """Leading principal minors of (A (x) B) / c from those of A and B.
 
-    ``rows`` is a square matrix over an integral domain: ints or
-    Polynomials.  For each divisor b of the size N with 1 < b < N, smallest
-    first, A is the matrix of corner entries of the b-by-b blocks, A[s][t] =
-    rows[s*b][t*b], and B the top-left block.  The split holds iff
-    ``rows[s*b+i][t*b+j] * c == A[s][t] * B[i][j]`` for every entry, since
-    (A (x) B)[s*b+i][t*b+j] = A[s][t] * B[i][j].  The check is exact and
-    stops at the first mismatch, most often in row 0.  It runs on
-    ``images``, the entries' images under a ring homomorphism that is
-    injective on every difference it compares (``rows`` itself by default;
-    see ``_split_det`` for packed images), and A and B are returned from
-    ``rows``.  A zero c never splits.
+    ``da`` and ``db`` are the minors D_1.. of square int matrices A, of
+    size a, and B, of size b, and c is a nonzero int.  For k = s*b + t with
+    0 <= s < a and 1 <= t <= b, and D_0 = 1,
+
+        D_k((A (x) B) / c) = D_s(A)**(b-t) D_{s+1}(A)**t D_b(B)**s D_t(B) / c**k.
+
+    Proof.  Take c = 1: dividing k rows by c divides D_k by c**k.  Let A_s
+    and B_t be the top-left s-by-s and t-by-t parts of A and B, e = A[s][s],
+    u and v the first s entries of row s and of column s of A, and B_r, B_c
+    the first t rows and columns of B.  The top-left k-by-k part of A (x) B
+    is [[A_s (x) B, v (x) B_c], [u (x) B_r, e * B_t]].  Over the field of
+    fractions of the entries, det(A_s (x) B) = D_s(A)**b * D_b(B)**s, and
+    the Schur complement of A_s (x) B is e * B_t - (u A_s**-1 v) * (B_r
+    B**-1 B_c) = (D_{s+1}(A) / D_s(A)) * B_t, since B_r B**-1 is the first t
+    rows of the identity.  Its determinant is (D_{s+1}(A) / D_s(A))**t *
+    D_t(B), and the product of the two determinants is the formula.  Both
+    sides are polynomials in the entries of A and B that agree wherever
+    D_s(A) and D_b(B) are nonzero, so they agree everywhere, zero minors
+    included.  Where (A (x) B) / c is an int matrix (see ``tree_minors``),
+    the division by c**k is exact; ``_int_divexact`` checks it.
     """
-    n = len(rows)
-    images = rows if images is None else images
-    c = images[0][0] if n else 0
-    if not c:
-        return None
-    for b in range(2, n):
-        if n % b:
-            continue
-        for r, row in enumerate(images):
-            corners = images[r - r % b][::b]
-            inner = images[r % b][:b]
-            expected = (a * e for a in corners for e in inner)
-            if any(x * c != y for x, y in zip(row, expected)):
-                break
-        else:
-            return [row[::b] for row in rows[::b]], [row[:b] for row in rows[:b]]
-    return None
-
-
-def _int_leading_minors(ints):
-    """Leading principal minors D_1..D_N of a square int matrix, exactly.
-
-    The tensor-product split.  When ``_tensor_split`` finds ints =
-    (A (x) B) / c, with A of size a and B of size b, write k = s*b + t with
-    0 <= s < a and 1 <= t <= b.  Then, with D_0 = 1,
-
-        D_k(ints) = D_s(A)**(b-t) * D_{s+1}(A)**t * D_b(B)**s * D_t(B) / c**k,
-
-    and the minors of A and B come from this function again, so a product
-    of several factors splits down to factors that do not split.
-
-    Proof.  D_k(ints) = D_k(A (x) B) / c**k, so take c = 1.  Let A_s and B_t
-    be the top-left s-by-s and t-by-t parts of A and B, e = A[s][s], u and
-    v the first s entries of row s and of column s of A, and B_r, B_c the
-    first t rows and the first t columns of B.  The top-left k-by-k part of
-    A (x) B is [[A_s (x) B, v (x) B_c], [u (x) B_r, e * B_t]].  Over the
-    field of fractions of the entries, det(A_s (x) B) = D_s(A)**b *
-    D_b(B)**s, and the Schur complement of A_s (x) B is e * B_t - (u A_s**-1
-    v) * (B_r B**-1 B_c) = (e - u A_s**-1 v) * B_t = (D_{s+1}(A) / D_s(A))
-    * B_t, since B_r B**-1 is the first t rows of the identity.  Its
-    determinant is (D_{s+1}(A) / D_s(A))**t * D_t(B), and the product of
-    the two determinants is the formula.  Both sides are polynomials in the
-    entries of A and B that agree wherever D_s(A) and D_b(B) are nonzero,
-    so they agree everywhere, zero minors included, as at the singular
-    endpoints of a scan.  D_k(ints) is an integer, so the division by c**k
-    is exact; ``_int_divexact`` checks it.
-
-    A matrix that does not split takes ``_bareiss_minors``.
-    """
-    split = _tensor_split(ints)
-    if split is None:
-        return _bareiss_minors(ints)
-    corners, block = split
-    c, b = ints[0][0], len(block)
-    da = [1] + _int_leading_minors(corners)
-    db = [1] + _int_leading_minors(block)
-    minors = []
-    for s in range(len(corners)):
+    b = len(db)
+    da, db = [1] + da, [1] + db
+    minors, power = [], 1  # power = D_b(B)**s
+    for s in range(len(da) - 1):
         for t in range(1, b + 1):
-            num = da[s] ** (b - t) * da[s + 1] ** t * db[b] ** s * db[t]
-            minors.append(_int_divexact(num, c ** (s * b + t)))
+            num = da[s] ** (b - t) * da[s + 1] ** t * power * db[t]
+            minors.append(num if c == 1 else _int_divexact(num, c ** (s * b + t)))
+        power *= db[b]
     return minors
 
 
@@ -349,13 +324,36 @@ def leading_minors(ints, scale=1):
     """Exact leading principal minors of the rational matrix ``ints / scale``.
 
     ``ints`` is a square matrix of ints, left unchanged, and ``scale`` a
-    positive int; entry [k-1] of the result is the Fraction determinant of
-    the top-left k-by-k submatrix, D_k(ints) / scale**k.
-    ``_int_leading_minors`` computes the D_k: through the tensor-product
-    split where the matrix is a tensor product, and by one Bareiss pass
-    otherwise.
+    positive int; entry [k-1] of the result is D_k(ints) / scale**k, the
+    D_k from one Bareiss pass (``_bareiss_minors``).
     """
     n = len(ints)
     if any(len(row) != n for row in ints):
         raise ValueError("matrix is not square")
-    return [Fraction(value, scale**k) for k, value in enumerate(_int_leading_minors(ints), 1)]
+    return [Fraction(value, scale**k) for k, value in enumerate(_bareiss_minors(ints), 1)]
+
+
+def tree_minors(node, evaluate, corner=None):
+    """``(minors, scale)`` for the matrix M of a ``split_tree`` node at one
+    point x: minors[k-1] is the leading minor D_k of the int matrix scale *
+    M(x).  ``evaluate(rows)`` returns ``(ints, scale)``, rows(x) = ints / scale.
+
+    A leaf is evaluated and takes one Bareiss pass.  At a node M = (A (x) B)
+    / c with c(x) = i_c / S_c != 0, A(x) = I_A / S_A and B(x) = I_B / S_B,
+    M(x) = ((I_A (x) I_B) / i_c) / S with S = S_A * S_B / S_c, so
+    ``_kron_minors`` gives the minors from those of I_A and I_B.
+    ``evaluate`` must make S an int and S * M(x) an int matrix at every node
+    (``posdef._scaled_block`` proves it for its scales).  All nodes share
+    the root's corner (see ``split_tree``), so it is evaluated once and
+    passed down as ``corner``; if c(x) = 0, the root is evaluated whole.
+    """
+    rows, children = node
+    if children:
+        corner = corner or evaluate([rows[0][:1]])
+        [[c]], corner_scale = corner
+        if c:
+            da, sa = tree_minors(children[0], evaluate, corner)
+            db, sb = tree_minors(children[1], evaluate, corner)
+            return _kron_minors(da, db, c), sa * sb // corner_scale
+    ints, scale = evaluate(rows)
+    return _bareiss_minors(ints), scale

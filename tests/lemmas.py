@@ -14,8 +14,8 @@ two matrices.  ``evaluate_block`` evaluates a block entry by entry as
 Fractions, the plain route beside ``posdef``'s scaled integer evaluation,
 and ``evaluate_reference`` is Horner's rule on Fractions, the plain route
 beside ``Polynomial.evaluate``'s integer one.  ``annihilate_reference`` is
-the annihilator rule on ``Polynomial`` coefficients, one ``times_monomial``
-per step, and ``expectation_reference`` applies it one annihilator at a
+the annihilator rule on ``Polynomial`` coefficients, one shifted copy per
+step, and ``expectation_reference`` applies it one annihilator at a
 time: the plain route beside ``quon_engine``'s packed walk.
 """
 
@@ -221,7 +221,7 @@ def annihilate_reference(mode, color, m, terms):
             if cmode != mode:
                 continue
             mismatch = 0 if (color - ccolor) % m == 0 else 1
-            weight = coeff.times_monomial(u - 1 + mismatch)
+            weight = Polynomial((0,) * (u - 1 + mismatch) + coeff.coeffs)
             shorter = word[: u - 1] + word[u:]
             acc = out.get(shorter)
             out[shorter] = weight if acc is None else acc + weight

@@ -177,7 +177,7 @@ def test_criterion_7_coset_power_law():
 
 def test_criterion_8_positive_definiteness_under_1min():
     start = time.perf_counter()
-    for m, n in [(1, 2), (1, 3), (2, 2), (3, 2), (2, 3), (3, 3)]:
+    for m, n in [(1, 2), (1, 3), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4)]:
         lo, hi = interval_of_definiteness(m)
         reports = scan(m, n, lo, hi, 7)
         assert len(reports) == 7
@@ -191,7 +191,7 @@ def test_criterion_8_positive_definiteness_under_1min():
         assert det.evaluate(lo) == 0 and det.evaluate(hi) == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    _report(8, "five interior points definite, endpoints singular, six (m,n) pairs",
+    _report(8, "five interior points definite, endpoints singular, seven (m,n) pairs",
             elapsed)
 
 

@@ -12,7 +12,7 @@ from quonalg.gram import build_gram
 from quonalg.linalg import leading_minors, poly_det
 from quonalg.posdef import _scaled_block, interval_of_definiteness
 
-from lemmas import fraction_det, fraction_minors, kron
+from lemmas import evaluate_reference, fraction_det, fraction_minors, kron
 
 P = Polynomial
 ONE = P.one()
@@ -148,44 +148,114 @@ def test_leading_minors_identity():
     assert leading_minors(*cleared(rows)) == [Fraction(1)] * 6
 
 
+def tree_nodes(node):
+    """Every node of a ``split_tree``, parents before children."""
+    yield node
+    for child in node[1] or ():
+        yield from tree_nodes(child)
+
+
+def tree_point_minors(rows, q0):
+    """Leading minors of a Polynomial matrix at q0 from its split tree."""
+    tree = linalg.split_tree(rows)
+    values, scale = linalg.tree_minors(tree, lambda leaf: _scaled_block(leaf, q0))
+    return [Fraction(v, scale**k) for k, v in enumerate(values, 1)]
+
+
+def reference_minors(rows, q0):
+    """Leading minors at q0 by Fraction Horner and Gaussian elimination."""
+    return fraction_minors([[evaluate_reference(e, q0) for e in row] for row in rows])
+
+
+def test_regular_blocks_split_to_q_n_and_k_with_unit_corners():
+    for m, n in [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)]:
+        block = build_gram(m, tuple(range(1, n + 1)))
+        nodes = list(tree_nodes(block.split_tree))
+        q_n = [list(row) for row in build_gram(1, tuple(range(1, n + 1))).entries]
+        k = [[ONE if i == j else Q for j in range(m)] for i in range(m)]
+        leaves = [[list(row) for row in rows] for rows, children in nodes if not children]
+        assert leaves == [q_n] + [k] * n, (m, n)
+        assert len(nodes) == 2 * n + 1
+        assert all(rows[0][0] == ONE for rows, _ in nodes), (m, n)
+
+
 def test_split_matches_split_free_bareiss_on_regular_blocks():
-    # The regular block is Q_n (x) K (x) ... (x) K: every evaluation splits,
-    # and the split gives the minors of one Bareiss pass over the same ints.
+    # The regular block is Q_n (x) K (x) ... (x) K: its tree, found once in
+    # ZZ[q], gives at every point the minors and the scale of one Bareiss
+    # pass over the whole evaluated block.  Every node shares the root's
+    # corner, which is evaluated once; each of the n + 1 leaves once more.
     for m, n in [(2, 2), (3, 2), (4, 2), (2, 3), (5, 2)]:
         block = build_gram(m, tuple(range(1, n + 1)))
         lo, hi = interval_of_definiteness(m)
         for q0 in (lo, hi, Fraction(1, 3), Fraction(-54321, 2**17 - 1), Fraction(3, 2)):
-            ints, _ = _scaled_block(block, q0)
-            assert linalg._tensor_split(ints) is not None, (m, n, q0)
-            assert linalg._int_leading_minors(ints) == linalg._bareiss_minors(ints), (m, n, q0)
+            ints, scale = _scaled_block(block.entries, q0)
+            expected = (linalg._bareiss_minors(ints), scale)
+            sizes = []
+
+            def evaluate(rows):
+                sizes.append(len(rows))
+                return _scaled_block(rows, q0)
+
+            assert linalg.tree_minors(block.split_tree, evaluate) == expected, (m, n, q0)
+            assert sorted(sizes) == sorted([1, len(block.split_tree[0]) // m**n] + [m] * n)
 
 
-def test_split_of_tensor_products_and_near_misses():
+def test_split_of_tensor_products_and_near_misses(monkeypatch):
+    # Products of two and three Polynomial factors with corners c != 1, of
+    # positive degree too, singular ones included, at points where c
+    # vanishes (0, -1, 1 for the corners q, 1 + q, 1 - q) and where it does
+    # not; the references share no code with linalg.
     rng = random.Random(67)
+    corners = [P((2,)), P((-3,)), -ONE, Q, ONE + Q, ONE - Q, P((2, -1)), P((1, -1, 1))]
     shapes = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 3, 2)]
-    with_zero_minor = 0
-    for trial in range(90):
+    points = (Fraction(0), Fraction(-1), Fraction(1), Fraction(2, 3), Fraction(-3, 5))
+    whole = []
+    bareiss_minors = linalg._bareiss_minors
+
+    def recording(ints):
+        whole.append(len(ints))
+        return bareiss_minors(ints)
+
+    monkeypatch.setattr(linalg, "_bareiss_minors", recording)
+    with_zero_minor = fallbacks = 0
+    for trial in range(48):
         factors = []
         for size in shapes[trial % len(shapes)]:
-            factor = [[rng.randint(-2, 3) for _ in range(size)] for _ in range(size)]
-            factor[0][0] = rng.choice((-3, -2, -1, 1, 2, 3))
+            factor = [[rand_poly(rng, 1, 2) for _ in range(size)] for _ in range(size)]
+            factor[0][0] = rng.choice(corners) if factors else corners[trial % len(corners)]
+            if trial % 4 == 3 and not factors:
+                factor[-1] = factor[0][:]
             factors.append(factor)
-        ints = factors[0]
+        rows = factors[0]
         for factor in factors[1:]:
-            ints = kron(ints, factor)
-        assert linalg._tensor_split(ints) is not None
-        expected = fraction_minors(ints)
-        assert leading_minors(ints) == expected
-        with_zero_minor += 0 in expected
-        # One entry off and the matrix is no tensor product: plain Bareiss.
-        ints[-1][-1] += 1
-        assert linalg._tensor_split(ints) is None
-        assert leading_minors(ints) == fraction_minors(ints)
-    assert with_zero_minor >= 20
+            rows = kron(rows, factor)
+        assert linalg.split_tree(rows)[1] is not None
+        for q0 in points:
+            whole.clear()
+            expected = reference_minors(rows, q0)
+            assert tree_point_minors(rows, q0) == expected, (trial, q0)
+            with_zero_minor += 0 in expected
+            # A corner that vanishes at q0 evaluates the whole matrix.
+            if rows[0][0].evaluate(q0) == 0:
+                fallbacks += 1
+                assert whole == [len(rows)], (trial, q0)
+        # One entry off and the matrix is no tensor product: one pass.
+        rows[-1][-1] = rows[-1][-1] + ONE
+        assert linalg.split_tree(rows)[1] is None
+        for q0 in points[2:]:
+            assert tree_point_minors(rows, q0) == reference_minors(rows, q0), (trial, q0)
+    assert with_zero_minor >= 100 and fallbacks >= 30
+    # c = 1 - q at q0 = 1: the split holds in ZZ[q] but not at the point.
+    rows = kron([[ONE - Q, Q], [Q, 2 * ONE]], [[ONE, ONE + Q], [Q, 3 * ONE]])
+    assert linalg.split_tree(rows)[1] is not None
+    whole.clear()
+    expected = reference_minors(rows, 1)
+    assert tree_point_minors(rows, 1) == expected and expected[0] == 0 != expected[-1]
+    assert whole == [4]
     # A zero corner never splits.
-    ints = kron([[0, 1], [1, 0]], [[1, 2], [2, 1]])
-    assert linalg._tensor_split(ints) is None
-    assert leading_minors(ints) == fraction_minors(ints)
+    rows = kron([[P.zero(), ONE], [ONE, P.zero()]], [[ONE, Q], [Q, 2 * ONE]])
+    assert linalg.split_tree(rows)[1] is None
+    assert tree_point_minors(rows, Fraction(1, 2)) == reference_minors(rows, Fraction(1, 2))
 
 
 def test_split_determinant_of_polynomial_tensor_products():
@@ -217,7 +287,7 @@ def test_split_determinant_of_polynomial_tensor_products():
                 assert linalg._tensor_split(rows) is not None
             # The packed test, which poly_det runs, agrees with the plain one.
             images = linalg._pack(rows, linalg._split_stride(linalg._height(rows)))
-            assert (linalg._tensor_split(rows, images) is None) == near_miss
+            assert (linalg._tensor_split(images) is None) == near_miss
             packed = poly_det(rows)
             assert packed == poly_det(rows, method="plain")
             if len(rows) <= 6:
@@ -373,10 +443,10 @@ def test_split_stride_is_tight(monkeypatch):
     stride = linalg._split_stride(linalg._height(rows))
     assert stride == (2 * 5**2).bit_length() == 6
     assert linalg._tensor_split(rows) is None
-    assert linalg._tensor_split(rows, linalg._pack(rows, stride)) is None
+    assert linalg._tensor_split(linalg._pack(rows, stride)) is None
     expected = poly_det(rows, method="plain")
     assert poly_det(rows) == expected == laplace_det(rows)
     # One bit less and the packed test accepts a false split.
-    assert linalg._tensor_split(rows, linalg._pack(rows, stride - 1)) is not None
+    assert linalg._tensor_split(linalg._pack(rows, stride - 1)) is not None
     monkeypatch.setattr(linalg, "_split_stride", lambda h: stride - 1)
     assert poly_det(rows) != expected

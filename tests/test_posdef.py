@@ -6,6 +6,7 @@ import pytest
 
 from quonalg.exact_arith import Polynomial, RationalFunction
 from quonalg.gram import build_gram
+from quonalg import linalg, posdef
 from quonalg.group_algebra import Block
 from quonalg.posdef import (
     INDEFINITE,
@@ -110,12 +111,70 @@ def test_integer_evaluation_matches_fraction_evaluation():
         assert list(certify_block(copied, q0).minors) == expected
 
 
-def test_integer_evaluation_needs_polynomial_entries():
+def test_integer_evaluation_needs_polynomial_entries(monkeypatch):
+    # The entries are checked before any of them is packed for the split.
+    def no_tree_work(rows, stride):
+        raise AssertionError("packed before the entries were checked")
+
+    monkeypatch.setattr(linalg, "_pack", no_tree_work)
     one = Polynomial.one()
     entry = RationalFunction(one, one - Polynomial.q())
     block = Block(m=1, multiset=(1,), basis=("x",), entries=((entry,),))
     with pytest.raises(ValueError):
         certify_block(block, Fraction(1, 2))
+    q = Polynomial.q()
+    block = Block(m=1, multiset=(1, 1), basis=(0, 1), entries=((one, q), (q, entry)))
+    with pytest.raises(ValueError):
+        certify_block(block, Fraction(1, 2))
+
+
+def copy_block(block, entries=None):
+    """A fresh ``Block`` with the same fields, so nothing cached on ``block``."""
+    entries = block.entries if entries is None else entries
+    return Block(m=block.m, multiset=block.multiset, basis=block.basis, entries=entries)
+
+
+def test_cached_tree_gives_the_minors_of_a_fresh_block():
+    block = build_gram(2, (1, 2, 3))
+    points = [Fraction(-1), Fraction(1, 3), Fraction(-54321, 2**17 - 1), Fraction(1)]
+    cached = [certify_block(block, q0) for q0 in points]
+    assert "split_tree" in vars(block) and block.symmetric
+    fresh = copy_block(block)
+    assert fresh == block and hash(fresh) == hash(block) and "split_tree" not in vars(fresh)
+    assert [certify_block(fresh, q0) for q0 in points] == cached
+    assert [certify_block(block, q0) for q0 in points] == cached
+    assert list(cached[1].minors) == fraction_minors(evaluate_block(block, points[1]))
+
+
+def test_a_near_miss_in_one_leaf_entry_does_not_split():
+    # (2, {1, 2}) is Q_2 (x) K (x) K; one diagonal entry off, in the last
+    # copy of K, leaves a symmetric block that is no tensor product.
+    block = build_gram(2, (1, 2))
+    entries = [list(row) for row in block.entries]
+    entries[-1][-1] = entries[-1][-1] + Polynomial.q()
+    near = copy_block(block, tuple(map(tuple, entries)))
+    assert block.split_tree[1] is not None and near.split_tree[1] is None and near.symmetric
+    for q0 in (Fraction(-1), Fraction(1, 3), Fraction(1)):
+        assert list(certify_block(near, q0).minors) == fraction_minors(evaluate_block(near, q0))
+
+
+def test_scan_splits_the_block_only_while_its_tree_is_built(monkeypatch):
+    calls = 0
+    tensor_split = linalg._tensor_split
+
+    def counted(rows):
+        nonlocal calls
+        calls += 1
+        return tensor_split(rows)
+
+    monkeypatch.setattr(linalg, "_tensor_split", counted)
+    block = copy_block(build_gram(3, (1, 2, 3)))
+    monkeypatch.setattr(posdef, "build_gram", lambda m, multiset: block)
+    # One call per node of the tree: 3 splits, leaves Q_3 and three K.
+    assert len(scan(3, 3, Fraction(-1, 2), 1, 9)) == 9
+    assert calls == 7
+    assert len(scan(3, 3, Fraction(-1, 3), Fraction(1, 2), 9)) == 9
+    assert calls == 7
 
 
 def test_scan_structure():
@@ -183,6 +242,7 @@ def test_certify_block_refuses_a_non_symmetric_block():
     # The check is on the point: a block symmetric at q0 is certified there.
     q, one = Polynomial.q(), Polynomial.one()
     block = Block(m=1, multiset=(1, 1), basis=(0, 1), entries=((one, q), (q * q, one)))
+    assert not block.symmetric
     assert certify_block(block, 0).verdict == POSITIVE_DEFINITE
     with pytest.raises(ValueError):
         certify_block(block, Fraction(1, 2))
