@@ -11,8 +11,6 @@ from .exact_arith import (
     parse_polynomial,
     parse_rational,
     parse_rational_function,
-    poly_gcd,
-    poly_lcm,
 )
 from .colored_perm import (
     ColoredArrangement,
@@ -79,8 +77,6 @@ __all__ = [
     "parse_polynomial",
     "parse_rational",
     "parse_rational_function",
-    "poly_gcd",
-    "poly_lcm",
     "ColoredArrangement",
     "ColoredPermutation",
     "act",

@@ -11,8 +11,8 @@ Subcommands
 Words are written exactly as they appear in the bracket, e.g.
 ``--bra "(2,4)(5,1)(2,4)"`` stands for the annihilators a_{2,4} a_{5,1}
 a_{2,4} read left to right, so the last pair is the innermost operator and
-acts on the ket first.  Rational inputs are integers or ``p/q``; decimal
-floats are rejected.  A value that starts with a minus sign must be joined
+acts on the ket first.  Rational inputs are integers or ``p/q``; decimals,
+exponents and underscores are rejected.  A value that starts with a minus sign must be joined
 to its option by ``=``, as in ``--q=-1/2`` or ``--scan=-1/2:1:7``:
 argparse reads ``--q -1/2`` as an option with no value.  ``--format``
 selects text (default), json, or csv, all carrying the same mathematical

@@ -2,11 +2,12 @@
 
 The package computes in ZZ[q]: every scalar it multiplies or adds is an
 integer-coefficient ``Polynomial`` in the single variable q, with
-arbitrary-precision coefficients.  A ``RationalFunction`` is a reduced
-quotient of two such polynomials with no arithmetic of its own; it exists
-only where a quotient is printed or parsed (the coefficients of the
-closed-form inverse).  Exact rational numbers (used as evaluation points)
-are plain ``fractions.Fraction`` values.
+arbitrary-precision coefficients.  A ``RationalFunction`` is a quotient of
+two such polynomials with no arithmetic of its own; it exists only where a
+quotient is printed or parsed (the coefficients of the closed-form
+inverse), and it is in lowest terms because its maker says so: nothing in
+this module computes a gcd.  Exact rational numbers (used as evaluation
+points) are plain ``fractions.Fraction`` values.
 
 Canonical string form, used verbatim by the CLI and the file exports: terms
 ascending by degree, coefficient 1 elided, constant term printed bare, e.g.
@@ -26,8 +27,8 @@ of its results and proves that bound in its docstring.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import gcd as _int_gcd
 
 
 def _trim(coeffs):
@@ -212,20 +213,6 @@ class Polynomial:
             acc = acc * p + c * scale
         return Fraction(acc, scale)
 
-    def content(self):
-        """Non-negative gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = _int_gcd(g, abs(c))
-        return g
-
-    def primitive(self):
-        """self divided by its content; zero stays zero."""
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return Polynomial(tuple(c // g for c in self.coeffs))
-
     def divexact(self, other):
         """Exact quotient self/other in ZZ[q]; ValueError if division fails."""
         if isinstance(other, int):
@@ -282,66 +269,18 @@ _Q = Polynomial.__new__(Polynomial)
 object.__setattr__(_Q, "coeffs", (0, 1))
 
 
-def _prem(a, b):
-    """Pseudo-remainder of a by b: lc(b)**(deg a - deg b + 1) * a  mod  b."""
-    da, db = a.degree, b.degree
-    if da < db:
-        return a
-    rem = list(a.coeffs)
-    bc = b.coeffs
-    lb = b.leading
-    for k in range(da - db, -1, -1):
-        c = rem[db + k]
-        rem = [x * lb for x in rem]
-        if c:
-            for i, bi in enumerate(bc):
-                rem[k + i] -= c * bi
-    return Polynomial(rem[:db])
-
-
-def _positive_primitive(p):
-    p = p.primitive()
-    if p.leading < 0:
-        p = -p
-    return p
-
-
-def poly_gcd(a, b):
-    """Primitive gcd in ZZ[q] with positive leading coefficient.
-
-    Computed by the primitive pseudo-remainder sequence; gcd(0, b) is the
-    positive primitive part of b.
-    """
-    if a.is_zero:
-        return _positive_primitive(b)
-    if b.is_zero:
-        return _positive_primitive(a)
-    a = a.primitive()
-    b = b.primitive()
-    while not b.is_zero:
-        a, b = b, _prem(a, b).primitive()
-    return _positive_primitive(a)
-
-
-def poly_lcm(a, b):
-    if a.is_zero or b.is_zero:
-        return _ZERO
-    g = poly_gcd(a, b)
-    out = (a * b).divexact(g)
-    if out.leading < 0:
-        out = -out
-    return out
-
-
 class RationalFunction:
-    """Reduced quotient num/den of two integer polynomials, for printing.
+    """Quotient num/den of two integer polynomials in lowest terms, for printing.
 
-    Canonical form: gcd(num, den) = 1 over the rationals, the integer
-    contents of num and den share no factor, and den has positive leading
-    coefficient.  The form is unique, so equality is structural, and a
-    quotient with unit denominator equals and hashes like its numerator.
-    Instances are immutable.  There is no arithmetic: the package computes
-    in ZZ[q] and builds a quotient only where one is printed or parsed.
+    Lowest terms are the caller's promise: the constructor maps a zero
+    quotient to 0/1 and gives den a positive leading coefficient, and
+    divides out nothing.  ``inverse_closed_form`` keeps the promise (the
+    proof is in its docstring), and a parsed quotient is read as written.
+    With no common factor of positive degree and no common integer content
+    the form is unique, so equality is structural, and a quotient with unit
+    denominator equals and hashes like its numerator.  Instances are
+    immutable.  There is no arithmetic: the package computes in ZZ[q] and
+    builds a quotient only where one is printed or parsed.
     """
 
     __slots__ = ("num", "den")
@@ -357,17 +296,8 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
             num, den = _ZERO, _ONE
-        elif den != _ONE:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divexact(g)
-                den = den.divexact(g)
-            cg = _int_gcd(num.content(), den.content())
-            if cg > 1:
-                num = num.divexact(cg)
-                den = den.divexact(cg)
-            if den.leading < 0:
-                num, den = -num, -den
+        elif den.leading < 0:
+            num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -407,53 +337,38 @@ class RationalFunction:
         return f"({self.num})/({self.den})"
 
 
+_TERM = re.compile(r"([0-9]*)(q(?:\^([0-9]+))?)?")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_polynomial(text):
-    """Parse the canonical polynomial grammar, e.g. ``1 - 2q + q^2``."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial string")
+    """Parse the canonical polynomial grammar, e.g. ``1 - 2q + q^2``.
+
+    Whitespace may surround the ``+``/``-`` separators and the whole
+    string, never stand inside a term: ``"1 2"`` is rejected, not read as 12.
+    """
+    tokens = re.split(r"\s*([+-])\s*", text.strip())
+    if tokens[0] or len(tokens) == 1:
+        tokens.insert(0, "+")
+    else:
+        del tokens[0]
     coeffs = {}
-    i = 0
-    first = True
-    while i < len(s):
-        sign = 1
-        if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
-            i += 1
-        elif not first:
-            raise ValueError(f"expected sign in {text!r} at position {i}")
-        first = False
-        start = i
-        while i < len(s) and s[i].isdigit():
-            i += 1
-        mag_str = s[start:i]
-        degree = 0
-        if i < len(s) and s[i] == "q":
-            i += 1
-            degree = 1
-            if i < len(s) and s[i] == "^":
-                i += 1
-                dstart = i
-                while i < len(s) and s[i].isdigit():
-                    i += 1
-                if i == dstart:
-                    raise ValueError(f"missing exponent in {text!r}")
-                degree = int(s[dstart:i])
-        elif not mag_str:
-            raise ValueError(f"malformed term in {text!r} at position {start}")
-        mag = int(mag_str) if mag_str else 1
-        coeffs[degree] = coeffs.get(degree, 0) + sign * mag
-    if not coeffs:
-        raise ValueError(f"no terms in {text!r}")
-    size = max(coeffs) + 1
-    out = [0] * size
+    for sign, term in zip(tokens[0::2], tokens[1::2]):
+        match = _TERM.fullmatch(term)
+        if not term or not match:
+            raise ValueError(f"malformed term {term!r} in {text!r}")
+        mag, var, exponent = match.groups()
+        degree = int(exponent) if exponent else int(bool(var))
+        value = int(mag) if mag else 1
+        coeffs[degree] = coeffs.get(degree, 0) + (value if sign == "+" else -value)
+    out = [0] * (max(coeffs) + 1)
     for d, c in coeffs.items():
         out[d] = c
     return Polynomial(out)
 
 
 def parse_rational_function(text):
-    """Parse either a bare polynomial or the canonical ``(num)/(den)`` form."""
+    """Parse a bare polynomial or the canonical ``(num)/(den)`` form, as written."""
     s = text.strip()
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
         num_str, den_str = s[1:-1].split(")/(", 1)
@@ -464,10 +379,13 @@ def parse_rational_function(text):
 def parse_rational(text):
     """Parse an exact rational number: an integer literal or ``p/q``.
 
-    Decimal notation is rejected on purpose; exact inputs must be integers
-    or quotients of integers.
+    Only ``[+-]digits`` and ``[+-]digits/digits`` are read, with surrounding
+    spaces stripped: decimals, exponents and underscores are rejected, since
+    exact inputs must be integers or quotients of integers.
     """
     s = text.strip()
     if "." in s:
         raise ValueError(f"decimal notation not accepted for exact input: {text!r}")
+    if not _RATIONAL.fullmatch(s):
+        raise ValueError(f"not an integer or p/q: {text!r}")
     return Fraction(s)

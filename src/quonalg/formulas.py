@@ -18,9 +18,11 @@ form in the test suite.
 
 The closed-form inverse multiplies sparse factors, each a ZZ[q] numerator
 over a central scalar ZZ[q] denominator, so it is one numerator N in
-ZZ[q][G] over the product D of the scalars.  Only the printed inverse
-divides: each of its coefficients is the reduced quotient of a coefficient
-of N by D.  The two-sided inverse check in the tests fixes every product
+ZZ[q][G] over the product D of the scalars.  D is known factored into
+irreducibles (1 - q, 1 + (m-1)q and cyclotomic polynomials), so only the
+printed inverse divides, and only by trial division: each of its
+coefficients is a coefficient of N over D, with every irreducible factor
+they share divided out.  The two-sided inverse check fixes every product
 order.
 """
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .exact_arith import Polynomial, RationalFunction, poly_lcm
+from .exact_arith import Polynomial, RationalFunction
 from .colored_perm import (
     ColoredPermutation,
     act,
@@ -132,13 +134,11 @@ def _difference_product(m, n, j):
 def _geometric_product(m, n, j):
     """Product over k = j-1..1 of geometric series in insertion_cycle(j-1, k).
 
-    The k factor is sum_{i=0}^{j-1-k} q**((j-k+1)i) cycle**i, over the scalar
-    (1 - q**((j-k)(j-k+1))).  Returns (product of the series, product of
-    the scalars).
+    The k factor is sum_{i=0}^{j-1-k} q**((j-k+1)i) cycle**i, the numerator
+    of the inverse of 1 - q**(j-k) * cycle(j -> k) over the scalar
+    (1 - q**((j-k)(j-k+1))); ``_denominator`` holds the scalars.
     """
-    one = Polynomial.one()
     factors = []
-    denominator = one
     for k in range(j - 1, 0, -1):
         top = j - 1 - k
         cyc = insertion_cycle(m, n, j - 1, k)
@@ -148,8 +148,45 @@ def _geometric_product(m, n, j):
             terms[power] = Polynomial.monomial((top + 2) * i)
             power = act(power, cyc)
         factors.append(GroupAlgebraElement(m, n, terms))
-        denominator = denominator * (one - Polynomial.monomial((top + 1) * (top + 2)))
-    return product_chain(factors), denominator
+    return product_chain(factors)
+
+
+@lru_cache(maxsize=None)
+def _denominator(m, n):
+    """The inverse's denominator D and its irreducible factors with exponents.
+
+    D = ((1 + (m-1)q)(1 - q))**n * prod_{1 <= k < j <= n} (1 - q**t) with
+    t = (j-k)(j-k+1): the color scalar at each position, then the scalars
+    of ``_geometric_product``.  Each 1 - q**t is (1 - q) times Phi_d over
+    the divisors d >= 2 of t, and each Phi_d is q**d - 1 divided exactly by
+    Phi_e for the proper divisors e of d.  1 + (m-1)q is a unit for m = 1
+    and Phi_2 for m = 2.  Returns (D, ((factor, exponent), ...)), 1 - q
+    first; D is the product of the factors raised to their exponents.
+    """
+    q = Polynomial.q()
+    exponents = {1: n}  # d -> exponent of Phi_d; d = 1 stands for 1 - q
+    for i in range(1, n):  # t = i(i+1) for the n - i pairs with j - k = i
+        t = i * i + i
+        for d in range(1, t + 1):
+            if t % d == 0:
+                exponents[d] = exponents.get(d, 0) + n - i
+    if m == 2:
+        exponents[2] = exponents.get(2, 0) + n
+    phi = {}
+    for d in sorted(exponents):
+        base = q**d - 1
+        for e, f in phi.items():
+            if d % e == 0:
+                base = base.divexact(f)
+        phi[d] = base
+    phi[1] = -phi[1]
+    factors = [(phi[d], exponents[d]) for d in sorted(exponents)]
+    if m >= 3:
+        factors.insert(1, (1 + (m - 1) * q, n))
+    denominator = Polynomial.one()
+    for f, e in factors:
+        denominator = denominator * f**e
+    return denominator, tuple(factors)
 
 
 @lru_cache(maxsize=None)
@@ -165,46 +202,82 @@ def inverse_closed_form(m, n):
     of truncated geometric series in cycle(j-1 -> k), whose scalars are the
     (1 - q**((j-k)(j-k+1))); both are neutral-colored.  The color part acts
     after the permutation part, and verify_inverse pins these orders
-    two-sidedly.  Each coefficient of the result is the reduced quotient of
-    a coefficient of the numerator N by the product D of all the scalars:
-    the only quotients the package builds.  Memoised like ``cinv_sum``, so a
-    caller that prints and then verifies the inverse assembles it once.
+    two-sidedly.  Memoised like ``cinv_sum``, so a caller that prints and
+    then verifies the inverse assembles it once.
+
+    Each coefficient c of the numerator N is printed over the product D of
+    all the scalars, reduced by trial division: for each irreducible factor
+    f of D (``_denominator``), with exponent e_f, c is divided exactly by f
+    while it divides, at most e_f times, removing f**k_f; D is divided by
+    the removed part R = prod f**k_f once per distinct (k_f); then the sign
+    makes the denominator's leading coefficient positive.  The result is
+    c/R over D/R in lowest terms.  Each f is irreducible over Q (1 - q and
+    1 + (m-1)q are linear, Phi_d is irreducible), no two share a root (the
+    root -1/(m-1) of 1 + (m-1)q, m >= 3, is no root of unity), and
+    D = prod f**e_f, so by unique factorization in Q[q]
+    gcd(c, D) = prod f**min(e_f, v_f(c)) = R up to a unit, where v_f(c) is
+    the multiplicity of f in c, which the division loop counts (an f that
+    divides c in Q[q] divides it exactly in ZZ[q], since f is primitive).
+    Each f is primitive, so D and D/R are primitive (Gauss's lemma), and
+    c/R and D/R share no integer content either.  This is the canonical
+    pair of ``RationalFunction``: no factor of positive degree and no
+    integer content in common, denominator with positive leading
+    coefficient.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    color_inverse, color_denominator = all_shifts_inverse(m)
+    color_inverse, _ = all_shifts_inverse(m)
     color = product_chain(
         embed_single_position(color_inverse, n, pos) for pos in range(1, n + 1)
     )
-    denominator = color_denominator**n
-    blocks = []
-    for j in range(n, 1, -1):
-        series, scalar = _geometric_product(m, n, j)
-        blocks.append(ga_mul(series, _difference_product(m, n, j)))
-        denominator = denominator * scalar
+    blocks = [
+        ga_mul(_geometric_product(m, n, j), _difference_product(m, n, j))
+        for j in range(n, 1, -1)
+    ]
     perm = product_chain(blocks) if blocks else GroupAlgebraElement.identity(m, n)
-    numerator = ga_mul(perm, color)
-    return GroupAlgebraElement(
-        m,
-        n,
-        {pi: RationalFunction(c, denominator) for pi, c in numerator.terms.items()},
-    )
+    denominator, factors = _denominator(m, n)
+    reduced = {}  # removed exponents (k_f) -> D / R
+    terms = {}
+    for pi, c in ga_mul(perm, color).terms.items():
+        removed = []
+        for f, e in factors:
+            k = 0
+            while k < e:
+                try:
+                    c = c.divexact(f)
+                except ValueError:
+                    break
+                k += 1
+            removed.append(k)
+        key = tuple(removed)
+        if key not in reduced:
+            den = denominator
+            for (f, _), k in zip(factors, key):
+                den = den.divexact(f**k)
+            reduced[key] = den
+        terms[pi] = RationalFunction(c, reduced[key])
+    return GroupAlgebraElement(m, n, terms)
 
 
 def verify_inverse(m, n):
     """Two-sided exact check that the printed inverse inverts the group sum.
 
-    The printed inverse is cleared by the lcm L of its denominators to an
-    element N over ZZ[q]; then N * s == L * e == s * N is checked in ZZ[q],
-    with no gcd inside either product.
+    Each printed term num/den is cleared to num * (D / den), with D the
+    inverse's denominator, to an element N over ZZ[q]; then N * s == D * e
+    == s * N is checked in ZZ[q].  A den that does not divide D fails the
+    check.
     """
     s = cinv_sum(m, n)
-    inv = inverse_closed_form(m, n)
-    lcm = Polynomial.one()
-    for den in {c.den for c in inv.terms.values()}:
-        lcm = poly_lcm(lcm, den)
-    cleared = GroupAlgebraElement(
-        m, n, {pi: c.num * lcm.divexact(c.den) for pi, c in inv.terms.items()}
-    )
-    target = GroupAlgebraElement.identity(m, n).scale(lcm)
+    denominator = _denominator(m, n)[0]
+    cofactors = {}  # den -> D / den
+    terms = {}
+    for pi, c in inverse_closed_form(m, n).terms.items():
+        if c.den not in cofactors:
+            try:
+                cofactors[c.den] = denominator.divexact(c.den)
+            except ValueError:
+                return False
+        terms[pi] = c.num * cofactors[c.den]
+    cleared = GroupAlgebraElement(m, n, terms)
+    target = GroupAlgebraElement.identity(m, n).scale(denominator)
     return ga_mul(cleared, s) == target and ga_mul(s, cleared) == target

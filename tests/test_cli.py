@@ -161,12 +161,30 @@ def test_inverse_verify():
     assert "MATCH (two-sided)" in out
 
 
+def test_failed_verification_exits_1(monkeypatch):
+    from quonalg import cli
+    from quonalg.exact_arith import Polynomial
+
+    monkeypatch.setattr(cli, "verify_inverse", lambda m, n: False)
+    code, out, err = run_cli(["inverse", "--m", "2", "--n", "2", "--verify"])
+    assert (code, err) == (1, "") and out.endswith("\nverdict: MISMATCH\n")
+    code, out, _ = run_cli(["inverse", "--m", "2", "--n", "2", "--verify", "--format", "json"])
+    assert code == 1 and json.loads(out)["match"] is False
+    monkeypatch.setattr(cli, "regular_block_det", lambda m, n: Polynomial.one())
+    code, out, err = run_cli(["det", "--m", "2", "--n", "2", "--verify"])
+    assert (code, err) == (1, "") and out.endswith("\nverdict:  MISMATCH\n")
+    code, out, _ = run_cli(["det", "--m", "2", "--n", "2", "--verify", "--format", "csv"])
+    assert code == 1 and out.endswith("match,false\n")
+
+
 @pytest.mark.parametrize(
     "argv,name",
     [
         (["inverse", "--m", "2", "--n", "2", "--verify"], "inverse_m2_n2_verify"),
         (["inverse", "--m", "1", "--n", "3", "--verify"], "inverse_m1_n3_verify"),
         (["inverse", "--m", "2", "--n", "3", "--verify"], "inverse_m2_n3_verify"),
+        # four distinct denominators: coefficients reduce by different factors
+        (["inverse", "--m", "1", "--n", "4", "--verify"], "inverse_m1_n4_verify"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -347,6 +365,8 @@ def test_posdef_rejects_floats_and_needs_one_mode():
         ["inverse", "--m", "1", "--n", "0"],
         ["posdef", "--m", "1", "--n", "2", "--scan=0:1:0"],
         ["posdef", "--m", "1", "--n", "2", "--q", "1/0"],
+        ["posdef", "--m", "1", "--n", "2", "--q", "1e-1"],
+        ["posdef", "--m", "1", "--n", "2", "--q", "1_000"],
         ["det", "--m", "1", "--n", "2", "--output", "/nonexistent/dir/x"],
     ],
 )

@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from quonalg import linalg
+from quonalg import formulas, linalg
 from quonalg.colored_perm import ColoredPermutation
 from quonalg.exact_arith import Polynomial, RationalFunction
 from quonalg.formulas import (
+    _denominator,
     _difference_product,
     _geometric_product,
     det_closed_form,
@@ -19,6 +20,7 @@ from quonalg.group_algebra import (
     GroupAlgebraElement,
     all_shifts_inverse,
     cinv_sum,
+    cyclic_shift,
     embed_single_position,
     ga_mul,
     product_chain,
@@ -124,8 +126,6 @@ def test_factor_sum():
 
 def test_factor_sum_single_position_three_colors():
     _, color_sum = factor_sum(3, 1)
-    from quonalg.group_algebra import cyclic_shift
-
     assert color_sum.coeff(ColoredPermutation.neutral(3, 1)) == ONE
     assert color_sum.coeff(cyclic_shift(3, 1)) == Q
     assert color_sum.coeff(cyclic_shift(3, 2)) == Q
@@ -138,26 +138,92 @@ def test_verify_inverse_two_sided(m, n):
     assert verify_inverse(m, n)
 
 
-def test_verify_inverse_takes_no_gcd_inside_the_products(monkeypatch):
-    from quonalg import exact_arith
+def _verify_with_printed_terms(monkeypatch, m, n, terms):
+    printed = GroupAlgebraElement(m, n, terms)
+    monkeypatch.setattr(formulas, "inverse_closed_form", lambda *_: printed)
+    return verify_inverse(m, n)
 
-    inv = inverse_closed_form(2, 3)  # memoised: its quotients are reduced here
-    real_gcd, calls = exact_arith.poly_gcd, []
 
-    def counting_gcd(a, b):
-        calls.append((a, b))
-        return real_gcd(a, b)
+def test_verify_inverse_fails_on_a_perturbed_numerator(monkeypatch):
+    terms = dict(inverse_closed_form(2, 3).terms)
+    assert _verify_with_printed_terms(monkeypatch, 2, 3, terms) is True
+    for pi in sorted(terms, key=str)[:3]:
+        c = terms[pi]
+        changed = dict(terms)
+        changed[pi] = RF(c.num + Q ** (c.num.degree + 1), c.den)
+        assert _verify_with_printed_terms(monkeypatch, 2, 3, changed) is False, pi
 
-    monkeypatch.setattr(exact_arith, "poly_gcd", counting_gcd)
-    assert verify_inverse(2, 3)
-    # one gcd per distinct denominator, for the lcm; none in ga_mul
-    assert 0 < len(calls) <= len({c.den for c in inv.terms.values()})
+
+def test_verify_inverse_fails_on_a_den_that_does_not_divide_d(monkeypatch):
+    # D at (2, 3) is (1 - q)^6 (1 + q)^6 (1 + q + q^2)(1 - q + q^2): it has
+    # no factor 1 + 2q, and 1 + q only to the sixth power
+    terms = dict(inverse_closed_form(2, 3).terms)
+    pi = min(terms, key=str)
+    for extra in (ONE + 2 * Q, (ONE + Q) ** 7):
+        changed = dict(terms)
+        changed[pi] = RF(terms[pi].num * extra, terms[pi].den * extra)
+        assert _verify_with_printed_terms(monkeypatch, 2, 3, changed) is False
+
+
+def test_verify_inverse_reads_both_products(monkeypatch):
+    s, e = cinv_sum(2, 2), GroupAlgebraElement.identity(2, 2)
+    inverse_closed_form(2, 2)  # memoised before ga_mul is patched
+    for s_on_the_left in (False, True):
+
+        def one_side_off(x, y):
+            product = ga_mul(x, y)
+            return product + e if (x is s) == s_on_the_left else product
+
+        monkeypatch.setattr(formulas, "ga_mul", one_side_off)
+        assert verify_inverse(2, 2) is False
+    monkeypatch.setattr(formulas, "ga_mul", ga_mul)
+    assert verify_inverse(2, 2) is True
+
+
+def test_denominator_factors_multiply_to_the_scalars():
+    # ((1 + (m-1)q)(1 - q))^n * prod_{k<j} (1 - q^((j-k)(j-k+1))), one
+    # factor per scalar of the sparse factors, against the factored form
+    for m in range(1, 5):
+        for n in range(1, 7):
+            expected = ((ONE + (m - 1) * Q) * (ONE - Q)) ** n
+            for j in range(2, n + 1):
+                for k in range(1, j):
+                    expected = expected * (ONE - Q ** ((j - k) * (j - k + 1)))
+            denominator, factors = _denominator(m, n)
+            product = ONE
+            for f, e in factors:
+                assert f.degree >= 1 and e >= 1
+                product = product * f**e
+            assert len({f for f, _ in factors}) == len(factors)
+            assert product == expected == denominator, (m, n)
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (1, 5), (2, 3), (3, 3), (4, 2)])
+def test_printed_inverse_is_in_lowest_terms(m, n):
+    # every den divides D, and no irreducible factor of D divides both num
+    # and den; with D's factors complete (the test above) that is gcd 1
+    denominator, factors = _denominator(m, n)
+
+    def divides(f, p):
+        try:
+            p.divexact(f)
+        except ValueError:
+            return False
+        return True
+
+    for c in inverse_closed_form(m, n).terms.values():
+        assert c.den.leading > 0 and divides(c.den, denominator)
+        assert not any(divides(f, c.num) and divides(f, c.den) for f, _ in factors)
 
 
 def test_inverse_single_position_reduces_to_color_inverse():
-    for m in (1, 2, 3, 4):
-        xi, d = all_shifts_inverse(m)
-        printed = {pi: RF(c, d) for pi, c in xi.terms.items()}
+    # (1 + (m-2)q - q * (sum of the nontrivial shifts)) / ((1 + (m-1)q)(1 - q)),
+    # in lowest terms for m >= 2; for m = 1 the quotient (1 - q)/(1 - q) is 1
+    assert inverse_closed_form(1, 1) == GroupAlgebraElement.identity(1, 1)
+    for m in (2, 3, 4):
+        den = (ONE + (m - 1) * Q) * (ONE - Q)
+        printed = {ColoredPermutation.neutral(m, 1): RF(ONE + (m - 2) * Q, den)}
+        printed.update({cyclic_shift(m, k): RF(-Q, den) for k in range(1, m)})
         assert inverse_closed_form(m, 1) == GroupAlgebraElement(m, 1, printed)
 
 
@@ -183,12 +249,10 @@ def test_inverse_factor_shapes():
     # the color scalar (1 + q)(1 - q) at three positions, then one
     # geometric scalar per cycle: 1 - q^2 for block 2, (1 - q^2)(1 - q^6)
     # for block 3
-    denominator = color_denominator**3
-    for _, scalar in geometric:
-        denominator = denominator * scalar
-    assert denominator == ((ONE + Q) * (ONE - Q)) ** 3 * (ONE - Q**2) ** 2 * (ONE - Q**6)
+    denominator = color_denominator**3 * (ONE - Q**2) ** 2 * (ONE - Q**6)
+    assert _denominator(m, n)[0] == denominator
     neutral_word = (1, 2, 3)
-    for element in difference_products + [series for series, _ in geometric]:
+    for element in difference_products + geometric:
         for pi in set(element.terms):
             assert set(pi.colors) <= {2}
     for pos, element in enumerate(position_inverses, start=1):
