@@ -113,6 +113,13 @@ def cinv(pi):
     return inv + sum(1 for c in pi.colors if c != pi.m)
 
 
+def check_colors(m, colors):
+    """Raise ``ValueError`` unless every color lies in 1..m."""
+    for c in colors:
+        if not 1 <= c <= m:
+            raise ValueError(f"color {c} outside 1..{m}")
+
+
 def act(theta, pi):
     """Right action of the colored permutation pi on the arrangement theta.
 
@@ -127,9 +134,7 @@ def act(theta, pi):
     if theta.m != pi.m:
         raise ValueError(f"color-count mismatch: {theta.m} vs {pi.m}")
     m, values, colors = theta.m, theta.values, theta.colors
-    for c in colors + pi.colors:
-        if not 1 <= c <= m:
-            raise ValueError(f"color {c} outside 1..{m}")
+    check_colors(m, colors + pi.colors)
     sources = [s - 1 for s in pi.values]
     return type(theta)(
         m,

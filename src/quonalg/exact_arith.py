@@ -21,8 +21,8 @@ products and sums meet, a caller packs each coefficient tuple into one big
 integer instead (Kronecker substitution q -> 2**stride, ``pack_coeffs``),
 computes on plain ints and unpacks each result once (``unpack_int``):
 ``linalg`` for determinants, ``group_algebra.ga_mul`` for group-algebra
-products, ``quon_engine`` for annihilator steps.  Each caller chooses its stride from a bound on the coefficients
-of its results and proves that bound in its docstring.
+products, ``quon_engine`` for annihilator steps.  Each caller proves a bound
+on the coefficients of its results in its docstring and packs at ``stride``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ def pack_coeffs(coeffs, stride):
     for c in reversed(coeffs):
         acc = (acc << stride) + c
     return acc
+
+
+def stride(bound):
+    """Bits per packed coefficient when every coefficient read back has
+    modulus at most ``bound``: bound.bit_length() + 1, the least s with
+    bound < 2**(s-1), so balanced digits (``unpack_int``) read it back."""
+    return bound.bit_length() + 1
 
 
 def unpack_int(value, stride):

@@ -189,6 +189,23 @@ def _denominator(m, n):
     return denominator, tuple(factors)
 
 
+def _divide_out(c, factors):
+    """``(c / R, (k_f, ...))``: each factor f of ``factors``, a tuple of
+    (f, e_f), divided out of c exactly while it divides, at most e_f times,
+    k_f times in all, and R = prod f**k_f."""
+    removed = []
+    for f, e in factors:
+        k = 0
+        while k < e:
+            try:
+                c = c.divexact(f)
+            except ValueError:
+                break
+            k += 1
+        removed.append(k)
+    return c, tuple(removed)
+
+
 @lru_cache(maxsize=None)
 def inverse_closed_form(m, n):
     """The closed-form inverse of cinv_sum(m, n), assembled from sparse factors.
@@ -216,7 +233,7 @@ def inverse_closed_form(m, n):
     root -1/(m-1) of 1 + (m-1)q, m >= 3, is no root of unity), and
     D = prod f**e_f, so by unique factorization in Q[q]
     gcd(c, D) = prod f**min(e_f, v_f(c)) = R up to a unit, where v_f(c) is
-    the multiplicity of f in c, which the division loop counts (an f that
+    the multiplicity of f in c, which ``_divide_out`` counts (an f that
     divides c in Q[q] divides it exactly in ZZ[q], since f is primitive).
     Each f is primitive, so D and D/R are primitive (Gauss's lemma), and
     c/R and D/R share no integer content either.  This is the canonical
@@ -239,17 +256,7 @@ def inverse_closed_form(m, n):
     reduced = {}  # removed exponents (k_f) -> D / R
     terms = {}
     for pi, c in ga_mul(perm, color).terms.items():
-        removed = []
-        for f, e in factors:
-            k = 0
-            while k < e:
-                try:
-                    c = c.divexact(f)
-                except ValueError:
-                    break
-                k += 1
-            removed.append(k)
-        key = tuple(removed)
+        c, key = _divide_out(c, factors)
         if key not in reduced:
             den = denominator
             for (f, _), k in zip(factors, key):

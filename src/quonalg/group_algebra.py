@@ -30,11 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
-from .exact_arith import Polynomial, pack_coeffs, unpack_int
+from .exact_arith import Polynomial, pack_coeffs, stride, unpack_int
 from .linalg import split_tree
 from .colored_perm import (
     ColoredPermutation,
     as_multiset,
+    check_colors,
     color_shift,
     group_table,
 )
@@ -62,9 +63,7 @@ class GroupAlgebraElement:
                     continue
                 if pi.m != m or pi.n != n:
                     raise ValueError(f"term {pi} does not live in ({m}, {n})")
-                for c in pi.colors:
-                    if not 1 <= c <= m:
-                        raise ValueError(f"color {c} outside 1..{m}")
+                check_colors(m, pi.colors)
                 clean[pi] = coeff
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -144,13 +143,13 @@ def _norms(x):
 
 
 def _product_stride(x, y):
-    """Bits per packed coefficient of ga_mul(x, y): B.bit_length() + 1.
+    """Bits per packed coefficient of ga_mul(x, y): ``stride(B)``.
 
     B = min(sup(x) * l1(y), sup(y) * l1(x)) bounds every coefficient of the
     product (see ``ga_mul``).
     """
     (sup_x, l1_x), (sup_y, l1_y) = _norms(x), _norms(y)
-    return min(sup_x * l1_y, sup_y * l1_x).bit_length() + 1
+    return stride(min(sup_x * l1_y, sup_y * l1_x))
 
 
 def ga_mul(x, y):
@@ -166,7 +165,7 @@ def ga_mul(x, y):
     each output is unpacked once (``unpack_int``).  Coefficients that are
     not Polynomials (the printed inverse's quotients) raise TypeError.
 
-    Why the stride s = B.bit_length() + 1 of ``_product_stride`` suffices.
+    Why the stride s = ``stride(B)`` of ``_product_stride`` suffices.
     phi is a ring homomorphism ZZ[q] -> ZZ, so the int accumulated at a
     group element g is phi(c_g), with c_g the sum of a_x * b_y over the
     pairs (pi_x, pi_y) with act(pi_y, pi_x) = g.  For a fixed pi_y the map
@@ -263,7 +262,7 @@ def rep_matrix(x, multiset):
     Entries are summed as packed ints and unpacked once per distinct value;
     coefficients that are not Polynomials raise TypeError.
 
-    Why the stride s = B.bit_length() + 1 of ``_rep_stride``, with B the
+    Why the stride s = ``stride(B)`` of ``_rep_stride``, with B the
     sum of ||c||_inf over the terms of x, suffices: packing is a ring
     homomorphism, so the int at entry (i, j) is the image of the sum of c
     over the terms (pi, c) with act(basis[j], pi) = basis[i].  Each term
@@ -294,12 +293,12 @@ def rep_matrix(x, multiset):
 
 
 def _rep_stride(x):
-    """Bits per packed entry of ``rep_matrix(x, ...)``: B.bit_length() + 1,
-    with B the sum of the sup norms of x's coefficients."""
+    """Bits per packed entry of ``rep_matrix(x, ...)``: ``stride(B)``, with
+    B the sum of the sup norms of x's coefficients."""
     for c in x.terms.values():
         if not isinstance(c, Polynomial):
             raise TypeError(f"rep_matrix needs ZZ[q] coefficients, got {c!r}")
-    return sum(max(map(abs, c.coeffs)) for c in x.terms.values()).bit_length() + 1
+    return stride(sum(max(map(abs, c.coeffs)) for c in x.terms.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ Polynomial matrix, in ZZ[q]: ``split_tree`` tests whether the matrix is
 (A (x) B) / c, with c its corner entry, and splits A and B again.  The
 regular Gram block Q_n (x) K (x) ... (x) K (see ``posdef``) splits down to
 leaves Q_n and K with c = 1 at every node.  Determinants (``_split_det``)
-and leading minors at a point (``tree_minors``) are assembled from the
-leaves'.  The plain route of ``poly_det`` never splits and stays the
-oracle for the packed one.
+and the exact leading minors at a rational point (``leading_minors``, the
+one minors entry point) are assembled from the leaves'.  The plain route of
+``poly_det`` never splits and stays the oracle for the packed one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import attrgetter, not_
 
-from .exact_arith import Polynomial, pack_coeffs, unpack_int
+from .exact_arith import Polynomial, pack_coeffs, stride, unpack_int
 
 
 def _bareiss(rows, divexact, is_zero, swap=True, symmetric=False):
@@ -106,14 +106,14 @@ def _det(rows, divexact=_int_divexact, is_zero=not_, zero=0, symmetric=False):
 
 def _stride(n, h):
     """Bits per packed coefficient of an n x n matrix of height h (see
-    ``_height``): B.bit_length() + 1 (see ``poly_det``).
+    ``_height``): ``stride(B)`` (see ``poly_det``).
 
     B bounds every coefficient of every minor.  On the unit circle each entry
     is bounded in modulus by its l1 coefficient norm, at most h, so Hadamard
     bounds a k-minor by (sqrt(k) h)**k <= ceil(sqrt(n**n)) h**n = B, and no
     coefficient of a polynomial exceeds its maximum modulus there.
     """
-    return ((isqrt(n**n - 1) + 1) * h**n).bit_length() + 1
+    return stride((isqrt(n**n - 1) + 1) * h**n)
 
 
 def _height(rows):
@@ -123,7 +123,7 @@ def _height(rows):
 
 def _split_stride(h):
     """Bits per packed coefficient of the split test (proof in ``split_tree``)."""
-    return (2 * h**2).bit_length()
+    return stride(h**2)
 
 
 def _pack(rows, stride):
@@ -173,24 +173,26 @@ def split_tree(rows, images=None):
 
     A node is ``(rows, children)``: ``children`` is None for a leaf, and
     otherwise the nodes of A and B with rows = (A (x) B) / c, c = rows[0][0]
-    (also the corner of A and B), from ``_tensor_split``.  A non-Polynomial
-    entry raises ``ValueError`` first.
+    (also the corner of A and B), from ``_tensor_split``.  A matrix that is
+    not square, or a non-Polynomial entry, raises ``ValueError`` first.
 
     Every split is tested on ``images`` (passed only in the recursion), the
-    entries' images under phi: q -> 2**s, s = ``_split_stride(h)`` = (2
-    h**2).bit_length(), h the largest l1 coefficient norm of a root entry.
+    entries' images under phi: q -> 2**s, s = ``_split_stride(h)`` =
+    ``stride(h**2)``, h the largest l1 coefficient norm of a root entry.
     Proof that the test is exact.  It compares x * c with a * e for entries
     x, c, a, e, and phi is a ring homomorphism, so it compares phi(d) with 0
     for d = x * c - a * e.  A coefficient of x * c is at most ||x||_1 *
-    max|c_i| <= h**2 in modulus, and so is one of a * e, so every
-    coefficient of d has modulus at most 2 h**2 < 2**s.  If d != 0 and d_t
-    is its lowest nonzero coefficient, phi(d) = 2**(s*t) * (d_t + 2**s * r)
+    max|c_i| <= h**2 < 2**(s-1) in modulus, and so is one of a * e, so
+    every coefficient of d has modulus below 2**s.  If d != 0 and d_t is
+    its lowest nonzero coefficient, phi(d) = 2**(s*t) * (d_t + 2**s * r)
     for an integer r, and d_t is not a multiple of 2**s, so phi(d) != 0.
     Hence phi(d) == 0 iff d == 0 (and phi(c) == 0 iff c == 0), and the
     entries of every node are root entries, so the packed test splits
     exactly where the Polynomial test would.
     """
     if images is None:
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix is not square")
         for row in rows:
             for p in row:
                 if not isinstance(p, Polynomial):
@@ -239,7 +241,7 @@ def poly_det(rows, method="packed"):
     checks it.  Each leaf is packed at the stride of its own entries, so the
     regular block only ever eliminates Q_n and the m-by-m K.
 
-    Why the packed stride s = B.bit_length() + 1 of ``_stride`` suffices
+    Why the packed stride s = ``stride(B)`` of ``_stride`` suffices
     for a leaf.  phi: q -> 2**s is a ring homomorphism ZZ[q] -> ZZ.  Run
     Bareiss over ZZ[q] and, side by side, over the images.  A polynomial
     step computes c = (p*a - h*b) / prev, exactly in ZZ[q], so phi(p)*phi(a)
@@ -256,9 +258,9 @@ def poly_det(rows, method="packed"):
     n = len(rows)
     if n == 0:
         return Polynomial.one()
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
     if method == "plain":
+        if any(len(r) != n for r in rows):
+            raise ValueError("matrix is not square")
         rows = [list(r) for r in rows]
         return _det(rows, Polynomial.divexact, attrgetter("is_zero"), Polynomial.zero())
     return _split_det(split_tree(rows))
@@ -306,8 +308,16 @@ def _kron_minors(da, db, c):
     D_t(B), and the product of the two determinants is the formula.  Both
     sides are polynomials in the entries of A and B that agree wherever
     D_s(A) and D_b(B) are nonzero, so they agree everywhere, zero minors
-    included.  Where (A (x) B) / c is an int matrix (see ``tree_minors``),
-    the division by c**k is exact; ``_int_divexact`` checks it.
+    included.
+
+    Why the division by c**k is exact where ``_node_minors`` calls this.
+    At a node M = (A (x) B) / c and q0 = p/r, with c(q0) = i_c / S_c != 0,
+    A(q0) = I_A / S_A and B(q0) = I_B / S_B for int matrices I_A and I_B,
+    S * M(q0) is (I_A (x) I_B) / i_c with S = S_A * S_B / S_c.  Each scale
+    is r**E (``_ints_at``): E is the largest entry degree at a leaf and
+    E_A + E_B - deg(c) at a node.  By induction from the leaves, no entry
+    a * e / c of M has degree above E, so S * M(q0) is an int matrix with
+    int minors, and E_A >= deg(c), as c is A's corner, so S is an int.
     """
     b = len(db)
     da, db = [1] + da, [1] + db
@@ -320,40 +330,45 @@ def _kron_minors(da, db, c):
     return minors
 
 
-def leading_minors(ints, scale=1):
-    """Exact leading principal minors of the rational matrix ``ints / scale``.
+def _ints_at(rows, q0):
+    """A Polynomial matrix at the Fraction q0 = p/r as ``(ints, r**E)``,
+    rows(q0) = ints / r**E, E the largest entry degree: the entry
+    sum(c_i q**i) maps to sum(c_i p**i r**(E-i)).  Each distinct entry, told
+    apart by its coefficient tuple, is evaluated once."""
+    p, r = q0.numerator, q0.denominator
+    values = dict.fromkeys(entry.coeffs for row in rows for entry in row)
+    degree = max([0] + [len(coeffs) - 1 for coeffs in values])
+    weights = [p**i * r ** (degree - i) for i in range(degree + 1)]
+    for coeffs in values:
+        values[coeffs] = sum(c * w for c, w in zip(coeffs, weights))
+    return [[values[entry.coeffs] for entry in row] for row in rows], r**degree
 
-    ``ints`` is a square matrix of ints, left unchanged, and ``scale`` a
-    positive int; entry [k-1] of the result is D_k(ints) / scale**k, the
-    D_k from one Bareiss pass (``_bareiss_minors``).
-    """
-    n = len(ints)
-    if any(len(row) != n for row in ints):
-        raise ValueError("matrix is not square")
-    return [Fraction(value, scale**k) for k, value in enumerate(_bareiss_minors(ints), 1)]
 
-
-def tree_minors(node, evaluate, corner=None):
-    """``(minors, scale)`` for the matrix M of a ``split_tree`` node at one
-    point x: minors[k-1] is the leading minor D_k of the int matrix scale *
-    M(x).  ``evaluate(rows)`` returns ``(ints, scale)``, rows(x) = ints / scale.
-
-    A leaf is evaluated and takes one Bareiss pass.  At a node M = (A (x) B)
-    / c with c(x) = i_c / S_c != 0, A(x) = I_A / S_A and B(x) = I_B / S_B,
-    M(x) = ((I_A (x) I_B) / i_c) / S with S = S_A * S_B / S_c, so
-    ``_kron_minors`` gives the minors from those of I_A and I_B.
-    ``evaluate`` must make S an int and S * M(x) an int matrix at every node
-    (``posdef._scaled_block`` proves it for its scales).  All nodes share
-    the root's corner (see ``split_tree``), so it is evaluated once and
-    passed down as ``corner``; if c(x) = 0, the root is evaluated whole.
-    """
+def _node_minors(node, q0, corner=None):
+    """``(minors, scale)``: the leading minors of the int matrix scale *
+    M(q0), M the matrix of a ``split_tree`` node (see ``_kron_minors``).
+    Every node shares the root's corner, so ``corner`` is its ``_ints_at``."""
     rows, children = node
     if children:
-        corner = corner or evaluate([rows[0][:1]])
+        corner = corner or _ints_at([rows[0][:1]], q0)
         [[c]], corner_scale = corner
         if c:
-            da, sa = tree_minors(children[0], evaluate, corner)
-            db, sb = tree_minors(children[1], evaluate, corner)
+            da, sa = _node_minors(children[0], q0, corner)
+            db, sb = _node_minors(children[1], q0, corner)
             return _kron_minors(da, db, c), sa * sb // corner_scale
-    ints, scale = evaluate(rows)
+    ints, scale = _ints_at(rows, q0)
     return _bareiss_minors(ints), scale
+
+
+def leading_minors(tree, q0):
+    """Exact leading principal minors, a tuple of Fractions, of the matrix
+    of a ``split_tree`` node at the rational point q0.
+
+    Only the leaves are evaluated (``_ints_at``), each takes one Bareiss
+    pass, and each node combines its children's minors (``_kron_minors``,
+    with the proofs).  If the corner vanishes at q0, the whole matrix is
+    evaluated instead.  Minor k is divided by scale**k once, at the end.
+    """
+    q0 = Fraction(q0)
+    values, scale = _node_minors(tree, q0)
+    return tuple(Fraction(v, scale**k) for k, v in enumerate(values, 1))

@@ -12,9 +12,9 @@ build_gram(m, (1..n)) = Q_n (x) K (x) ... (x) K with n factors K, where Q_n
 the colors, counted by value slot, vary fastest within each value word, and
 cinv adds one q per non-neutral color, a count that does not depend on the
 permutation once colors are indexed by value.  Each block finds its split
-tree once, in ZZ[q] (``Block.split_tree``); a certificate evaluates only
-its leaves, to integers with one scale (``_scaled_block``), and combines
-their minors exactly (``linalg.tree_minors``): no tolerances anywhere.
+tree once, in ZZ[q] (``Block.split_tree``); a certificate takes the exact
+minors at its point from the tree's leaves (``linalg.leading_minors``) and
+holds only the Sylvester verdict: no tolerances anywhere.
 
 ``scan`` samples a closed interval on an exact rational grid.
 """
@@ -57,50 +57,27 @@ def classify_minors(minors):
     return POSITIVE_DEFINITE
 
 
-def _scaled_block(rows, q0):
-    """A Polynomial matrix at q = q0 as ``(ints, scale)``, rows(q0) = ints / scale.
-
-    With q0 = p/r in lowest terms and D the largest entry degree, the entry
-    sum(c_i q**i) maps to the integer sum(c_i p**i r**(D-i)) and the common
-    scale is r**D.  Each distinct entry, told apart by its coefficient tuple,
-    is evaluated once: a regular block holds a handful of distinct values.
-
-    These scales meet the condition of ``linalg.tree_minors``: a node M =
-    (A (x) B) / c has S = r**E with E = E_A + E_B - deg(c), and by induction
-    from the leaves, where E is the largest entry degree, no entry a * e / c
-    of M has degree above E.  So S * M(q0) is an int matrix, and E_A >=
-    deg(c), as c is A's corner, makes S an int.
-    """
-    p, r = q0.numerator, q0.denominator
-    values = dict.fromkeys(entry.coeffs for row in rows for entry in row)
-    degree = max([0] + [len(coeffs) - 1 for coeffs in values])
-    weights = [p**i * r ** (degree - i) for i in range(degree + 1)]
-    for coeffs in values:
-        values[coeffs] = sum(c * w for c, w in zip(coeffs, weights))
-    return [[values[entry.coeffs] for entry in row] for row in rows], r**degree
-
-
 def certify_block(block, q0):
     """Exact Sylvester certification of one block at one rational point.
 
-    A non-Polynomial entry raises ``ValueError``.  Sylvester's criterion
-    holds only for a symmetric matrix: a block not symmetric in ZZ[q] is
-    evaluated whole and raises ``ValueError`` if it differs from its
-    transpose at q0.  Every block takes its minors from the leaves of its
-    split tree (``linalg.tree_minors``).
+    A block that is not square, or has a non-Polynomial entry, raises
+    ``ValueError`` (``linalg.split_tree``).  Sylvester's criterion holds
+    only for a symmetric matrix: a block not symmetric in ZZ[q] raises
+    ``ValueError`` if an entry pair that differs in ZZ[q] differs at q0 too.
     """
     q0 = Fraction(q0)
     tree = block.split_tree
     if not block.symmetric:
-        ints, _ = _scaled_block(block.entries, q0)
-        if ints != [list(col) for col in zip(*ints)]:
-            i, j = next((i, j) for i, row in enumerate(ints) for j in range(i) if row[j] != ints[j][i])
-            raise ValueError(
-                f"block is not symmetric at q = {q0}: entry ({i}, {j}) is {block.entries[i][j]}"
-                f" but entry ({j}, {i}) is {block.entries[j][i]}"
-            )
-    values, scale = linalg.tree_minors(tree, lambda rows: _scaled_block(rows, q0))
-    minors = tuple(Fraction(v, scale**k) for k, v in enumerate(values, 1))
+        entries = block.entries
+        for i, row in enumerate(entries):
+            for j in range(i):
+                a, b = row[j], entries[j][i]
+                if a != b and a.evaluate(q0) != b.evaluate(q0):
+                    raise ValueError(
+                        f"block is not symmetric at q = {q0}: entry ({i}, {j}) is {a}"
+                        f" but entry ({j}, {i}) is {b}"
+                    )
+    minors = linalg.leading_minors(tree, q0)
     return PosDefReport(
         m=block.m,
         multiset=block.multiset,

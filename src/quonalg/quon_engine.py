@@ -79,8 +79,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .exact_arith import Polynomial, pack_coeffs, unpack_int
-from .colored_perm import group_table
+from .exact_arith import Polynomial, pack_coeffs, stride, unpack_int
+from .colored_perm import check_colors, group_table
 
 
 def color_mismatch(creator_color, annihilator_color, m):
@@ -107,29 +107,16 @@ class CreatorState:
         return not self.terms
 
 
-def _check_colors(m, word):
-    """Raise ``ValueError`` unless every color of ``word`` lies in 1..m."""
-    for _, c in word:
-        if not 1 <= c <= m:
-            raise ValueError(f"color {c} outside 1..{m}")
-
-
 def _word(m, word):
     """``word`` as a tuple of int (mode, color) pairs, its colors checked."""
     word = tuple((int(v), int(c)) for v, c in word)
-    _check_colors(m, word)
+    check_colors(m, [c for _, c in word])
     return word
 
 
 def creator_state(m, word):
     """The state of a single creator word (outermost creator first)."""
     return CreatorState(m, {_word(m, word): Polynomial.one()})
-
-
-def _stride(bound):
-    """Bits per packed coefficient when every coefficient is at most ``bound``
-    in modulus: bound < 2**(stride-1), so balanced digits read it back."""
-    return bound.bit_length() + 1
 
 
 def _annihilate(terms, token, m, stride):
@@ -166,7 +153,7 @@ def apply_annihilator(mode, color, state):
     q**(u - 1 + color_mismatch).  Words without the mode vanish, as does the
     empty word.
 
-    The step runs in ``_annihilate`` at stride ``_stride(B)``, where B is
+    The step runs in ``_annihilate`` at stride ``stride(B)``, where B is
     the l1 mass of the state, the sum of ||c||_1 over its coefficients c.
     B bounds every coefficient of the result: two positions u < u' of one
     word give the same shorter word only if the creators from u to u' are
@@ -175,13 +162,12 @@ def apply_annihilator(mode, color, state):
     any one coefficient of any one shorter word.
     """
     m = state.m
-    if not 1 <= color <= m:
-        raise ValueError(f"color {color} outside 1..{m}")
-    stride = _stride(sum(sum(map(abs, c.coeffs)) for c in state.terms.values()))
-    packed = {w: pack_coeffs(c.coeffs, stride) for w, c in state.terms.items()}
-    out = _annihilate(packed, (mode, color), m, stride)
+    check_colors(m, (color,))
+    s = stride(sum(sum(map(abs, c.coeffs)) for c in state.terms.values()))
+    packed = {w: pack_coeffs(c.coeffs, s) for w, c in state.terms.items()}
+    out = _annihilate(packed, (mode, color), m, s)
     return CreatorState(
-        m, {w: Polynomial(unpack_int(v, stride)) for w, v in out.items() if v}
+        m, {w: Polynomial(unpack_int(v, s)) for w, v in out.items() if v}
     )
 
 
@@ -211,7 +197,7 @@ def annihilator_trie(m, words):
     root = {}
     for word in words:
         word = tuple(word)
-        _check_colors(m, word)
+        check_colors(m, [c for _, c in word])
         node = root
         for token in word:
             node = node.setdefault(token, {})
@@ -257,8 +243,8 @@ def operator_column(m, trie, kets):
     """
     kets = [_word(m, ket) for ket in kets]
     length = max(map(len, kets), default=0)
-    stride = -(-_stride(factorial(length)) // 8) * 8
-    width = _slot_bits(stride, length) // 8
+    s = -(-stride(factorial(length)) // 8) * 8
+    width = _slot_bits(s, length) // 8
     zero = Polynomial.zero()
     rows, values = {}, {bytes(width): zero}
 
@@ -270,14 +256,14 @@ def operator_column(m, trie, kets):
                     data = value.to_bytes(total, "little")
                     slots = [data[k : k + width] for k in range(0, total, width)]
                     for slot in set(slots).difference(values):
-                        unpacked = unpack_int(int.from_bytes(slot, "little"), stride)
+                        unpacked = unpack_int(int.from_bytes(slot, "little"), s)
                         values[slot] = Polynomial(unpacked)
                     row = rows.get(child)
                     if row is None:
                         row = rows[child] = [zero] * len(kets)
                     row[start : start + len(slots)] = map(values.__getitem__, slots)
             else:
-                shorter = _annihilate(terms, token, m, stride)
+                shorter = _annihilate(terms, token, m, s)
                 if shorter:
                     walk(child, shorter, start, total)
 
@@ -308,7 +294,7 @@ def cosym_column(theta_ket):
     color outside 1..m raises ``ValueError``, as on the rewriting path.
     """
     m, values = theta_ket.m, theta_ket.values
-    _check_colors(m, theta_ket.tokens)
+    check_colors(m, theta_ket.colors)
     table = group_table(m, len(values))
     basis, image = table.basis(tuple(sorted(values)))
     width = len(values) * (len(values) + 1) // 2 + 1  # cinv <= n(n-1)/2 + n
@@ -333,7 +319,7 @@ def cosym_expectation(theta_bra, theta_ket):
     """
     if theta_bra.m != theta_ket.m:
         raise ValueError(f"color-count mismatch: {theta_bra.m} vs {theta_ket.m}")
-    _check_colors(theta_bra.m, theta_bra.tokens)
+    check_colors(theta_bra.m, theta_bra.colors)
     column = cosym_column(theta_ket)
     table = group_table(theta_ket.m, theta_ket.n)
     row = table.basis(tuple(sorted(theta_ket.values)))[1].get(theta_bra.values)

@@ -115,7 +115,7 @@ def test_gram_output_file(tmp_path):
         ["gram", "--m", "3", "--multiset", "1,2", "--format", "csv", "--output", str(target)]
     )
     assert code == 0 and out == ""
-    rows = list(csv.reader(target.open()))
+    rows = list(csv.reader(io.StringIO(target.read_text())))
     assert len(rows) == 19
     assert rows[1][0] == "1"
 

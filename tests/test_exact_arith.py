@@ -11,6 +11,7 @@ from quonalg.exact_arith import (
     parse_polynomial,
     parse_rational,
     parse_rational_function,
+    stride,
     unpack_int,
 )
 
@@ -91,6 +92,20 @@ def test_unpack_needs_a_stride_of_two_bits():
     with pytest.raises(ValueError):
         unpack_int(5, 0)
     assert unpack_int(pack_coeffs((1, -1, 1), 2), 2) == [1, -1, 1]
+
+
+def test_stride_is_the_least_that_reads_its_bound_back():
+    # Digits of modulus at most the bound come back at stride(bound); one
+    # bit less and the digit +bound does not.
+    for bound in (1, 2, 3, 7, 8, 255, 256, 2**20 - 1, 2**20):
+        s = stride(bound)
+        assert bound < 2 ** (s - 1) <= 2 * bound
+        for coeffs in ((bound, -bound, bound), (-bound, 0, bound - 1, -1)):
+            assert unpack_int(pack_coeffs(coeffs, s), s) == list(coeffs)
+        if s > 2:
+            assert unpack_int(pack_coeffs((0, bound), s - 1), s - 1) != [0, bound]
+    # The split test's stride: (2 h**2).bit_length() == stride(h**2).
+    assert all((2 * h * h).bit_length() == stride(h * h) for h in range(1, 500))
 
 
 def test_divexact():

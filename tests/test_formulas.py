@@ -165,6 +165,25 @@ def test_verify_inverse_fails_on_a_den_that_does_not_divide_d(monkeypatch):
         assert _verify_with_printed_terms(monkeypatch, 2, 3, changed) is False
 
 
+def test_verify_inverse_fails_on_a_den_with_one_extra_factor_power(monkeypatch):
+    # One factor f of D multiplied into one den, the num unchanged: a wrong
+    # inverse, whether f**(k+1) still divides D (the cleared term loses one
+    # f and the products differ) or not (D / den is inexact).  At (1, 4) the
+    # dens lie far below D, so both cases occur.
+    factors = _denominator(1, 4)[1]
+    terms = dict(inverse_closed_form(1, 4).terms)
+    assert _verify_with_printed_terms(monkeypatch, 1, 4, terms) is True
+    full = {True: 0, False: 0}
+    for pi in sorted(terms, key=str)[:4]:
+        c = terms[pi]
+        for (f, e), k in zip(factors, formulas._divide_out(c.den, factors)[1]):
+            changed = dict(terms)
+            changed[pi] = RF(c.num, c.den * f)
+            assert _verify_with_printed_terms(monkeypatch, 1, 4, changed) is False, (pi, f)
+            full[k == e] += 1
+    assert full[True] and full[False]
+
+
 def test_verify_inverse_reads_both_products(monkeypatch):
     s, e = cinv_sum(2, 2), GroupAlgebraElement.identity(2, 2)
     inverse_closed_form(2, 2)  # memoised before ga_mul is patched

@@ -9,8 +9,8 @@ from quonalg import linalg
 from quonalg.exact_arith import Polynomial
 from quonalg.formulas import det_closed_form, regular_block_det
 from quonalg.gram import build_gram
-from quonalg.linalg import leading_minors, poly_det
-from quonalg.posdef import _scaled_block, interval_of_definiteness
+from quonalg.linalg import leading_minors, poly_det, split_tree
+from quonalg.posdef import interval_of_definiteness
 
 from lemmas import evaluate_reference, fraction_det, fraction_minors, kron
 
@@ -94,14 +94,20 @@ def test_row_swap_changes_sign():
 
 
 def test_not_square_raises():
-    with pytest.raises(ValueError):
-        poly_det([[ONE, Q]])
+    for rows in ([[ONE, Q]], [[ONE, Q], [Q]], [[ONE, Q], [Q, ONE], [ONE, ONE]]):
+        for method in ("packed", "plain"):
+            with pytest.raises(ValueError, match="matrix is not square"):
+                poly_det(rows, method)
+        with pytest.raises(ValueError, match="matrix is not square"):
+            split_tree(rows)
 
 
-def cleared(rows):
-    """A Fraction matrix as ``(ints, scale)`` with rows = ints / scale."""
-    scale = math.lcm(*(e.denominator for row in rows for e in row))
-    return [[int(e * scale) for e in row] for row in rows], scale
+def int_minors(rows):
+    """Leading minors of a Fraction matrix by one ``_bareiss_minors`` pass
+    over its integers cleared by the lcm of its denominators."""
+    scale = math.lcm(*(Fraction(e).denominator for row in rows for e in row))
+    ints = [[int(e * scale) for e in row] for row in rows]
+    return [Fraction(v, scale**k) for k, v in enumerate(linalg._bareiss_minors(ints), 1)]
 
 
 def test_leading_minors_match_determinants():
@@ -112,7 +118,7 @@ def test_leading_minors_match_determinants():
             [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
             for _ in range(n)
         ]
-        minors = leading_minors(*cleared(rows))
+        minors = int_minors(rows)
         for k in range(1, n + 1):
             # clear the k-by-k submatrix by its denominators' lcm; the packed
             # determinant of the integer matrix is then den**k times the minor
@@ -122,7 +128,7 @@ def test_leading_minors_match_determinants():
 
 
 def test_one_pass_minors_past_a_zero_minor():
-    assert leading_minors([[0, 1], [1, 0]]) == [0, -1]
+    assert linalg._bareiss_minors([[0, 1], [1, 0]]) == [0, -1]
     rng = random.Random(41)
     values = (-1, 0, 1, Fraction(1, 2), Fraction(-2, 3))
     reached = 0
@@ -133,19 +139,24 @@ def test_one_pass_minors_past_a_zero_minor():
         zero_at = [k for k, value in enumerate(expected) if value == 0]
         if zero_at and any(expected[zero_at[0] + 1 :]):
             reached += 1
-        assert leading_minors(*cleared(rows)) == expected
+        assert int_minors(rows) == expected
     assert reached >= 50
 
 
 def test_leading_minors_of_a_scaled_integer_matrix():
-    # Integer minors 4, 16, 76, divided by 2, 2**2, 2**3.
-    rows = [[4, 2, 0], [2, 5, 3], [0, 3, 7]]
-    assert leading_minors(rows, scale=2) == [2, 4, Fraction(19, 2)]
+    # At q = 1/2 the integer matrix is [[4, 2, 0], [2, 5, 3], [0, 3, 7]] over
+    # the scale 2: integer minors 4, 16, 76, divided by 2, 2**2, 2**3.
+    rows = [[4 * Q, 2 * Q, P.zero()], [2 * Q, 5 * Q, 3 * Q], [P.zero(), 3 * Q, 7 * Q]]
+    assert leading_minors(split_tree(rows), Fraction(1, 2)) == (2, 4, Fraction(19, 2))
+    assert linalg._ints_at(rows, Fraction(1, 2)) == ([[4, 2, 0], [2, 5, 3], [0, 3, 7]], 2)
 
 
 def test_leading_minors_identity():
-    rows = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
-    assert leading_minors(*cleared(rows)) == [Fraction(1)] * 6
+    # The identity splits (I_6 = I_2 (x) I_3) and its minors are all 1.
+    rows = [[ONE if i == j else P.zero() for j in range(6)] for i in range(6)]
+    assert split_tree(rows)[1] is not None
+    assert leading_minors(split_tree(rows), Fraction(-3, 7)) == (Fraction(1),) * 6
+    assert int_minors([[int(i == j) for j in range(6)] for i in range(6)]) == [1] * 6
 
 
 def tree_nodes(node):
@@ -157,9 +168,7 @@ def tree_nodes(node):
 
 def tree_point_minors(rows, q0):
     """Leading minors of a Polynomial matrix at q0 from its split tree."""
-    tree = linalg.split_tree(rows)
-    values, scale = linalg.tree_minors(tree, lambda leaf: _scaled_block(leaf, q0))
-    return [Fraction(v, scale**k) for k, v in enumerate(values, 1)]
+    return list(leading_minors(split_tree(rows), q0))
 
 
 def reference_minors(rows, q0):
@@ -179,25 +188,30 @@ def test_regular_blocks_split_to_q_n_and_k_with_unit_corners():
         assert all(rows[0][0] == ONE for rows, _ in nodes), (m, n)
 
 
-def test_split_matches_split_free_bareiss_on_regular_blocks():
+def test_split_matches_split_free_bareiss_on_regular_blocks(monkeypatch):
     # The regular block is Q_n (x) K (x) ... (x) K: its tree, found once in
     # ZZ[q], gives at every point the minors and the scale of one Bareiss
     # pass over the whole evaluated block.  Every node shares the root's
     # corner, which is evaluated once; each of the n + 1 leaves once more.
+    ints_at = linalg._ints_at
+    sizes = []
+
+    def recording(rows, q0):
+        sizes.append(len(rows))
+        return ints_at(rows, q0)
+
+    monkeypatch.setattr(linalg, "_ints_at", recording)
     for m, n in [(2, 2), (3, 2), (4, 2), (2, 3), (5, 2)]:
         block = build_gram(m, tuple(range(1, n + 1)))
         lo, hi = interval_of_definiteness(m)
         for q0 in (lo, hi, Fraction(1, 3), Fraction(-54321, 2**17 - 1), Fraction(3, 2)):
-            ints, scale = _scaled_block(block.entries, q0)
+            ints, scale = ints_at(block.entries, q0)
             expected = (linalg._bareiss_minors(ints), scale)
-            sizes = []
-
-            def evaluate(rows):
-                sizes.append(len(rows))
-                return _scaled_block(rows, q0)
-
-            assert linalg.tree_minors(block.split_tree, evaluate) == expected, (m, n, q0)
+            sizes.clear()
+            assert linalg._node_minors(block.split_tree, q0) == expected, (m, n, q0)
             assert sorted(sizes) == sorted([1, len(block.split_tree[0]) // m**n] + [m] * n)
+            minors = [Fraction(v, scale**k) for k, v in enumerate(expected[0], 1)]
+            assert leading_minors(block.split_tree, q0) == tuple(minors)
 
 
 def test_split_of_tensor_products_and_near_misses(monkeypatch):
@@ -353,7 +367,7 @@ def test_symmetric_elimination_matches_fractions():
             full = linalg._bareiss([r[:] for r in rows], linalg._int_divexact, not_, swap)
             assert half == full, (trial, swap)
         assert linalg._det([r[:] for r in rows], symmetric=True) == expected[-1]
-        assert leading_minors(rows) == expected
+        assert linalg._bareiss_minors(rows) == expected
         # A zero leading minor and a nonzero determinant force a swap.
         mirrored += 0 in expected[:-1] and expected[-1] != 0
     assert mirrored >= 100
@@ -375,7 +389,7 @@ def test_one_asymmetric_entry_takes_the_full_loop(monkeypatch):
         i, j = sorted(rng.sample(range(n), 2))
         rows[i][j] += rng.choice((-2, -1, 1, 2))
         flags.clear()
-        assert leading_minors(rows) == fraction_minors(rows)
+        assert linalg._bareiss_minors(rows) == fraction_minors(rows)
         polys = [[P.constant(e) for e in row] for row in rows]
         assert poly_det(polys).evaluate(0) == fraction_det(rows)
         assert flags and not any(flags), trial

@@ -246,3 +246,29 @@ def test_certify_block_refuses_a_non_symmetric_block():
     assert certify_block(block, 0).verdict == POSITIVE_DEFINITE
     with pytest.raises(ValueError):
         certify_block(block, Fraction(1, 2))
+
+
+def test_certify_block_evaluates_only_the_pairs_that_differ(monkeypatch):
+    # Of the 3 pairs below the diagonal only (2, 0) differs in ZZ[q]: its two
+    # entries are the only ones the symmetry check evaluates.
+    q, one = Polynomial.q(), Polynomial.one()
+    entries = ((one, q, q), (q, one, q), (q * q, q, one))
+    block = Block(m=1, multiset=(1, 1, 1), basis=(0, 1, 2), entries=entries)
+    points = []
+    evaluate = Polynomial.evaluate
+
+    def recording(self, point):
+        points.append(self)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(Polynomial, "evaluate", recording)
+    assert certify_block(block, 0).verdict == POSITIVE_DEFINITE
+    assert points == [q * q, q]
+
+
+def test_certify_block_refuses_a_block_that_is_not_square():
+    q, one = Polynomial.q(), Polynomial.one()
+    for entries in (((one, q),), ((one, q), (q,)), ((one, q), (q, one), (one, one))):
+        block = Block(m=1, multiset=(1,), basis=(0,), entries=entries)
+        with pytest.raises(ValueError, match="matrix is not square"):
+            certify_block(block, Fraction(1, 2))
