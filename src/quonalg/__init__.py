@@ -6,12 +6,7 @@ combinatorics, closed-form determinants and inverses of the q-weighted
 group sums, and exact rational positive-definiteness certificates.
 """
 
-from .exact_arith import (
-    Polynomial,
-    parse_polynomial,
-    parse_rational,
-    parse_rational_function,
-)
+from .exact_arith import Polynomial, parse_rational
 from .colored_perm import (
     ColoredArrangement,
     ColoredPermutation,
@@ -74,9 +69,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Polynomial",
-    "parse_polynomial",
     "parse_rational",
-    "parse_rational_function",
     "ColoredArrangement",
     "ColoredPermutation",
     "act",

@@ -24,8 +24,8 @@ verification finds a mismatch, 2 on usage or parse errors and on an
 10000 basis elements) can be lifted with QUON_MAX_BLOCK; ``gram --path
 combinatorial`` also walks the whole group of m**n * n! elements, so the
 same limit applies to the group's size there.  ``det --verify`` eliminates
-the n!-by-n! factor Q_n of the regular block, so it is refused above
-n = 4 whatever the block size.
+the two n!/2-by-n!/2 centrosymmetric halves of the factor Q_n of the
+regular block, so it is refused above n = 4 whatever the block size.
 """
 
 from __future__ import annotations
@@ -45,8 +45,10 @@ from .posdef import certify, scan
 from .quon_engine import vacuum_expectation
 
 DEFAULT_MAX_BLOCK = 10000
-# The det oracle eliminates Q_n, n!-by-n!: Q_4 (24-by-24) takes well under a
-# second, and Q_5 (120-by-120) did not finish in 9 minutes.
+# The det oracle eliminates the two n!/2-by-n!/2 centrosymmetric halves of
+# Q_n: those of Q_4 (12-by-12) take about a millisecond each, and each
+# 60-by-60 half of Q_5 took about 2 minutes (108 and 118 s, Python 3.11 on a
+# shared 2-core x86-64 machine).
 MAX_VERIFY_N = 4
 
 
@@ -154,8 +156,8 @@ def cmd_det(args):
     size = _regular_size(args, positive_n=True)
     if args.verify and args.n > MAX_VERIFY_N:
         raise UsageError(
-            f"det --verify eliminates the {args.n}!-by-{args.n}! factor Q_n of the "
-            f"regular block, too slow above n = {MAX_VERIFY_N}; drop --verify"
+            f"det --verify eliminates the halves of the {args.n}!-by-{args.n}! factor Q_n "
+            f"of the regular block, too slow above n = {MAX_VERIFY_N}; drop --verify"
         )
     fact = det_factorization(args.m, args.n)
     expanded = fact.expand()

@@ -120,6 +120,18 @@ def check_colors(m, colors):
             raise ValueError(f"color {c} outside 1..{m}")
 
 
+def check_tokens(modes, colors=(), m=None):
+    """Raise ``TypeError`` unless every mode and color has type int (a bool
+    has not), and ``ValueError`` unless every mode is at least 1 and every
+    color lies in 1..m (``check_colors``)."""
+    for v in (*modes, *colors):
+        if type(v) is not int:
+            raise TypeError(f"mode or color {v!r} is not an int")
+    if modes and min(modes) < 1:
+        raise ValueError(f"mode {min(modes)} must be at least 1")
+    check_colors(m, colors)
+
+
 def act(theta, pi):
     """Right action of the colored permutation pi on the arrangement theta.
 
@@ -247,11 +259,10 @@ def color_cycle_order(m):
 
 
 def as_multiset(values):
-    """Canonical multiset form: ascending tuple of positive integers."""
-    ms = tuple(sorted(values))
-    if any(not isinstance(v, int) or v < 1 for v in ms):
-        raise ValueError(f"multiset entries must be positive integers: {values}")
-    return ms
+    """Canonical multiset form: ascending tuple of modes (``check_tokens``)."""
+    ms = tuple(values)
+    check_tokens(ms)
+    return tuple(sorted(ms))
 
 
 def _slot_map(word):

@@ -4,16 +4,17 @@ The package computes in ZZ[q]: every scalar it multiplies or adds is an
 integer-coefficient ``Polynomial`` in the single variable q, with
 arbitrary-precision coefficients.  A ``RationalFunction`` is a quotient of
 two such polynomials with no arithmetic of its own; it exists only where a
-quotient is printed or parsed (the coefficients of the closed-form
-inverse), and it is in lowest terms because its maker says so: nothing in
-this module computes a gcd.  Exact rational numbers (used as evaluation
-points) are plain ``fractions.Fraction`` values.
+quotient is printed (the coefficients of the closed-form inverse), and it
+is in lowest terms because its maker says so: nothing in this module
+computes a gcd.  Exact rational numbers (used as evaluation points) are
+plain ``fractions.Fraction`` values.
 
 Canonical string form, used verbatim by the CLI and the file exports: terms
 ascending by degree, coefficient 1 elided, constant term printed bare, e.g.
 ``q^4 + q^5`` or ``1 - 2q + q^2``.  A quotient with nontrivial denominator is
-printed ``(num)/(den)``.  ``parse_polynomial`` / ``parse_rational_function``
-read the same grammar back.
+printed ``(num)/(den)``.  The package prints this grammar and never reads
+it back; the one string it parses is an exact rational number
+(``parse_rational``, for the CLI).
 
 Products of two ``Polynomial`` values are schoolbook convolutions, which
 suit the sparse closed-form factors the package multiplies.  Where many
@@ -282,12 +283,12 @@ class RationalFunction:
     Lowest terms are the caller's promise: the constructor maps a zero
     quotient to 0/1 and gives den a positive leading coefficient, and
     divides out nothing.  ``inverse_closed_form`` keeps the promise (the
-    proof is in its docstring), and a parsed quotient is read as written.
-    With no common factor of positive degree and no common integer content
-    the form is unique, so equality is structural, and a quotient with unit
-    denominator equals and hashes like its numerator.  Instances are
-    immutable.  There is no arithmetic: the package computes in ZZ[q] and
-    builds a quotient only where one is printed or parsed.
+    proof is in its docstring).  With no common factor of positive degree
+    and no common integer content the form is unique, so equality is
+    structural, and a quotient with unit denominator equals and hashes like
+    its numerator.  Instances are immutable.  There is no arithmetic: the
+    package computes in ZZ[q] and builds a quotient only where one is
+    printed.
     """
 
     __slots__ = ("num", "den")
@@ -344,43 +345,7 @@ class RationalFunction:
         return f"({self.num})/({self.den})"
 
 
-_TERM = re.compile(r"([0-9]*)(q(?:\^([0-9]+))?)?")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-
-
-def parse_polynomial(text):
-    """Parse the canonical polynomial grammar, e.g. ``1 - 2q + q^2``.
-
-    Whitespace may surround the ``+``/``-`` separators and the whole
-    string, never stand inside a term: ``"1 2"`` is rejected, not read as 12.
-    """
-    tokens = re.split(r"\s*([+-])\s*", text.strip())
-    if tokens[0] or len(tokens) == 1:
-        tokens.insert(0, "+")
-    else:
-        del tokens[0]
-    coeffs = {}
-    for sign, term in zip(tokens[0::2], tokens[1::2]):
-        match = _TERM.fullmatch(term)
-        if not term or not match:
-            raise ValueError(f"malformed term {term!r} in {text!r}")
-        mag, var, exponent = match.groups()
-        degree = int(exponent) if exponent else int(bool(var))
-        value = int(mag) if mag else 1
-        coeffs[degree] = coeffs.get(degree, 0) + (value if sign == "+" else -value)
-    out = [0] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return Polynomial(out)
-
-
-def parse_rational_function(text):
-    """Parse a bare polynomial or the canonical ``(num)/(den)`` form, as written."""
-    s = text.strip()
-    if s.startswith("(") and ")/(" in s and s.endswith(")"):
-        num_str, den_str = s[1:-1].split(")/(", 1)
-        return RationalFunction(parse_polynomial(num_str), parse_polynomial(den_str))
-    return RationalFunction(parse_polynomial(s))
 
 
 def parse_rational(text):

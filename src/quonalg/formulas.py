@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .exact_arith import Polynomial, RationalFunction
+from .exact_arith import Polynomial, RationalFunction, pack_coeffs
 from .colored_perm import (
     ColoredPermutation,
     act,
@@ -116,7 +116,8 @@ def regular_block_det(m, n):
     """Determinant of the regular representation of the group sum, by ``poly_det``.
 
     The representation matrix is the regular Gram block, Q_n (x) K (x) ...
-    (x) K, so ``poly_det`` eliminates only Q_n and the m-by-m K.
+    (x) K, so ``poly_det`` eliminates only the two n!/2-by-n!/2
+    centrosymmetric halves of Q_n (n >= 2) and the m-by-m K or its halves.
     """
     return linalg.poly_det(rep_matrix(cinv_sum(m, n), tuple(range(1, n + 1))).entries)
 
@@ -192,15 +193,26 @@ def _denominator(m, n):
 def _divide_out(c, factors):
     """``(c / R, (k_f, ...))``: each factor f of ``factors``, a tuple of
     (f, e_f), divided out of c exactly while it divides, at most e_f times,
-    k_f times in all, and R = prod f**k_f."""
+    k_f times in all, and R = prod f**k_f.
+
+    A division is skipped where it cannot succeed.  1 - q, the one factor
+    with f(1) == 0, divides c exactly when c(1) == 0.  Any other f divides
+    c only if the integer f(2) divides c(2), since q -> 2 is a ring map
+    ZZ[q] -> ZZ; c(2) is carried through each exact division.
+    """
     removed = []
+    c_two = pack_coeffs(c.coeffs, 1)  # c(2)
     for f, e in factors:
+        f_two, root_at_one = pack_coeffs(f.coeffs, 1), not sum(f.coeffs)
         k = 0
         while k < e:
+            if sum(c.coeffs) if root_at_one else c_two % f_two:
+                break
             try:
                 c = c.divexact(f)
             except ValueError:
                 break
+            c_two //= f_two
             k += 1
         removed.append(k)
     return c, tuple(removed)

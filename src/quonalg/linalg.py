@@ -16,8 +16,15 @@ Polynomial matrix, in ZZ[q]: ``split_tree`` tests whether the matrix is
 regular Gram block Q_n (x) K (x) ... (x) K (see ``posdef``) splits down to
 leaves Q_n and K with c = 1 at every node.  Determinants (``_split_det``)
 and the exact leading minors at a rational point (``leading_minors``, the
-one minors entry point) are assembled from the leaves'.  The plain route of
-``poly_det`` never splits and stays the oracle for the packed one.
+one minors entry point) are assembled from the leaves'.  A leaf's
+determinant splits once more where the leaf has even order and is
+centrosymmetric, M[i][j] == M[N-1-i][N-1-j], into the determinants of two
+halves of half the order (``_centro_halves``).  Q_n is centrosymmetric:
+it commutes with the left action of S_n, and left multiplication by the
+longest permutation reverses its lexicographic basis.  That change of
+basis keeps the determinant but not the leading minors, which never use
+it.  The plain route of ``poly_det`` never splits and stays the oracle for
+the packed one.
 """
 
 from __future__ import annotations
@@ -206,19 +213,74 @@ def split_tree(rows, images=None):
     return rows, (split_tree(*corners), split_tree(*top))
 
 
-def _split_det(node):
-    """Determinant of the matrix of a ``split_tree`` node (see ``poly_det``);
-    a leaf takes ``_packed_det`` at its own ``_stride`` and a degree check."""
-    rows, children = node
-    if children:
-        a, b = children
-        num = _split_det(a) ** len(b[0]) * _split_det(b) ** len(a[0])
-        return num.divexact(rows[0][0] ** len(rows))
+def _centro_halves(rows):
+    """``(A + BJ, A - BJ)`` if the square Polynomial matrix ``rows`` has even
+    order 2k and is centrosymmetric, else None.
+
+    A and B are the top-left and top-right k-by-k blocks and J is the
+    k-by-k exchange matrix, so row i of BJ is row i of ``rows`` reversed,
+    cut to k entries.  Centrosymmetric means rows[i][j] ==
+    rows[2k-1-i][2k-1-j] for every i, j; it is compared exactly, row i
+    against row 2k-1-i reversed, and the test stops at the first mismatch.
+    Then det(rows) = det(A + BJ) * det(A - BJ) (Cantoni and Butler, Linear
+    Algebra Appl. 13, 1976).
+
+    Proof.  Centrosymmetry says rows = [[A, B], [JBJ, JAJ]].  With T =
+    [[I, I], [J, -J]] and J*J = I, rows * T = [[A + BJ, A - BJ], [J(A + BJ),
+    -J(A - BJ)]] = T * diag(A + BJ, A - BJ).  det T = det(-2J) = (-2)**k *
+    det J != 0 (the Schur complement of its top-left I is -2J), and ZZ[q]
+    is an integral domain, so det T cancels.  A symmetric ``rows`` gives
+    symmetric halves: A = A^T, and its bottom-left block is both JBJ and
+    B^T, so (BJ)^T = J B^T = BJ.  An entry of a half is the sum or the
+    difference of two entries, so its l1 norm is at most 2h, h that of
+    ``rows``.  Each distinct pair of entries is added once.
+    """
+    n = len(rows)
+    k = n // 2
+    mirrored = (tuple(rows[i]) != tuple(reversed(rows[n - 1 - i])) for i in range(k))
+    if not n or n % 2 or any(mirrored):
+        return None
+    pairs = {}
+    plus, minus = [], []
+    for row in rows[:k]:
+        row_plus, row_minus = [], []
+        for a, b in zip(row[:k], row[::-1]):
+            key = (a.coeffs, b.coeffs)
+            if key not in pairs:
+                pairs[key] = (a + b, a - b)
+            s, d = pairs[key]
+            row_plus.append(s)
+            row_minus.append(d)
+        plus.append(row_plus)
+        minus.append(row_minus)
+    return plus, minus
+
+
+def _leaf_det(rows):
+    """Determinant of a ``split_tree`` leaf.  A centrosymmetric leaf of even
+    order is the product of its halves' (``_centro_halves``), each tested
+    again; any other takes ``_packed_det`` at its own ``_stride`` and a
+    degree check."""
+    halves = _centro_halves(rows)
+    if halves:
+        plus, minus = halves
+        return _leaf_det(plus) * _leaf_det(minus)
     result = _packed_det(rows, _stride(len(rows), _height(rows)))
     max_degree = sum(max([0] + [p.degree for p in row if not p.is_zero]) for row in rows)
     if not result.is_zero and result.degree > max_degree:
         raise ArithmeticError("packed determinant exceeded its degree bound")
     return result
+
+
+def _split_det(node):
+    """Determinant of the matrix of a ``split_tree`` node (see ``poly_det``),
+    from its leaves' (``_leaf_det``)."""
+    rows, children = node
+    if children:
+        a, b = children
+        num = _split_det(a) ** len(b[0]) * _split_det(b) ** len(a[0])
+        return num.divexact(rows[0][0] ** len(rows))
+    return _leaf_det(rows)
 
 
 def poly_det(rows, method="packed"):
@@ -238,22 +300,25 @@ def poly_det(rows, method="packed"):
     determinant is det(A)**b.  Multiplying all a*b rows by c multiplies the
     determinant by c**(a*b).  ZZ[q] is an integral domain and det(rows) lies
     in it, so the division by c**(a*b) is exact; ``Polynomial.divexact``
-    checks it.  Each leaf is packed at the stride of its own entries, so the
-    regular block only ever eliminates Q_n and the m-by-m K.
+    checks it.  A centrosymmetric leaf of even order is halved first, its
+    halves tested again (``_centro_halves``, with the proof), and each leaf
+    or half is packed at the stride of its own entries, so the regular
+    block only ever eliminates the halves of Q_n (n >= 2) and the m-by-m K
+    or its halves: two 12-by-12 matrices instead of the 24-by-24 Q_4.
 
     Why the packed stride s = ``stride(B)`` of ``_stride`` suffices
-    for a leaf.  phi: q -> 2**s is a ring homomorphism ZZ[q] -> ZZ.  Run
-    Bareiss over ZZ[q] and, side by side, over the images.  A polynomial
-    step computes c = (p*a - h*b) / prev, exactly in ZZ[q], so phi(p)*phi(a)
-    - phi(h)*phi(b) = phi(prev)*phi(c): the integer division is exact too
-    and yields phi(c).  The un-reduced numerator may have coefficients up
-    to 2*B**2, but it is never unpacked.  Every entry either run tests
-    against zero or returns, pivots included, is a minor of the input, with
-    coefficients of modulus at most B < 2**(s-1).  Balanced base-2**s digits
-    represent such a polynomial uniquely, so phi maps it to zero only if it
-    is zero: both runs pick the same pivots, and the integer run ends with
-    phi(det), whose balanced digits are the coefficients of det.  The
-    degree check on each leaf guards the bound itself.
+    for a leaf or a half.  phi: q -> 2**s is a ring homomorphism ZZ[q] ->
+    ZZ.  Run Bareiss over ZZ[q] and, side by side, over the images.  A
+    polynomial step computes c = (p*a - h*b) / prev, exactly in ZZ[q], so
+    phi(p)*phi(a) - phi(h)*phi(b) = phi(prev)*phi(c): the integer division
+    is exact too and yields phi(c).  The un-reduced numerator may have
+    coefficients up to 2*B**2, but it is never unpacked.  Every entry either
+    run tests against zero or returns, pivots included, is a minor of the
+    input, with coefficients of modulus at most B < 2**(s-1).  Balanced
+    base-2**s digits represent such a polynomial uniquely, so phi maps it to
+    zero only if it is zero: both runs pick the same pivots, and the integer
+    run ends with phi(det), whose balanced digits are the coefficients of
+    det.  The degree check on each leaf guards the bound itself.
     """
     n = len(rows)
     if n == 0:

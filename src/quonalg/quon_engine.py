@@ -80,7 +80,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .exact_arith import Polynomial, pack_coeffs, stride, unpack_int
-from .colored_perm import check_colors, group_table
+from .colored_perm import check_colors, check_tokens, group_table
 
 
 def color_mismatch(creator_color, annihilator_color, m):
@@ -108,9 +108,9 @@ class CreatorState:
 
 
 def _word(m, word):
-    """``word`` as a tuple of int (mode, color) pairs, its colors checked."""
-    word = tuple((int(v), int(c)) for v, c in word)
-    check_colors(m, [c for _, c in word])
+    """``word`` as a tuple of (mode, color) pairs, checked by ``check_tokens``."""
+    word = tuple((v, c) for v, c in word)
+    check_tokens([v for v, _ in word], [c for _, c in word], m)
     return word
 
 
@@ -162,7 +162,7 @@ def apply_annihilator(mode, color, state):
     any one coefficient of any one shorter word.
     """
     m = state.m
-    check_colors(m, (color,))
+    check_tokens((mode,), (color,), m)
     s = stride(sum(sum(map(abs, c.coeffs)) for c in state.terms.values()))
     packed = {w: pack_coeffs(c.coeffs, s) for w, c in state.terms.items()}
     out = _annihilate(packed, (mode, color), m, s)

@@ -17,8 +17,12 @@ beside ``Polynomial.evaluate``'s integer one.  ``annihilate_reference`` is
 the annihilator rule on ``Polynomial`` coefficients, one shifted copy per
 step, and ``expectation_reference`` applies it one annihilator at a
 time: the plain route beside ``quon_engine``'s packed walk.
+``parse_polynomial`` and ``parse_rational_function`` read the canonical
+strings of ``Polynomial`` and ``RationalFunction`` back, so tests can check
+what the CLI prints.
 """
 
+import re
 from fractions import Fraction
 
 from quonalg.colored_perm import (
@@ -28,7 +32,7 @@ from quonalg.colored_perm import (
     enumerate_arrangements,
     enumerate_group,
 )
-from quonalg.exact_arith import Polynomial
+from quonalg.exact_arith import Polynomial, RationalFunction
 from quonalg.group_algebra import GroupAlgebraElement, cyclic_shift
 
 
@@ -234,3 +238,41 @@ def expectation_reference(bra, ket, m):
     for mode, color in reversed(tuple(bra)):
         terms = annihilate_reference(mode, color, m, terms)
     return terms.get((), Polynomial.zero())
+
+
+_TERM = re.compile(r"([0-9]*)(q(?:\^([0-9]+))?)?")
+
+
+def parse_polynomial(text):
+    """Parse the canonical polynomial grammar, e.g. ``1 - 2q + q^2``.
+
+    Whitespace may surround the ``+``/``-`` separators and the whole
+    string, never stand inside a term: ``"1 2"`` is rejected, not read as 12.
+    """
+    tokens = re.split(r"\s*([+-])\s*", text.strip())
+    if tokens[0] or len(tokens) == 1:
+        tokens.insert(0, "+")
+    else:
+        del tokens[0]
+    coeffs = {}
+    for sign, term in zip(tokens[0::2], tokens[1::2]):
+        match = _TERM.fullmatch(term)
+        if not term or not match:
+            raise ValueError(f"malformed term {term!r} in {text!r}")
+        mag, var, exponent = match.groups()
+        degree = int(exponent) if exponent else int(bool(var))
+        value = int(mag) if mag else 1
+        coeffs[degree] = coeffs.get(degree, 0) + (value if sign == "+" else -value)
+    out = [0] * (max(coeffs) + 1)
+    for d, c in coeffs.items():
+        out[d] = c
+    return Polynomial(out)
+
+
+def parse_rational_function(text):
+    """Parse a bare polynomial or the canonical ``(num)/(den)`` form, as written."""
+    s = text.strip()
+    if s.startswith("(") and ")/(" in s and s.endswith(")"):
+        num_str, den_str = s[1:-1].split(")/(", 1)
+        return RationalFunction(parse_polynomial(num_str), parse_polynomial(den_str))
+    return RationalFunction(parse_polynomial(s))

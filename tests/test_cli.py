@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from quonalg.cli import main
-from quonalg.exact_arith import parse_polynomial, parse_rational_function
 from quonalg.posdef import certify
+
+from lemmas import parse_polynomial, parse_rational_function
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli"
@@ -130,7 +131,8 @@ def test_det_verify_match():
 
 def test_det_verify_refused_above_n_4():
     # (1,5) passes the block-size guard at size 120, but its oracle would
-    # eliminate the 120-by-120 Q_5; the refusal comes before any work.
+    # eliminate the two 60-by-60 halves of Q_5; the refusal comes before
+    # any work.
     code, out, err = run_cli(["det", "--m", "1", "--n", "5", "--verify"])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -8,14 +8,12 @@ from quonalg.exact_arith import (
     Polynomial,
     RationalFunction,
     pack_coeffs,
-    parse_polynomial,
     parse_rational,
-    parse_rational_function,
     stride,
     unpack_int,
 )
 
-from lemmas import evaluate_reference
+from lemmas import evaluate_reference, parse_polynomial, parse_rational_function
 
 P = Polynomial
 ONE = P.one()

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -215,6 +216,50 @@ def test_denominator_factors_multiply_to_the_scalars():
                 product = product * f**e
             assert len({f for f, _ in factors}) == len(factors)
             assert product == expected == denominator, (m, n)
+
+
+def test_divide_out_matches_plain_trial_division():
+    # c = g * prod f**a_f for random g and exponents, some above e_f: the
+    # pre-tested loop removes what a plain divide-while-it-divides loop does.
+    rng = random.Random(107)
+    for m, n in [(1, 4), (2, 3), (3, 3)]:
+        _, factors = _denominator(m, n)
+        for _ in range(30):
+            c = P([rng.randint(-5, 5) for _ in range(rng.randint(1, 6))]) or ONE
+            for f, e in factors:
+                c = c * f ** rng.randint(0, e + 1)
+            expected, removed = c, []
+            for f, e in factors:
+                k = 0
+                while k < e:
+                    try:
+                        expected = expected.divexact(f)
+                    except ValueError:
+                        break
+                    k += 1
+                removed.append(k)
+            assert formulas._divide_out(c, factors) == (expected, tuple(removed))
+
+
+def test_divide_out_skips_divisions_that_cannot_succeed(monkeypatch):
+    # Printing the inverse-verify ladder by plain trial division runs 558
+    # long divisions that fail; with the c(1) test for 1 - q and the
+    # f(2) | c(2) test for the other factors, 22 are left.
+    divexact = Polynomial.divexact
+    failed = []
+
+    def counting(self, other):
+        try:
+            return divexact(self, other)
+        except ValueError:
+            failed.append(other)
+            raise
+
+    monkeypatch.setattr(Polynomial, "divexact", counting)
+    inverse_closed_form.cache_clear()
+    for m, n in [(1, 4), (2, 3), (4, 2), (5, 2)]:
+        inverse_closed_form(m, n)
+    assert len(failed) == 22
 
 
 @pytest.mark.parametrize("m,n", [(1, 4), (1, 5), (2, 3), (3, 3), (4, 2)])

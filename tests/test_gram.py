@@ -17,7 +17,7 @@ from quonalg.gram import (
 )
 
 from golden_block import GOLDEN_M3_N2_EXPONENTS
-from lemmas import kron
+from lemmas import kron, parse_rational_function
 
 P = Polynomial
 ONE = P.one()
@@ -88,8 +88,6 @@ def test_csv_and_json_carry_identical_content():
     assert rows[0] == data["basis"]
     assert rows[1:] == data["entries"]
     # canonical strings reparse to the same entries
-    from quonalg.exact_arith import parse_rational_function
-
     for i, row in enumerate(data["entries"]):
         for j, cell in enumerate(row):
             parsed = parse_rational_function(cell)

@@ -399,22 +399,31 @@ def test_packed_q4_determinant_halves_the_divisions(monkeypatch):
     # Q_4 is 24 x 24, symmetric, and does not split.  Its pivots are all
     # nonzero, so the full square divides sum(k**2, k = 1..22) = 3795 times
     # and the upper triangle sum(k*(k+1)/2, k = 1..22) = 2024 times.
+    # poly_det eliminates its two symmetric 12 x 12 centrosymmetric halves
+    # instead: 2 * 385 and 2 * 220 divisions.
     rows = build_gram(1, (1, 2, 3, 4)).entries
     assert linalg._tensor_split(rows) is None
+    stride = linalg._stride(len(rows), linalg._height(rows))
     bareiss = linalg._bareiss
-    for full_square, divisions in ((False, 2024), (True, 3795)):
-        calls = []
+    runs = (
+        (lambda: linalg._packed_det(rows, stride), ((False, 2024), (True, 3795))),
+        (lambda: poly_det(rows), ((False, 440), (True, 770))),
+    )
+    for det, counts in runs:
+        for full_square, divisions in counts:
+            calls = []
 
-        def counting_divexact(num, den):
-            calls.append(den)
-            return linalg._int_divexact(num, den)
+            def counting_divexact(num, den):
+                calls.append(den)
+                return linalg._int_divexact(num, den)
 
-        def counting(rows, divexact, is_zero, swap=True, symmetric=False):
-            return bareiss(rows, counting_divexact, is_zero, swap, symmetric and not full_square)
+            def counting(rows, divexact, is_zero, swap=True, symmetric=False):
+                symmetric = symmetric and not full_square
+                return bareiss(rows, counting_divexact, is_zero, swap, symmetric)
 
-        monkeypatch.setattr(linalg, "_bareiss", counting)
-        assert poly_det(rows) == det_closed_form(1, 4)
-        assert len(calls) == divisions, full_square
+            monkeypatch.setattr(linalg, "_bareiss", counting)
+            assert det() == det_closed_form(1, 4)
+            assert len(calls) == divisions, full_square
 
 
 def test_packed_and_plain_agree_on_symmetric_matrices_with_swaps():
@@ -464,3 +473,120 @@ def test_split_stride_is_tight(monkeypatch):
     assert linalg._tensor_split(linalg._pack(rows, stride - 1)) is not None
     monkeypatch.setattr(linalg, "_split_stride", lambda h: stride - 1)
     assert poly_det(rows) != expected
+
+
+def test_q_n_is_centrosymmetric():
+    # Left multiplication by the longest permutation reverses the basis of
+    # Q_n and commutes with it, so Q_n[i][j] == Q_n[N-1-i][N-1-j].
+    for n in range(2, 6):
+        rows = build_gram(1, tuple(range(1, n + 1))).entries
+        size = len(rows)
+        assert all(
+            rows[i][j] == rows[size - 1 - i][size - 1 - j] for i in range(size) for j in range(size)
+        ), n
+        assert linalg._centro_halves(rows) is not None, n
+
+
+def test_q4_determinant_packs_two_halves(monkeypatch):
+    # Q_4 (24 x 24, stride 57) is eliminated as two 12 x 12 halves at
+    # stride 35, which are not centrosymmetric themselves.
+    packed_det = linalg._packed_det
+    leaves = []
+
+    def recording(rows, stride):
+        leaves.append((len(rows), stride))
+        return packed_det(rows, stride)
+
+    monkeypatch.setattr(linalg, "_packed_det", recording)
+    rows = build_gram(1, (1, 2, 3, 4)).entries
+    assert linalg._stride(len(rows), linalg._height(rows)) == 57
+    assert poly_det(rows) == det_closed_form(1, 4)
+    assert leaves == [(12, 35), (12, 35)]
+
+
+def rand_block(rng, k, symmetric):
+    rows = [[rand_poly(rng, 2, 3) for _ in range(k)] for _ in range(k)]
+    if symmetric:
+        for i in range(k):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    return rows
+
+
+def centro_from_halves(rng, k, symmetric, singular):
+    """A centrosymmetric 2k x 2k matrix and its halves (A + BJ, A - BJ).
+
+    With random X and D, A = X + D and BJ = s * D, so the halves are X and
+    X + 2D in an order set by the sign s; a singular X has a zero row (and
+    column, when symmetric).  Symmetric X and D give a symmetric matrix.
+    """
+    x, d = rand_block(rng, k, symmetric), rand_block(rng, k, symmetric)
+    if singular:
+        for i in range(k):
+            x[0][i] = P.zero()
+            if symmetric:
+                x[i][0] = P.zero()
+    s = rng.choice((1, -1))
+    a = [[xe + de for xe, de in zip(xr, dr)] for xr, dr in zip(x, d)]
+    bj = [[s * de for de in dr] for dr in d]
+    top = [ar + br[::-1] for ar, br in zip(a, bj)]
+    rows = top + [row[::-1] for row in top[::-1]]
+    twice = [[xe + 2 * de for xe, de in zip(xr, dr)] for xr, dr in zip(x, d)]
+    return rows, ((twice, x) if s > 0 else (x, twice))
+
+
+def test_centrosymmetric_determinants_split_into_halves():
+    # det M = det(A + BJ) det(A - BJ) on centrosymmetric matrices of even
+    # order 2..10, symmetric and not, singular ones included; the plain
+    # route never splits and the references share no code with Bareiss.
+    rng = random.Random(101)
+    singular = 0
+    for trial in range(50):
+        k, symmetric = 1 + trial % 5, trial % 2 == 0
+        rows, halves = centro_from_halves(rng, k, symmetric, trial % 7 == 3)
+        size = 2 * k
+        assert all(
+            rows[i][j] == rows[size - 1 - i][size - 1 - j] for i in range(size) for j in range(size)
+        )
+        assert linalg._centro_halves(rows) == halves, trial
+        if symmetric:
+            assert all(linalg._is_symmetric(half) for half in halves)
+        packed = poly_det(rows)
+        assert packed == poly_det(rows, method="plain"), trial
+        if size <= 4:
+            assert packed == laplace_det(rows)
+        singular += packed.is_zero
+    assert singular >= 5
+
+
+def test_near_centrosymmetric_matrices_are_not_halved():
+    # One entry off its mirror by q, in the upper or the lower triangle of
+    # either half of the rows, of a matrix that is not symmetric: no split,
+    # and the packed determinant still equals the plain one.
+    rng = random.Random(103)
+    for trial in range(36):
+        k = 2 + trial % 4
+        rows, _ = centro_from_halves(rng, k, False, False)
+        size = 2 * k
+        i = rng.randrange(1, k)
+        j = rng.randrange(i) if trial % 3 else rng.randrange(i, size)
+        if trial % 2:
+            i, j = size - 1 - i, size - 1 - j
+        rows[i][j] = rows[i][j] + Q
+        assert linalg._centro_halves(rows) is None, trial
+        assert poly_det(rows) == poly_det(rows, method="plain"), trial
+
+
+def test_half_stride_fits_an_extremal_minor():
+    # diag(H, JHJ), with Sylvester's 4 x 4 Hadamard matrix H, neither
+    # splits nor is H centrosymmetric, so both halves are H, whose
+    # determinant 16 meets the Hadamard bound that sets its stride.
+    h2 = ((1, 1), (1, -1))
+    h = [[h2[i // 2][j // 2] * h2[i % 2][j % 2] for j in range(4)] for i in range(4)]
+    top = [[P((e,)) for e in row] + [P.zero()] * 4 for row in h]
+    rows = top + [row[::-1] for row in top[::-1]]
+    assert linalg.split_tree(rows)[1] is None
+    plus, minus = linalg._centro_halves(rows)
+    assert plus == minus == [row[:4] for row in top]
+    assert linalg._centro_halves(plus) is None
+    assert poly_det(rows) == poly_det(rows, method="plain") == P((256,))

@@ -13,9 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 MODULES = sorted(Path(quonalg.__file__).resolve().parent.glob("*.py"))
 
 # Exports that no module, demo or benchmark file loads, each with its reason.
-UNCALLED_EXPORTS = {
-    "parse_rational_function": "reads a printed inverse back; README documents its grammar",
-}
+UNCALLED_EXPORTS = {}
 
 
 def test_all_lists_each_name_once_and_every_name_resolves():

@@ -6,6 +6,7 @@ import pytest
 from quonalg import exact_arith, quon_engine
 from quonalg.colored_perm import ColoredArrangement, enumerate_arrangements
 from quonalg.exact_arith import Polynomial
+from quonalg.gram import build_gram
 from quonalg.quon_engine import (
     CreatorState,
     annihilator_trie,
@@ -243,6 +244,50 @@ def test_operator_column_splits_many_kets_into_walks(monkeypatch, walk_bits):
     assert nodes(trie) < calls <= -(-len(words) // per_walk) * nodes(trie)
     entries = [e for row in rows.values() for e in row]
     assert len({id(e) for e in entries}) == len(set(entries))
+
+
+BAD_TOKENS = [(1.5, 1), (1, 1.9), ("1", 1), (True, 1), (1, True), (0, 1), (-3, 1)]
+BAD_MODES = [1.5, "1", True, 0, -3]
+GOOD = ((1, 1),)
+
+
+def _token_calls(token):
+    return {
+        "bra": lambda: vacuum_expectation((token,), GOOD, 1),
+        "ket": lambda: vacuum_expectation(GOOD, (token,), 1),
+        "both": lambda: vacuum_expectation((token,), (token,), 1),
+        "creator": lambda: creator_state(1, GOOD + (token,)),
+        "annihilator": lambda: apply_annihilator(*token, creator_state(1, GOOD)),
+    }
+
+
+def _mode_calls(mode):
+    return {
+        "gram": lambda: build_gram(1, (1, mode)),
+        "combinatorial": lambda: build_gram(1, (mode,), path="combinatorial"),
+        "arrangements": lambda: enumerate_arrangements(1, (mode, 2)),
+    }
+
+
+MALFORMED_CALLS = [
+    pytest.param(call, id=f"{what}{token}")
+    for token in BAD_TOKENS
+    for what, call in _token_calls(token).items()
+] + [
+    pytest.param(call, id=f"{what}({mode!r})")
+    for mode in BAD_MODES
+    for what, call in _mode_calls(mode).items()
+]
+
+
+@pytest.mark.parametrize("call", MALFORMED_CALLS)
+def test_malformed_tokens_raise_instead_of_taking_a_value(call):
+    # A mode or color that is no int, a bool, or a mode below 1 is rejected
+    # on every entry point.  int() would read 1.5, 1.9, "1" and True as 1,
+    # and a mode 0 or -3 on both sides matches itself, so each of these
+    # words would otherwise take a value.
+    with pytest.raises((TypeError, ValueError)):
+        call()
 
 
 def test_annihilator_trie_checks_colors():
