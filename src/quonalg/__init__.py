@@ -13,7 +13,6 @@ from .colored_perm import (
     act,
     as_multiset,
     cinv,
-    color_shift,
     enumerate_arrangements,
     enumerate_group,
     insertion_cycle,
@@ -23,11 +22,7 @@ from .colored_perm import (
 from .group_algebra import (
     Block,
     GroupAlgebraElement,
-    all_shifts_inverse,
     cinv_sum,
-    circulant_det_closed,
-    cyclic_shift,
-    embed_single_position,
     ga_mul,
     product_chain,
     rep_matrix,
@@ -75,7 +70,6 @@ __all__ = [
     "act",
     "as_multiset",
     "cinv",
-    "color_shift",
     "enumerate_arrangements",
     "enumerate_group",
     "insertion_cycle",
@@ -83,11 +77,7 @@ __all__ = [
     "word_str",
     "Block",
     "GroupAlgebraElement",
-    "all_shifts_inverse",
     "cinv_sum",
-    "circulant_det_closed",
-    "cyclic_shift",
-    "embed_single_position",
     "ga_mul",
     "product_chain",
     "rep_matrix",

@@ -38,7 +38,7 @@ import os
 import sys
 
 from .exact_arith import parse_rational
-from .colored_perm import as_multiset, cinv, enumerate_group, parse_word
+from .colored_perm import as_multiset, check_tokens, cinv, enumerate_group, parse_word
 from .gram import build_gram, gram_json_data
 from .formulas import det_factorization, inverse_closed_form, regular_block_det, verify_inverse
 from .posdef import certify, scan
@@ -110,13 +110,12 @@ def _parse_multiset(text):
 
 
 def _parse_word_arg(text, m, what):
-    word = _parsed(parse_word, text, f"bad {what} word: ")
-    for mode, color in word:
-        if mode < 1:
-            raise UsageError(f"{what} mode {mode} must be positive")
-        if not 1 <= color <= m:
-            raise UsageError(f"{what} color {color} outside 1..{m}")
-    return word
+    def parse(text):
+        word = parse_word(text)
+        check_tokens([v for v, _ in word], [c for _, c in word], m)
+        return word
+
+    return _parsed(parse, text, f"bad {what} word: ")
 
 
 def _render(fmt, payload, rows, lines):

@@ -328,19 +328,6 @@ def enumerate_group(m, n):
     return _enumerate(m, tuple(range(1, n + 1)), True)
 
 
-def color_shift(m, n, pos, amount=1):
-    """The pure color element shifting the color at one position.
-
-    With amount = 1 this is the generator of the cyclic color subgroup at
-    ``pos``; general amounts give its powers (amount is taken mod m).
-    """
-    if not 1 <= pos <= n:
-        raise ValueError(f"position {pos} outside 1..{n}")
-    colors = [m] * n
-    colors[pos - 1] = amount % m or m
-    return ColoredPermutation(m, tuple(range(1, n + 1)), tuple(colors))
-
-
 def insertion_cycle(m, n, j, k):
     """The neutral-colored cycle sending j -> j-1 -> ... -> k -> j.
 

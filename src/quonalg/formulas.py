@@ -11,7 +11,7 @@ color exponent E_c follows from the coset argument applied to each of the n
 single-position factors (index m**(n-1) * n! each); the flat exponent
 m**n * n! sometimes quoted for the color part fails the n = 1 oracle, where
 the block is an m-by-m circulant whose determinant, the color base
-(1+(m-1)q)(1-q)**(m-1) of ``circulant_det_closed``, appears to the first
+(1+(m-1)q)(1-q)**(m-1) of ``det_factorization``, appears to the first
 power.  ``regular_block_det`` (fraction-free elimination of the
 representation matrix) is the arbiter and is checked against the closed
 form in the test suite.
@@ -36,14 +36,12 @@ from .exact_arith import Polynomial, RationalFunction, pack_coeffs
 from .colored_perm import (
     ColoredPermutation,
     act,
+    enumerate_group,
     insertion_cycle,
 )
 from .group_algebra import (
     GroupAlgebraElement,
-    all_shifts_inverse,
     cinv_sum,
-    circulant_det_closed,
-    embed_single_position,
     ga_mul,
     product_chain,
     rep_matrix,
@@ -82,7 +80,14 @@ class DetFactorization:
 
 
 def det_factorization(m, n):
-    """Factored closed form of the regular-block determinant."""
+    """Factored closed form of the regular-block determinant.
+
+    The color base (1 + (m-1)q)(1 - q)**(m-1) is the determinant at n = 1,
+    where the block is the m-by-m circulant of e + q*S, S the sum of the
+    m - 1 nontrivial color shifts.  Its eigenvalues are
+    1 + q*(w + w**2 + ... + w**(m-1)) over the m-th roots of unity w:
+    1 + (m-1)q once (w = 1) and 1 - q for each of the other m - 1.
+    """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     q = Polynomial.q()
@@ -99,7 +104,7 @@ def det_factorization(m, n):
     return DetFactorization(
         m=m,
         n=n,
-        color_base=circulant_det_closed(m, q),
+        color_base=(one + (m - 1) * q) * (one - q) ** (m - 1),
         color_exponent=color_exponent,
         perm_factors=tuple(perm_factors),
     )
@@ -150,6 +155,34 @@ def _geometric_product(m, n, j):
             power = act(power, cyc)
         factors.append(GroupAlgebraElement(m, n, terms))
     return product_chain(factors)
+
+
+def _color_part(m, n):
+    """The numerator of the inverse of the color sum, over ((1 + (m-1)q)(1 - q))**n.
+
+    One term per color word on the identity value word (the first m**n
+    elements of ``enumerate_group``): a word with k non-neutral colors has
+    the weight (1 + (m-2)q)**(n-k) * (-q)**k.
+
+    Why.  Let S be the sum of the m - 1 nontrivial color shifts g**a at
+    one position, g of order m.  In S*S the pairs (a, b) with a + b = 0
+    mod m number m - 1, and those with a + b = c for one c != 0 number
+    m - 2, so S*S = (m-1)e + (m-2)S, and hence
+    (e + qS)((1 + (m-2)q)e - qS) = (1 + (m-1)q)(1 - q)e.  The color sum is
+    the product over the n positions of their e + qS (``cinv`` counts the
+    non-neutral colors), shifts at different positions commute, and they
+    compose position-wise, so the product of the n numerators has at a
+    color word the product of the per-position coefficients: 1 + (m-2)q
+    at each neutral position, -q at each other.  At m = 1, S = 0 and the
+    one word weighs (1 - q)**n, D's color factor.
+    """
+    q = Polynomial.q()
+    weights = [(1 + (m - 2) * q) ** (n - k) * (-q) ** k for k in range(n + 1)]
+    return GroupAlgebraElement(
+        m,
+        n,
+        {pi: weights[n - pi.colors.count(m)] for pi in enumerate_group(m, n)[: m**n]},
+    )
 
 
 @lru_cache(maxsize=None)
@@ -223,12 +256,12 @@ def inverse_closed_form(m, n):
     """The closed-form inverse of cinv_sum(m, n), assembled from sparse factors.
 
     Every factor is a ZZ[q] numerator over a scalar ZZ[q] denominator.  The
-    color part is the product over positions k = 1..n of the inverse of the
-    color sum at k, supported on the cyclic shifts there, over (1 + (m-1)q)
-    (1-q).  The permutation part has one block for each size j = n..2, the
-    largest acting first: the difference product, over k < j, of (1 -
-    q**(j-k) * cycle(j -> k)), then the geometric product, over k <= j-1,
-    of truncated geometric series in cycle(j-1 -> k), whose scalars are the
+    color part (``_color_part``) is the inverse of the color sum, one term
+    per color word, over ((1 + (m-1)q)(1-q))**n.  The permutation part has
+    one block for each size j = n..2, the largest acting first: the
+    difference product, over k < j, of (1 - q**(j-k) * cycle(j -> k)),
+    then the geometric product, over k <= j-1, of truncated geometric
+    series in cycle(j-1 -> k), whose scalars are the
     (1 - q**((j-k)(j-k+1))); both are neutral-colored.  The color part acts
     after the permutation part, and verify_inverse pins these orders
     two-sidedly.  Memoised like ``cinv_sum``, so a caller that prints and
@@ -255,10 +288,6 @@ def inverse_closed_form(m, n):
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    color_inverse, _ = all_shifts_inverse(m)
-    color = product_chain(
-        embed_single_position(color_inverse, n, pos) for pos in range(1, n + 1)
-    )
     blocks = [
         ga_mul(_geometric_product(m, n, j), _difference_product(m, n, j))
         for j in range(n, 1, -1)
@@ -267,7 +296,7 @@ def inverse_closed_form(m, n):
     denominator, factors = _denominator(m, n)
     reduced = {}  # removed exponents (k_f) -> D / R
     terms = {}
-    for pi, c in ga_mul(perm, color).terms.items():
+    for pi, c in ga_mul(perm, _color_part(m, n)).terms.items():
         c, key = _divide_out(c, factors)
         if key not in reduced:
             den = denominator

@@ -17,12 +17,6 @@ the one matrix type of the package, which Gram blocks share.  Both
 ``rep_matrix(ga_mul(x, y), I)`` equals ``rep_matrix(x, I) @ rep_matrix(y, I)``.
 Concretely the product term of (pi_x, pi_y) is act(pi_y, pi_x), i.e. in
 ga_mul(x, y) the arrangement is acted on by y's group element first.
-
-The cyclic color group of order m is handled as the n = 1 case: its
-generator is the color shift at the single position, and its regular
-representation matrices are circulants.  The closed forms of the circulant
-determinant and of the inverse of the all-shifts color sum (as a
-numerator/denominator pair) live here as well.
 """
 
 from __future__ import annotations
@@ -32,13 +26,7 @@ from functools import cached_property, lru_cache, reduce
 
 from .exact_arith import Polynomial, pack_coeffs, stride, unpack_int
 from .linalg import split_tree
-from .colored_perm import (
-    ColoredPermutation,
-    as_multiset,
-    check_colors,
-    color_shift,
-    group_table,
-)
+from .colored_perm import ColoredPermutation, as_multiset, check_colors, group_table
 
 
 class GroupAlgebraElement:
@@ -300,51 +288,3 @@ def _rep_stride(x):
             raise TypeError(f"rep_matrix needs ZZ[q] coefficients, got {c!r}")
     return stride(sum(max(map(abs, c.coeffs)) for c in x.terms.values()))
 
-
-# ---------------------------------------------------------------------------
-# The cyclic color group of order m, realized on a single position.
-
-
-def cyclic_shift(m, power=1):
-    """Power of the generator of the order-m cyclic color group (n = 1)."""
-    return color_shift(m, 1, 1, power)
-
-
-def circulant_det_closed(m, z):
-    """Closed form (1 + (m-1)z) * (1-z)**(m-1) of the circulant determinant.
-
-    It is det rep(1 + z * (sum of all m-1 nontrivial shifts)) on the regular
-    representation of the cyclic color group.
-    """
-    one = Polynomial.one()
-    return (one + (m - 1) * z) * (one - z) ** (m - 1)
-
-
-def all_shifts_inverse(m):
-    """Inverse of 1 + q * (sum of all m-1 nontrivial shifts), the color sum
-    at one position, in the cyclic group algebra.
-
-    Returns (numerator, denominator): the numerator is 1 + (m-2)q - q * (sum
-    of nontrivial shifts), the denominator (1 + (m-1)q)(1-q).
-    """
-    q = Polynomial.q()
-    one = Polynomial.one()
-    terms = {ColoredPermutation.neutral(m, 1): one + (m - 2) * q}
-    for k in range(1, m):
-        terms[cyclic_shift(m, k)] = -q
-    return GroupAlgebraElement(m, 1, terms), (one + (m - 1) * q) * (one - q)
-
-
-def embed_single_position(x, n, pos):
-    """Transport a cyclic (n = 1) element onto color shifts at one position."""
-    if x.n != 1:
-        raise ValueError("embed_single_position expects an n = 1 element")
-    m = x.m
-    return GroupAlgebraElement(
-        m,
-        n,
-        {
-            color_shift(m, n, pos, pi.colors[0]): c
-            for pi, c in x.terms.items()
-        },
-    )

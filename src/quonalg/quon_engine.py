@@ -290,11 +290,11 @@ def cosym_column(theta_ket):
     Each pi adds 1 to the count of its cinv at the basis position of
     act(theta_ket, pi), found by ``GroupTable.walk``: size * n! word
     builds and size * m**n * n! list indices per block.  This is
-    ``rep_matrix(cinv_sum(m, n), multiset)`` in another loop order.  A ket
-    color outside 1..m raises ``ValueError``, as on the rewriting path.
+    ``rep_matrix(cinv_sum(m, n), multiset)`` in another loop order.  The
+    ket's tokens are checked by ``check_tokens``, as on the rewriting path.
     """
     m, values = theta_ket.m, theta_ket.values
-    check_colors(m, theta_ket.colors)
+    check_tokens(values, theta_ket.colors, m)
     table = group_table(m, len(values))
     basis, image = table.basis(tuple(sorted(values)))
     width = len(values) * (len(values) + 1) // 2 + 1  # cinv <= n(n-1)/2 + n
@@ -314,12 +314,12 @@ def cosym_expectation(theta_bra, theta_ket):
     act(theta_ket, pi) == theta_bra: the bra's entry of
     ``cosym_column(theta_ket)``.  If the two arrangements draw on different
     multisets (or lengths) the sum is empty and the value is 0, matching the
-    operator computation.  Colors of either arrangement outside 1..m raise
-    ``ValueError``, as on the rewriting path.
+    operator computation.  The tokens of both arrangements are checked by
+    ``check_tokens``, as on the rewriting path.
     """
     if theta_bra.m != theta_ket.m:
         raise ValueError(f"color-count mismatch: {theta_bra.m} vs {theta_ket.m}")
-    check_colors(theta_bra.m, theta_bra.colors)
+    check_tokens(theta_bra.values, theta_bra.colors, theta_bra.m)
     column = cosym_column(theta_ket)
     table = group_table(theta_ket.m, theta_ket.n)
     row = table.basis(tuple(sorted(theta_ket.values)))[1].get(theta_bra.values)

@@ -3,11 +3,13 @@
 Each one builds an object whose defining property a test checks against
 the package: the group inverse, the split of a colored permutation into its
 permutation and color parts, the split of the q-weighted group sum, the
-cyclic all-shifts sum with the geometric inverse of one shift, the
-restriction that undoes ``embed_single_position``, the q**cinv counting
-sum of one inner product, walked pair by pair, and the group-algebra
-product and representation matrix read on objects, one checked ``act`` per
-pair (the package runs both on plain words).  Two more are linear
+cyclic all-shifts sum with the geometric inverse of one shift, an n = 1
+element placed at one of n positions, the product of such placements over
+every position (the color sum, and the color part of the inverse, position
+by position), the q**cinv counting sum of one inner product, walked pair
+by pair, and the group-algebra product and representation matrix read on
+objects, one checked ``act`` per pair (the package runs both on plain
+words).  Two more are linear
 algebra that shares no code with ``quonalg.linalg``: leading minors, each
 by its own Gaussian elimination over Fractions, and the tensor product of
 two matrices.  ``evaluate_block`` evaluates a block entry by entry as
@@ -33,7 +35,7 @@ from quonalg.colored_perm import (
     enumerate_group,
 )
 from quonalg.exact_arith import Polynomial, RationalFunction
-from quonalg.group_algebra import GroupAlgebraElement, cyclic_shift
+from quonalg.group_algebra import GroupAlgebraElement, product_chain
 
 
 def inverse(pi):
@@ -90,7 +92,7 @@ def all_shifts_sum(m, z):
     """The cyclic element 1 + z * (sum of all m-1 nontrivial shifts)."""
     terms = {ColoredPermutation.neutral(m, 1): 1}
     for k in range(1, m):
-        terms[cyclic_shift(m, k)] = z
+        terms[ColoredPermutation(m, (1,), (k,))] = z
     return GroupAlgebraElement(m, 1, terms)
 
 
@@ -104,26 +106,39 @@ def single_shift_inverse(m, z):
     terms = {}
     acc = one
     for i in range(m):
-        terms[cyclic_shift(m, i)] = acc
+        terms[ColoredPermutation(m, (1,), (i or m,))] = acc
         acc = acc * z
     return GroupAlgebraElement(m, 1, terms), one - z**m
 
 
-def restrict_single_position(x, pos):
-    """Inverse of embed_single_position for elements supported on one position.
+def at_position(x, n, pos):
+    """The n = 1 element x acting at position pos of n: each term's color
+    there, the neutral color elsewhere, the identity value word."""
+    m = x.m
+    return GroupAlgebraElement(
+        m,
+        n,
+        {
+            ColoredPermutation(
+                m, tuple(range(1, n + 1)), (m,) * (pos - 1) + pi.colors + (m,) * (n - pos)
+            ): c
+            for pi, c in x.terms.items()
+        },
+    )
 
-    Raises ValueError if any term moves a value or colors another position.
-    """
-    m, n = x.m, x.n
-    terms = {}
-    for pi, c in x.terms.items():
-        if pi.values != tuple(range(1, n + 1)):
-            raise ValueError(f"{pi} is not a pure color element")
-        for i, col in enumerate(pi.colors, start=1):
-            if i != pos and col != m:
-                raise ValueError(f"{pi} colors position {i}, not only {pos}")
-        terms[cyclic_shift(m, pi.colors[pos - 1])] = c
-    return GroupAlgebraElement(m, 1, terms)
+
+def position_product(x, n):
+    """The product over positions 1..n of the n = 1 element x placed there."""
+    return product_chain(at_position(x, n, pos) for pos in range(1, n + 1))
+
+
+def color_inverse_reference(m, n):
+    """The color part of the inverse as a product over positions: at each,
+    the numerator (1 + (m-2)q)e - qS = all_shifts_sum(m, -q) + (m-2)q e of
+    the inverse of all_shifts_sum(m, q), S the sum of the nontrivial shifts."""
+    q = Polynomial.q()
+    e = GroupAlgebraElement.identity(m, 1)
+    return position_product(all_shifts_sum(m, -q) + e.scale((m - 2) * q), n)
 
 
 def cosym_reference(theta_bra, theta_ket):

@@ -19,15 +19,11 @@ from quonalg.colored_perm import (
     enumerate_group,
 )
 from quonalg.exact_arith import Polynomial
-from quonalg.formulas import det_closed_form, regular_block_det, verify_inverse
+from quonalg.formulas import _color_part, det_closed_form, regular_block_det, verify_inverse
 from quonalg.gram import _build_gram_cached, build_gram
 from quonalg.group_algebra import (
     GroupAlgebraElement,
-    all_shifts_inverse,
     cinv_sum,
-    circulant_det_closed,
-    cyclic_shift,
-    embed_single_position,
     ga_mul,
     rep_matrix,
 )
@@ -35,7 +31,7 @@ from quonalg.posdef import POSITIVE_DEFINITE, SINGULAR, interval_of_definiteness
 from quonalg.quon_engine import vacuum_expectation
 
 from golden_block import GOLDEN_M3_N2_EXPONENTS
-from lemmas import all_shifts_sum, decompose, inverse, single_shift_inverse
+from lemmas import all_shifts_sum, at_position, decompose, inverse, single_shift_inverse
 
 P = Polynomial
 ONE = P.one()
@@ -134,13 +130,14 @@ def test_criterion_6_cyclic_closed_forms_under_1s():
     for m in range(1, 7):
         z = Q
         rep = rep_matrix(all_shifts_sum(m, z), (1,))
-        assert linalg.poly_det(rep.entries) == circulant_det_closed(m, z)
+        assert linalg.poly_det(rep.entries) == det_closed_form(m, 1)
         # each inverse is a numerator over a scalar denominator d
         e = GroupAlgebraElement.identity(m, 1)
-        inverse, d = all_shifts_inverse(m)
+        inverse, d = _color_part(m, 1), (ONE + (m - 1) * z) * (ONE - z)
         assert ga_mul(all_shifts_sum(m, z), inverse) == e.scale(d)
         assert ga_mul(inverse, all_shifts_sum(m, z)) == e.scale(d)
-        one_minus_shift = e - GroupAlgebraElement.from_element(cyclic_shift(m, 1), z)
+        shift = ColoredPermutation(m, (1,), (1,))
+        one_minus_shift = e - GroupAlgebraElement.from_element(shift, z)
         inverse, d = single_shift_inverse(m, z)
         assert ga_mul(one_minus_shift, inverse) == e.scale(d)
         assert ga_mul(inverse, one_minus_shift) == e.scale(d)
@@ -160,12 +157,12 @@ def test_criterion_7_coset_power_law():
         for pos in range(1, n + 1):
             candidates = [all_shifts_sum(m, Q)]
             terms = {
-                cyclic_shift(m, k): P([rng.randint(-2, 2) for _ in range(2)])
+                ColoredPermutation(m, (1,), (k or m,)): P([rng.randint(-2, 2) for _ in range(2)])
                 for k in range(m)
             }
             candidates.append(GroupAlgebraElement(m, 1, terms))
             for small in candidates:
-                embedded = embed_single_position(small, n, pos)
+                embedded = at_position(small, n, pos)
                 det_big = linalg.poly_det(rep_matrix(embedded, full).entries)
                 det_small = linalg.poly_det(rep_matrix(small, (1,)).entries)
                 assert det_big == det_small**index

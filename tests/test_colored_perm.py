@@ -13,7 +13,6 @@ from quonalg.colored_perm import (
     act,
     as_multiset,
     cinv,
-    color_shift,
     enumerate_arrangements,
     enumerate_group,
     group_table,
@@ -361,10 +360,3 @@ def test_insertion_cycle_words_and_inversions():
             for k in range(1, j + 1):
                 assert cinv(insertion_cycle(1, n, j, k)) == j - k
 
-
-def test_color_shift_powers():
-    m = 4
-    acc = ColoredPermutation.neutral(m, 3)
-    for k in range(1, 2 * m + 1):
-        acc = act(acc, color_shift(m, 3, 2, 1))
-        assert acc == color_shift(m, 3, 2, k)

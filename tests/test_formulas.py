@@ -7,6 +7,7 @@ from quonalg import formulas, linalg
 from quonalg.colored_perm import ColoredPermutation
 from quonalg.exact_arith import Polynomial, RationalFunction
 from quonalg.formulas import (
+    _color_part,
     _denominator,
     _difference_product,
     _geometric_product,
@@ -19,16 +20,11 @@ from quonalg.formulas import (
 from quonalg.gram import build_gram
 from quonalg.group_algebra import (
     GroupAlgebraElement,
-    all_shifts_inverse,
     cinv_sum,
-    cyclic_shift,
-    embed_single_position,
     ga_mul,
-    product_chain,
-    rep_matrix,
 )
 
-from lemmas import all_shifts_sum, factor_sum
+from lemmas import all_shifts_sum, color_inverse_reference, factor_sum, position_product
 
 P = Polynomial
 ONE = P.one()
@@ -36,7 +32,9 @@ Q = P.q()
 RF = RationalFunction
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize(
+    "m,n", [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1), (6, 1)]
+)
 def test_det_closed_form_matches_bruteforce(m, n):
     assert regular_block_det(m, n) == det_closed_form(m, n)
 
@@ -113,13 +111,7 @@ def test_factor_sum():
     for m, n in [(1, 3), (2, 2), (3, 1), (2, 3)]:
         perm_sum, color_sum = factor_sum(m, n)
         assert ga_mul(perm_sum, color_sum) == cinv_sum(m, n)
-        product_form = product_chain(
-            [
-                embed_single_position(all_shifts_sum(m, Q), n, pos)
-                for pos in range(1, n + 1)
-            ]
-        )
-        assert product_form == color_sum
+        assert position_product(all_shifts_sum(m, Q), n) == color_sum
     # one color: the color factor is trivial
     perm_sum, color_sum = factor_sum(1, 3)
     assert color_sum == GroupAlgebraElement.identity(1, 3)
@@ -128,15 +120,25 @@ def test_factor_sum():
 def test_factor_sum_single_position_three_colors():
     _, color_sum = factor_sum(3, 1)
     assert color_sum.coeff(ColoredPermutation.neutral(3, 1)) == ONE
-    assert color_sum.coeff(cyclic_shift(3, 1)) == Q
-    assert color_sum.coeff(cyclic_shift(3, 2)) == Q
+    assert color_sum.coeff(ColoredPermutation(3, (1,), (1,))) == Q
+    assert color_sum.coeff(ColoredPermutation(3, (1,), (2,))) == Q
 
 
 @pytest.mark.parametrize(
-    "m,n", [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 2), (2, 3), (1, 5), (3, 3)]
+    "m,n",
+    [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 2), (2, 3), (1, 5), (3, 3)]
+    + [(m, 1) for m in (1, 3, 4, 5, 6)],
 )
 def test_verify_inverse_two_sided(m, n):
     assert verify_inverse(m, n)
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 3), (3, 2), (4, 2)])
+def test_color_part_is_the_product_of_the_position_inverses(m, n):
+    # one term per color word, weighted by its count of non-neutral colors,
+    # against n - 1 products of the inverse numerators placed at each position
+    assert _color_part(m, n) == color_inverse_reference(m, n)
+    assert len(_color_part(m, n)) == m**n
 
 
 def _verify_with_printed_terms(monkeypatch, m, n, terms):
@@ -287,7 +289,7 @@ def test_inverse_single_position_reduces_to_color_inverse():
     for m in (2, 3, 4):
         den = (ONE + (m - 1) * Q) * (ONE - Q)
         printed = {ColoredPermutation.neutral(m, 1): RF(ONE + (m - 2) * Q, den)}
-        printed.update({cyclic_shift(m, k): RF(-Q, den) for k in range(1, m)})
+        printed.update({ColoredPermutation(m, (1,), (k,)): RF(-Q, den) for k in range(1, m)})
         assert inverse_closed_form(m, 1) == GroupAlgebraElement(m, 1, printed)
 
 
@@ -301,29 +303,26 @@ def test_inverse_two_positions_one_color_explicit():
 
 def test_inverse_factor_shapes():
     m, n = 2, 3
-    color_inverse, color_denominator = all_shifts_inverse(m)
-    position_inverses = [
-        embed_single_position(color_inverse, n, pos) for pos in range(1, n + 1)
-    ]
+    color = _color_part(m, n)
     difference_products = [_difference_product(m, n, j) for j in range(2, n + 1)]
     geometric = [_geometric_product(m, n, j) for j in range(2, n + 1)]
-    assert len(position_inverses) == 3
+    assert len(color) == m**n
     assert len(difference_products) == 2
     assert len(geometric) == 2
     # the color scalar (1 + q)(1 - q) at three positions, then one
     # geometric scalar per cycle: 1 - q^2 for block 2, (1 - q^2)(1 - q^6)
     # for block 3
-    denominator = color_denominator**3 * (ONE - Q**2) ** 2 * (ONE - Q**6)
+    denominator = ((ONE + Q) * (ONE - Q)) ** 3 * (ONE - Q**2) ** 2 * (ONE - Q**6)
     assert _denominator(m, n)[0] == denominator
     neutral_word = (1, 2, 3)
     for element in difference_products + geometric:
         for pi in set(element.terms):
             assert set(pi.colors) <= {2}
-    for pos, element in enumerate(position_inverses, start=1):
-        for pi in set(element.terms):
-            assert pi.values == neutral_word
-            for i, color in enumerate(pi.colors, start=1):
-                assert i == pos or color == 2
+    # the color part is neutral in the values; at m = 2 its weights are 1
+    # at a neutral position and -q at a shifted one
+    for pi, c in color.terms.items():
+        assert pi.values == neutral_word
+        assert c == (-Q) ** (3 - pi.colors.count(2))
 
 
 def test_inverse_matches_direct_linear_solve_small():

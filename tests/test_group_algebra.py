@@ -10,14 +10,10 @@ from quonalg.colored_perm import (
     enumerate_group,
 )
 from quonalg.exact_arith import Polynomial
-from quonalg.formulas import inverse_closed_form
+from quonalg.formulas import _color_part, det_factorization, inverse_closed_form
 from quonalg.group_algebra import (
     GroupAlgebraElement,
-    all_shifts_inverse,
     cinv_sum,
-    circulant_det_closed,
-    cyclic_shift,
-    embed_single_position,
     ga_mul,
     product_chain,
     rep_matrix,
@@ -25,9 +21,9 @@ from quonalg.group_algebra import (
 
 from lemmas import (
     all_shifts_sum,
+    at_position,
     ga_mul_reference,
     rep_matrix_reference,
-    restrict_single_position,
     single_shift_inverse,
 )
 
@@ -279,12 +275,16 @@ def test_rep_matrix_det_scalars():
     assert rep_det(scaled, (1, 2)) == c**order
 
 
+def color_base(m):
+    return det_factorization(m, 1).color_base
+
+
 def test_circulant_det_closed_matches_brute():
     for m in range(1, 7):
-        assert rep_det(all_shifts_sum(m, Q), (1,)) == circulant_det_closed(m, Q)
-    assert circulant_det_closed(1, Q) == ONE
-    assert circulant_det_closed(2, Q) == ONE - Q**2
-    assert circulant_det_closed(3, Q) == (ONE + 2 * Q) * (ONE - Q) ** 2
+        assert rep_det(all_shifts_sum(m, Q), (1,)) == color_base(m)
+    assert color_base(1) == ONE
+    assert color_base(2) == ONE - Q**2
+    assert color_base(3) == (ONE + 2 * Q) * (ONE - Q) ** 2
 
 
 def test_cyclic_inverses_by_multiplication():
@@ -292,30 +292,29 @@ def test_cyclic_inverses_by_multiplication():
     for m in range(1, 7):
         e = GroupAlgebraElement.identity(m, 1)
         x = all_shifts_sum(m, Q)
-        xi, d = all_shifts_inverse(m)
+        xi, d = _color_part(m, 1), (ONE + (m - 1) * Q) * (ONE - Q)
         assert ga_mul(x, xi) == e.scale(d)
         assert ga_mul(xi, x) == e.scale(d)
-        g = e - GroupAlgebraElement.from_element(cyclic_shift(m, 1), Q)
+        g = e - GroupAlgebraElement.from_element(ColoredPermutation(m, (1,), (1,)), Q)
         gi, d = single_shift_inverse(m, Q)
         assert ga_mul(g, gi) == e.scale(d)
         assert ga_mul(gi, g) == e.scale(d)
 
 
 def test_all_shifts_inverse_m2_form():
-    xi, d = all_shifts_inverse(2)
-    assert d == (ONE + Q) * (ONE - Q)
+    xi = _color_part(2, 1)
+    assert len(xi) == 2
     assert xi.coeff(ColoredPermutation.neutral(2, 1)) == ONE
-    assert xi.coeff(cyclic_shift(2, 1)) == -Q
-    # one color: numerator and denominator cancel to the identity
-    xi, d = all_shifts_inverse(1)
-    assert xi == GroupAlgebraElement.identity(1, 1).scale(d)
+    assert xi.coeff(ColoredPermutation(2, (1,), (1,))) == -Q
+    # one color: the numerator is the denominator (1 - q) times the identity
+    assert _color_part(1, 1) == GroupAlgebraElement.identity(1, 1).scale(ONE - Q)
 
 
 def test_single_shift_inverse_m4_z_q2():
     gi, d = single_shift_inverse(4, Q**2)
     assert d == ONE - Q**8
     for i in range(4):
-        assert gi.coeff(cyclic_shift(4, i)) == Q ** (2 * i)
+        assert gi.coeff(ColoredPermutation(4, (1,), (i or 4,))) == Q ** (2 * i)
     # m = 1: plain geometric scalar 1/(1 - q)
     gi, d = single_shift_inverse(1, Q)
     assert gi == GroupAlgebraElement.identity(1, 1)
@@ -325,9 +324,10 @@ def test_single_shift_inverse_m4_z_q2():
 def test_telescoping_product_on_the_cyclic_algebra():
     m = 3
     e = GroupAlgebraElement.identity(m, 1)
-    g = GroupAlgebraElement.from_element(cyclic_shift(m, 1))
+    g = GroupAlgebraElement.from_element(ColoredPermutation(m, (1,), (1,)))
+    g2 = GroupAlgebraElement.from_element(ColoredPermutation(m, (1,), (2,)))
     left = e - g.scale(Q)
-    right = e + g.scale(Q) + GroupAlgebraElement.from_element(cyclic_shift(m, 2), Q**2)
+    right = e + g.scale(Q) + g2.scale(Q**2)
     assert ga_mul(left, right) == e.scale(ONE - Q**3)
 
 
@@ -345,25 +345,16 @@ def test_coset_power_law_for_cyclic_subgroups():
                     small = all_shifts_sum(m, Q)
                 else:
                     terms = {
-                        cyclic_shift(m, k): P([rng.randint(-2, 2) for _ in range(2)])
+                        ColoredPermutation(m, (1,), (k or m,)): P(
+                            [rng.randint(-2, 2) for _ in range(2)]
+                        )
                         for k in range(m)
                     }
                     small = GroupAlgebraElement(m, 1, terms)
-                big = embed_single_position(small, n, pos)
+                big = at_position(small, n, pos)
                 det_small = rep_det(small, (1,))
                 det_big = rep_det(big, tuple(range(1, n + 1)))
                 assert det_big == det_small**index
-
-
-def test_embed_restrict_round_trip():
-    x, _ = all_shifts_inverse(3)
-    for pos in (1, 2, 3):
-        embedded = embed_single_position(x, 3, pos)
-        assert restrict_single_position(embedded, pos) == x
-    with pytest.raises(ValueError):
-        restrict_single_position(
-            GroupAlgebraElement.from_element(ColoredPermutation(2, (2, 1), (2, 2))), 1
-        )
 
 
 def test_product_chain_covariance():

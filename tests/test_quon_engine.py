@@ -249,6 +249,9 @@ def test_operator_column_splits_many_kets_into_walks(monkeypatch, walk_bits):
 BAD_TOKENS = [(1.5, 1), (1, 1.9), ("1", 1), (True, 1), (1, True), (0, 1), (-3, 1)]
 BAD_MODES = [1.5, "1", True, 0, -3]
 GOOD = ((1, 1),)
+# The counting path reads arrangements at m = 2, where a color 1.9 passes a
+# range check, and a mode 1.0 compares equal to 1.
+COSYM_BAD_TOKENS = BAD_TOKENS + [(1.0, 1)]
 
 
 def _token_calls(token):
@@ -258,6 +261,15 @@ def _token_calls(token):
         "both": lambda: vacuum_expectation((token,), (token,), 1),
         "creator": lambda: creator_state(1, GOOD + (token,)),
         "annihilator": lambda: apply_annihilator(*token, creator_state(1, GOOD)),
+    }
+
+
+def _cosym_calls(token):
+    good, bad = ColoredArrangement(2, (1,), (1,)), ColoredArrangement(2, *zip(token))
+    return {
+        "cosym_bra": lambda: cosym_expectation(bad, good),
+        "cosym_ket": lambda: cosym_expectation(good, bad),
+        "cosym_both": lambda: cosym_expectation(bad, bad),
     }
 
 
@@ -273,6 +285,10 @@ MALFORMED_CALLS = [
     pytest.param(call, id=f"{what}{token}")
     for token in BAD_TOKENS
     for what, call in _token_calls(token).items()
+] + [
+    pytest.param(call, id=f"{what}{token}")
+    for token in COSYM_BAD_TOKENS
+    for what, call in _cosym_calls(token).items()
 ] + [
     pytest.param(call, id=f"{what}({mode!r})")
     for mode in BAD_MODES
