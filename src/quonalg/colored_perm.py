@@ -33,7 +33,7 @@ slots coincide with positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 
 
@@ -130,6 +130,29 @@ def check_tokens(modes, colors=(), m=None):
     if modes and min(modes) < 1:
         raise ValueError(f"mode {min(modes)} must be at least 1")
     check_colors(m, colors)
+
+
+def check_sizes(m, n=0, least_n=0):
+    """Raise ``TypeError`` unless the color count m and the length n have
+    type int (a bool has not), and ``ValueError`` unless m >= 1 and n >= least_n."""
+    if type(m) is not int or type(n) is not int:
+        raise TypeError(f"color count {m!r} or length {n!r} is not an int")
+    if m < 1 or n < least_n:
+        raise ValueError(f"need m >= 1 and n >= {least_n}, got m = {m}, n = {n}")
+
+
+def sized_cache(fn):
+    """``lru_cache`` for a function of (m, n), read only after ``check_sizes``
+    passes: 2.0 and True hash like 2 and 1, so would find their results."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def checked(m, n):
+        check_sizes(m, n)
+        return cached(m, n)
+
+    checked.cache_clear = cached.cache_clear
+    return checked
 
 
 def act(theta, pi):
@@ -246,16 +269,11 @@ class GroupTable:
         return row
 
 
-@lru_cache(maxsize=None)
+@sized_cache
 def group_table(m, n):
     """The ``GroupTable`` of (m, n), built on first use: the one cache of
     the compiled group and its cinv values."""
     return GroupTable(m, n)
-
-
-def color_cycle_order(m):
-    """Per-position color enumeration order: neutral first, then 1..m-1."""
-    return (m,) + tuple(range(1, m))
 
 
 def as_multiset(values):
@@ -301,11 +319,10 @@ def _value_words(multiset):
 
 @lru_cache(maxsize=None)
 def _enumerate(m, multiset, as_group):
-    if m < 1:
-        raise ValueError(f"color count must be >= 1, got {m}")
     n = len(multiset)
-    # Counter tuples indexed by slot, slot 1 fastest.
-    counters = [w[::-1] for w in product(color_cycle_order(m), repeat=n)]
+    # Counter tuples indexed by slot, slot 1 fastest; each slot's colors run
+    # neutral first, then 1..m-1.
+    counters = [w[::-1] for w in product((m, *range(1, m)), repeat=n)]
     cls = ColoredPermutation if as_group else ColoredArrangement
     out = []
     for word in _value_words(multiset):
@@ -318,13 +335,13 @@ def _enumerate(m, multiset, as_group):
 
 def enumerate_arrangements(m, multiset):
     """All colored arrangements of the multiset, in the canonical order."""
+    check_sizes(m)
     return _enumerate(m, as_multiset(multiset), False)
 
 
 def enumerate_group(m, n):
     """All m**n * n! colored permutations on n positions, canonical order."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_sizes(m, n)
     return _enumerate(m, tuple(range(1, n + 1)), True)
 
 
@@ -335,6 +352,7 @@ def insertion_cycle(m, n, j, k):
     the fixed points j+1..n: it inserts the value j at position k.  Its
     inversion count is j - k.
     """
+    check_sizes(m, n)
     if not 1 <= k <= j <= n:
         raise ValueError(f"need 1 <= k <= j <= n, got k={k}, j={j}, n={n}")
     word = list(range(1, n + 1))

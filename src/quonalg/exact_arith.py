@@ -6,8 +6,8 @@ arbitrary-precision coefficients.  A ``RationalFunction`` is a quotient of
 two such polynomials with no arithmetic of its own; it exists only where a
 quotient is printed (the coefficients of the closed-form inverse), and it
 is in lowest terms because its maker says so: nothing in this module
-computes a gcd.  Exact rational numbers (used as evaluation points) are
-plain ``fractions.Fraction`` values.
+computes a gcd.  Exact rational numbers (evaluation points) are ints and
+``fractions.Fraction`` values; ``check_point`` rejects any other point.
 
 Canonical string form, used verbatim by the CLI and the file exports: terms
 ascending by degree, coefficient 1 elided, constant term printed bare, e.g.
@@ -21,15 +21,22 @@ suit the sparse closed-form factors the package multiplies.  Where many
 products and sums meet, a caller packs each coefficient tuple into one big
 integer instead (Kronecker substitution q -> 2**stride, ``pack_coeffs``),
 computes on plain ints and unpacks each result once (``unpack_int``):
-``linalg`` for determinants, ``group_algebra.ga_mul`` for group-algebra
-products, ``quon_engine`` for annihilator steps.  Each caller proves a bound
-on the coefficients of its results in its docstring and packs at ``stride``.
+``linalg`` for determinants (evaluating at 2**stride), ``group_algebra.ga_mul``
+for group-algebra products, ``quon_engine`` for annihilator steps.  Each
+caller proves a bound on its results' coefficients and packs at ``stride``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+
+
+def check_point(x):
+    """x if it is an exact rational point, an int (not a bool) or a Fraction."""
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise TypeError(f"point {x!r} is not an int or a Fraction")
+    return x
 
 
 def _trim(coeffs):
@@ -204,17 +211,16 @@ class Polynomial:
         return result
 
     def evaluate(self, point):
-        """Exact value at a rational point, as a Fraction.
+        """Exact value at a rational point (``check_point``), as a Fraction.
 
         With the point p/r in lowest terms and d the degree, Horner's rule
         runs on integers: it builds N = sum(c_i * p**i * r**(d-i)) and
         r**d together, and the value is the one Fraction N / r**d.
         """
+        p, r = check_point(point).numerator, point.denominator
         coeffs = self.coeffs
         if not coeffs:
             return Fraction(0)
-        x = Fraction(point)
-        p, r = x.numerator, x.denominator
         acc, scale = coeffs[-1], 1
         for c in coeffs[-2::-1]:
             scale *= r
@@ -333,7 +339,6 @@ class RationalFunction:
 
     def evaluate(self, point):
         """Exact value at a rational point; raises ZeroDivisionError at a pole."""
-        point = Fraction(point)
         d = self.den.evaluate(point)
         if d == 0:
             raise ZeroDivisionError(f"pole at q = {point}")

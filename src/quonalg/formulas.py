@@ -36,8 +36,10 @@ from .exact_arith import Polynomial, RationalFunction, pack_coeffs
 from .colored_perm import (
     ColoredPermutation,
     act,
+    check_sizes,
     enumerate_group,
     insertion_cycle,
+    sized_cache,
 )
 from .group_algebra import (
     GroupAlgebraElement,
@@ -88,8 +90,7 @@ def det_factorization(m, n):
     1 + q*(w + w**2 + ... + w**(m-1)) over the m-th roots of unity w:
     1 + (m-1)q once (w = 1) and 1 - q for each of the other m - 1.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+    check_sizes(m, n, 1)
     q = Polynomial.q()
     one = Polynomial.one()
     color_exponent = n * m ** (n - 1) * factorial(n)
@@ -110,7 +111,7 @@ def det_factorization(m, n):
     )
 
 
-@lru_cache(maxsize=None)
+@sized_cache
 def det_closed_form(m, n):
     """Expanded closed form of the regular-block determinant, cached per
     (m, n) like ``cinv_sum`` and ``inverse_closed_form``."""
@@ -251,7 +252,7 @@ def _divide_out(c, factors):
     return c, tuple(removed)
 
 
-@lru_cache(maxsize=None)
+@sized_cache
 def inverse_closed_form(m, n):
     """The closed-form inverse of cinv_sum(m, n), assembled from sparse factors.
 
@@ -286,8 +287,7 @@ def inverse_closed_form(m, n):
     integer content in common, denominator with positive leading
     coefficient.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+    check_sizes(m, n, 1)
     blocks = [
         ga_mul(_geometric_product(m, n, j), _difference_product(m, n, j))
         for j in range(n, 1, -1)

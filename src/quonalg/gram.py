@@ -30,7 +30,7 @@ import csv
 import io
 from functools import lru_cache
 
-from .colored_perm import as_multiset, enumerate_arrangements
+from .colored_perm import as_multiset, check_sizes, enumerate_arrangements
 from .exact_arith import Polynomial
 from .quon_engine import annihilator_trie, cosym_column, operator_column
 # Unused here; bench/test_bench.py checks that a traced pass also wraps
@@ -53,6 +53,7 @@ def build_gram(m, multiset, path="operator"):
     """
     if path not in ("operator", "combinatorial"):
         raise ValueError(f"unknown path {path!r}")
+    check_sizes(m)
     return _build_gram_cached(m, as_multiset(multiset), path)
 
 

@@ -22,11 +22,11 @@ ga_mul(x, y) the arrangement is acted on by y's group element first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 from .exact_arith import Polynomial, pack_coeffs, stride, unpack_int
 from .linalg import split_tree
-from .colored_perm import ColoredPermutation, as_multiset, check_colors, group_table
+from .colored_perm import ColoredPermutation, as_multiset, check_colors, group_table, sized_cache
 
 
 class GroupAlgebraElement:
@@ -203,7 +203,7 @@ def product_chain(factors):
     return reduce(lambda acc, f: ga_mul(f, acc), factors)
 
 
-@lru_cache(maxsize=None)
+@sized_cache
 def cinv_sum(m, n):
     """The q-weighted group sum: every element with coefficient q**cinv."""
     table = group_table(m, n)

@@ -1,14 +1,11 @@
 """Fraction-free exact linear algebra over ZZ[q] and over the rationals.
 
-Every elimination is one Bareiss loop, ``_bareiss``: its entries are minors
-of the input, so every division is exact, and its pivots are the leading
-principal minors of the row-permuted input.  The caller supplies the exact
-division and the zero test, so packed integers and plain Polynomial values
-share the control flow and stay oracles for each other.  An int matrix
-equal to its transpose is eliminated on its upper triangle alone.
-Polynomial determinants run on the image of the matrix under q -> 2**stride
-(balanced-digit Kronecker packing, ``exact_arith.pack_coeffs``; proof in
-``poly_det``).  Leading minors of an int matrix take one pass.
+Every elimination is one Bareiss loop over ints, ``_bareiss``: its entries
+are minors of the input, so every division is exact, and its pivots are the
+leading principal minors of the row-permuted input.  A ZZ[q] matrix enters
+it through one map to ints, ``_ints_at``: its image under q -> 2**stride
+(balanced-digit Kronecker packing, read back by ``exact_arith.unpack_int``;
+proof in ``poly_det``) or its scaled value at a rational point.
 
 The tensor-product split (not the Kronecker packing) is found once per
 Polynomial matrix, in ZZ[q]: ``split_tree`` tests whether the matrix is
@@ -23,21 +20,20 @@ halves of half the order (``_centro_halves``).  Q_n is centrosymmetric:
 it commutes with the left action of S_n, and left multiplication by the
 longest permutation reverses its lexicographic basis.  That change of
 basis keeps the determinant but not the leading minors, which never use
-it.  The plain route of ``poly_det`` never splits and stays the oracle for
-the packed one.
+it.  The tests check ``poly_det`` against Bareiss over Polynomial values on
+the whole square, which shares no code with this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from operator import attrgetter, not_
 
-from .exact_arith import Polynomial, pack_coeffs, stride, unpack_int
+from .exact_arith import Polynomial, check_point, stride, unpack_int
 
 
-def _bareiss(rows, divexact, is_zero, swap=True, symmetric=False):
-    """One fraction-free elimination pass over a square matrix, destructively.
+def _bareiss(rows, swap=True):
+    """One fraction-free elimination pass over a square int matrix, destructively.
 
     Returns ``(sign, pivots)``: pivot k is the (k+1)-th leading principal
     minor of the matrix with its rows permuted, ``sign`` the sign of that
@@ -46,8 +42,8 @@ def _bareiss(rows, divexact, is_zero, swap=True, symmetric=False):
     no such row exists, the pass stops with fewer pivots than rows, and the
     next leading minor is zero.
 
-    ``symmetric`` is the caller's exact promise that the matrix equals its
-    transpose; the pass then reads and writes only the upper triangle.
+    A matrix equal to its transpose (``_is_symmetric``, tested here and
+    nowhere else) is eliminated on its upper triangle alone.
     Proof.  After step k (Bareiss, Math. Comp. 22, 1968), entry (i, j) for
     i, j > k is the minor on rows {0..k, i} and columns {0..k, j} of the
     row-permuted input, and before step 0 it is the input entry.  While no
@@ -60,15 +56,16 @@ def _bareiss(rows, divexact, is_zero, swap=True, symmetric=False):
     over the full square.
     """
     n = len(rows)
+    symmetric = _is_symmetric(rows)
     sign, prev, pivots = 1, None, []
     for k in range(n):
         row_k = rows[k]
-        if is_zero(row_k[k]):
+        if not row_k[k]:
             if swap and symmetric:
                 for i in range(k + 1, n):
                     rows[i][k:i] = [rows[j][i] for j in range(k, i)]
                 symmetric = False
-            below = (i for i in range(k + 1, n) if not is_zero(rows[i][k]))
+            below = (i for i in range(k + 1, n) if rows[i][k])
             i = next(below, None) if swap else None
             if i is None:
                 break
@@ -83,7 +80,7 @@ def _bareiss(rows, divexact, is_zero, swap=True, symmetric=False):
             row_i[k] = None  # never read again; dropping it keeps memory flat
             for j in range(start, n):
                 num = pivot * row_i[j] - head * row_k[j]
-                row_i[j] = num if prev is None else divexact(num, prev)
+                row_i[j] = num if prev is None else _int_divexact(num, prev)
         prev = pivot
     return sign, pivots
 
@@ -100,14 +97,11 @@ def _int_divexact(num, den):
     return quot
 
 
-def _det(rows, divexact=_int_divexact, is_zero=not_, zero=0, symmetric=False):
-    """Determinant of a nonempty square matrix by ``_bareiss``, destructively.
-
-    The defaults are the integer ring; Polynomial callers pass their own.
-    """
-    sign, pivots = _bareiss(rows, divexact, is_zero, symmetric=symmetric)
+def _det(rows):
+    """Determinant of a nonempty square int matrix by ``_bareiss``, destructively."""
+    sign, pivots = _bareiss(rows)
     if len(pivots) < len(rows):
-        return zero
+        return 0
     return pivots[-1] if sign > 0 else -pivots[-1]
 
 
@@ -133,19 +127,9 @@ def _split_stride(h):
     return stride(h**2)
 
 
-def _pack(rows, stride):
-    """The image of a Polynomial matrix under q -> 2**stride, as int lists;
-    each distinct coefficient tuple (hashed in C) is packed once."""
-    values = dict.fromkeys(p.coeffs for row in rows for p in row)
-    for coeffs in values:
-        values[coeffs] = pack_coeffs(coeffs, stride)
-    return [[values[p.coeffs] for p in row] for row in rows]
-
-
 def _packed_det(rows, stride):
     """Determinant of the image of ``rows`` under q -> 2**stride, unpacked."""
-    packed = _pack(rows, stride)
-    return Polynomial(unpack_int(_det(packed, symmetric=_is_symmetric(packed)), stride))
+    return Polynomial(unpack_int(_det(_ints_at(rows, 1 << stride)[0]), stride))
 
 
 def _tensor_split(rows):
@@ -175,7 +159,7 @@ def _tensor_split(rows):
     return None
 
 
-def split_tree(rows, images=None):
+def split_tree(rows):
     """The tensor-product split tree of a square Polynomial matrix.
 
     A node is ``(rows, children)``: ``children`` is None for a leaf, and
@@ -183,9 +167,9 @@ def split_tree(rows, images=None):
     (also the corner of A and B), from ``_tensor_split``.  A matrix that is
     not square, or a non-Polynomial entry, raises ``ValueError`` first.
 
-    Every split is tested on ``images`` (passed only in the recursion), the
-    entries' images under phi: q -> 2**s, s = ``_split_stride(h)`` =
-    ``stride(h**2)``, h the largest l1 coefficient norm of a root entry.
+    Every split is tested on the entries' images under phi: q -> 2**s
+    (``_ints_at``), s = ``_split_stride(h)`` = ``stride(h**2)``, h the
+    largest l1 coefficient norm of a root entry.
     Proof that the test is exact.  It compares x * c with a * e for entries
     x, c, a, e, and phi is a ring homomorphism, so it compares phi(d) with 0
     for d = x * c - a * e.  A coefficient of x * c is at most ||x||_1 *
@@ -197,20 +181,23 @@ def split_tree(rows, images=None):
     entries of every node are root entries, so the packed test splits
     exactly where the Polynomial test would.
     """
-    if images is None:
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix is not square")
-        for row in rows:
-            for p in row:
-                if not isinstance(p, Polynomial):
-                    raise ValueError(f"matrix entry is not a polynomial: {p}")
-        images = _pack(rows, _split_stride(_height(rows)))
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    for row in rows:
+        for p in row:
+            if not isinstance(p, Polynomial):
+                raise ValueError(f"matrix entry is not a polynomial: {p}")
+    return _split_node(rows, _ints_at(rows, 1 << _split_stride(_height(rows)))[0])
+
+
+def _split_node(rows, images):
+    """The ``split_tree`` node of ``rows``, split where their images split."""
     b = _tensor_split(images)
     if b is None:
         return rows, None
     corners = [[row[::b] for row in m[::b]] for m in (rows, images)]
     top = [[row[:b] for row in m[:b]] for m in (rows, images)]
-    return rows, (split_tree(*corners), split_tree(*top))
+    return rows, (_split_node(*corners), _split_node(*top))
 
 
 def _centro_halves(rows):
@@ -283,12 +270,10 @@ def _split_det(node):
     return _leaf_det(rows)
 
 
-def poly_det(rows, method="packed"):
+def poly_det(rows):
     """Exact determinant of a square matrix of Polynomial entries.
 
-    ``method="plain"`` runs Bareiss over Polynomial values on the whole
-    matrix, without splitting: the independent check of the default packed
-    route, which assembles the determinant from the leaves of ``split_tree``
+    The determinant is assembled from the leaves of ``split_tree``
     (``_split_det``).  Where rows * c == A (x) B, with c = rows[0][0] != 0,
     A of size a and B of size b,
 
@@ -320,14 +305,8 @@ def poly_det(rows, method="packed"):
     run ends with phi(det), whose balanced digits are the coefficients of
     det.  The degree check on each leaf guards the bound itself.
     """
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return Polynomial.one()
-    if method == "plain":
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix is not square")
-        rows = [list(r) for r in rows]
-        return _det(rows, Polynomial.divexact, attrgetter("is_zero"), Polynomial.zero())
     return _split_det(split_tree(rows))
 
 
@@ -335,20 +314,13 @@ def _bareiss_minors(ints):
     """Leading principal minors of a square int matrix by elimination.
 
     One Bareiss pass without row swaps gives every minor as a pivot.  After
-    a zero pivot, each later minor takes its own elimination.  A symmetric
-    matrix, checked once, is eliminated on its upper triangle, and so are
-    its leading submatrices, which are symmetric too.
+    a zero pivot, each later minor takes its own elimination.
     """
     n = len(ints)
-    rows = [row[:] for row in ints]
-    symmetric = _is_symmetric(rows)
-    _, minors = _bareiss(rows, _int_divexact, not_, swap=False, symmetric=symmetric)
+    _, minors = _bareiss([row[:] for row in ints], swap=False)
     if len(minors) < n:
         minors.append(0)
-        minors += [
-            _det([row[:k] for row in ints[:k]], symmetric=symmetric)
-            for k in range(len(minors) + 1, n + 1)
-        ]
+        minors += [_det([row[:k] for row in ints[:k]]) for k in range(len(minors) + 1, n + 1)]
     return minors
 
 
@@ -395,12 +367,12 @@ def _kron_minors(da, db, c):
     return minors
 
 
-def _ints_at(rows, q0):
-    """A Polynomial matrix at the Fraction q0 = p/r as ``(ints, r**E)``,
-    rows(q0) = ints / r**E, E the largest entry degree: the entry
-    sum(c_i q**i) maps to sum(c_i p**i r**(E-i)).  Each distinct entry, told
-    apart by its coefficient tuple, is evaluated once."""
-    p, r = q0.numerator, q0.denominator
+def _ints_at(rows, x):
+    """A Polynomial matrix at x = p/r, an int or a Fraction, as ``(ints, r**E)``,
+    rows(x) = ints / r**E, E the largest entry degree: sum(c_i q**i) maps to
+    sum(c_i p**i r**(E-i)), at x = 2**s the Kronecker image under q -> 2**s.
+    Each distinct entry, told apart by its coefficient tuple, is mapped once."""
+    p, r = x.numerator, x.denominator
     values = dict.fromkeys(entry.coeffs for row in rows for entry in row)
     degree = max([0] + [len(coeffs) - 1 for coeffs in values])
     weights = [p**i * r ** (degree - i) for i in range(degree + 1)]
@@ -434,6 +406,5 @@ def leading_minors(tree, q0):
     with the proofs).  If the corner vanishes at q0, the whole matrix is
     evaluated instead.  Minor k is divided by scale**k once, at the end.
     """
-    q0 = Fraction(q0)
-    values, scale = _node_minors(tree, q0)
+    values, scale = _node_minors(tree, check_point(q0))
     return tuple(Fraction(v, scale**k) for k, v in enumerate(values, 1))

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .colored_perm import check_sizes
+from .exact_arith import check_point
 from .gram import build_gram
 from . import linalg
 
@@ -65,7 +67,7 @@ def certify_block(block, q0):
     only for a symmetric matrix: a block not symmetric in ZZ[q] raises
     ``ValueError`` if an entry pair that differs in ZZ[q] differs at q0 too.
     """
-    q0 = Fraction(q0)
+    q0 = Fraction(check_point(q0))
     tree = block.split_tree
     if not block.symmetric:
         entries = block.entries
@@ -89,6 +91,7 @@ def certify_block(block, q0):
 
 def certify(m, n, q0):
     """Certify the regular block (multiset 1..n) at one rational point."""
+    check_sizes(m, n)
     return certify_block(build_gram(m, tuple(range(1, n + 1))), q0)
 
 
@@ -96,15 +99,15 @@ def scan(m, n, q_lo, q_hi, steps):
     """Certify at ``steps`` evenly spaced rational points, endpoints included."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    q_lo, width = Fraction(q_lo), Fraction(q_hi) - Fraction(q_lo)
+    check_sizes(m, n)
+    q_lo, width = Fraction(check_point(q_lo)), Fraction(check_point(q_hi)) - q_lo
     block = build_gram(m, tuple(range(1, n + 1)))
     return [certify_block(block, q_lo + width * k / max(steps - 1, 1)) for k in range(steps)]
 
 
 def interval_of_definiteness(m):
     """The open interval of q where the regular blocks stay definite."""
-    if m < 1:
-        raise ValueError(f"color count must be >= 1, got {m}")
+    check_sizes(m)
     if m == 1:
         return (Fraction(-1), Fraction(1))
     return (Fraction(1, 1 - m), Fraction(1))

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .exact_arith import Polynomial, pack_coeffs, stride, unpack_int
-from .colored_perm import check_colors, check_tokens, group_table
+from .colored_perm import check_colors, check_sizes, check_tokens, group_table
 
 
 def color_mismatch(creator_color, annihilator_color, m):
@@ -108,7 +108,8 @@ class CreatorState:
 
 
 def _word(m, word):
-    """``word`` as a tuple of (mode, color) pairs, checked by ``check_tokens``."""
+    """``word`` as (mode, color) pairs, checked by ``check_sizes`` and ``check_tokens``."""
+    check_sizes(m)
     word = tuple((v, c) for v, c in word)
     check_tokens([v for v, _ in word], [c for _, c in word], m)
     return word

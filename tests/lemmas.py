@@ -9,16 +9,19 @@ every position (the color sum, and the color part of the inverse, position
 by position), the q**cinv counting sum of one inner product, walked pair
 by pair, and the group-algebra product and representation matrix read on
 objects, one checked ``act`` per pair (the package runs both on plain
-words).  Two more are linear
-algebra that shares no code with ``quonalg.linalg``: leading minors, each
-by its own Gaussian elimination over Fractions, and the tensor product of
-two matrices.  ``evaluate_block`` evaluates a block entry by entry as
-Fractions, the plain route beside ``posdef``'s scaled integer evaluation,
-and ``evaluate_reference`` is Horner's rule on Fractions, the plain route
-beside ``Polynomial.evaluate``'s integer one.  ``annihilate_reference`` is
-the annihilator rule on ``Polynomial`` coefficients, one shifted copy per
-step, and ``expectation_reference`` applies it one annihilator at a
-time: the plain route beside ``quon_engine``'s packed walk.
+words).  Four more are linear algebra that imports nothing from
+``quonalg.linalg``: determinants and leading minors, each by its own
+Gaussian elimination over Fractions, the determinant of a Polynomial
+matrix by Bareiss over Polynomial values on the whole square
+(``plain_det``, the plain route beside ``poly_det``'s integer one), and
+the tensor product of two matrices.  ``evaluate_block`` evaluates a block
+entry by entry as Fractions, the plain route beside ``posdef``'s scaled
+integer evaluation, and ``evaluate_reference`` is Horner's rule on
+Fractions, the plain route beside ``Polynomial.evaluate``'s integer one.
+``annihilate_reference`` is the annihilator rule on ``Polynomial``
+coefficients, one shifted copy per step, and ``expectation_reference``
+applies it one annihilator at a time: the plain route beside
+``quon_engine``'s packed walk.
 ``parse_polynomial`` and ``parse_rational_function`` read the canonical
 strings of ``Polynomial`` and ``RationalFunction`` back, so tests can check
 what the CLI prints.
@@ -204,6 +207,36 @@ def fraction_det(rows):
             if f:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
     return det
+
+
+def plain_det(rows):
+    """Determinant of a square Polynomial matrix by Bareiss's fraction-free
+    elimination over ZZ[q] on the full square, with row swaps and no split.
+
+    After step k every entry below and right of the pivot is a minor of
+    the row-permuted input, so each division by the previous pivot is
+    exact (``Polynomial.divexact`` checks it), and the last pivot is the
+    determinant up to the sign of the swaps.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    rows = [list(row) for row in rows]
+    sign, prev = 1, Polynomial.one()
+    for k in range(n):
+        p = next((i for i in range(k, n) if not rows[i][k].is_zero), None)
+        if p is None:
+            return Polynomial.zero()
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot, row_k = rows[k][k], rows[k]
+        for row_i in rows[k + 1 :]:
+            head = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - head * row_k[j]).divexact(prev)
+        prev = pivot
+    return prev if sign > 0 else -prev
 
 
 def fraction_minors(rows):

@@ -1,0 +1,148 @@
+"""A catalogue of mutants: each breaks one proved line of the package, and
+the tests named beside it must fail.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+
+An entry is (file, exact old text, new text, killer test ids).  The script
+first runs every killer on an unmutated copy, so that a test which fails
+anyway kills nothing.  Then, for each entry, it copies ``src/`` and
+``tests/`` to a new temporary directory, replaces the old text, which must
+occur there exactly once, by the new text, and runs the entry's killers
+there in a subprocess.  The mutant is killed when pytest reports a failed
+test.  The script exits 1 if an old text does not occur exactly once, if a
+killer fails unmutated or cannot be run, or if a mutant survives.  Only the
+standard library is used here; the killers need pytest.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LINALG = "src/quonalg/linalg.py"
+T = "tests/test_linalg.py::"
+
+MUTANTS = [
+    (
+        LINALG,
+        "    return stride((isqrt(n**n - 1) + 1) * h**n)",
+        "    return stride((isqrt(n**n - 1) + 1) * h**n) - 1",
+        (T + "test_stride_fits_an_extremal_minor", T + "test_half_stride_fits_an_extremal_minor"),
+    ),
+    (
+        LINALG,
+        "    return stride(h**2)",
+        "    return stride(h**2) - 1",
+        (T + "test_split_stride_is_tight",),
+    ),
+    (
+        LINALG,
+        "minors.append(num if c == 1 else _int_divexact(num, c ** (s * b + t)))",
+        "minors.append(num)",
+        (T + "test_split_of_tensor_products_and_near_misses",),
+    ),
+    (
+        LINALG,
+        "        if c:\n            da, sa",
+        "        if True:\n            da, sa",
+        (T + "test_split_of_tensor_products_and_near_misses",),
+    ),
+    (
+        LINALG,
+        "head, start = (row_k[i], i) if symmetric else (row_i[k], k + 1)",
+        "head, start = (row_i[k], i) if symmetric else (row_i[k], k + 1)",
+        (T + "test_symmetric_elimination_matches_fractions",),
+    ),
+    (
+        LINALG,
+        "                    rows[i][k:i] = [rows[j][i] for j in range(k, i)]",
+        "                    pass",
+        (T + "test_symmetric_elimination_matches_fractions",),
+    ),
+    (
+        LINALG,
+        "    symmetric = _is_symmetric(rows)\n",
+        "    symmetric = True\n",
+        (T + "test_one_asymmetric_entry_takes_the_full_loop",),
+    ),
+    (
+        LINALG,
+        "tuple(rows[i]) != tuple(reversed(rows[n - 1 - i]))",
+        "tuple(rows[i][i:]) != tuple(reversed(rows[n - 1 - i]))[i:]",
+        (T + "test_near_centrosymmetric_matrices_are_not_halved",),
+    ),
+    (
+        LINALG,
+        "pairs[key] = (a + b, a - b)",
+        "pairs[key] = (a + b, b - a)",
+        (T + "test_centrosymmetric_determinants_split_into_halves",),
+    ),
+]
+
+
+def copy_tree(dest):
+    """``src/`` and ``tests/`` under ``dest``, without bytecode caches."""
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+
+
+def run_tests(tree, tests):
+    """pytest's exit code and output for ``tests`` on the copy at ``tree``."""
+    path = os.environ.get("PYTHONPATH")
+    src = str(tree / "src")
+    env = dict(
+        os.environ,
+        PYTHONPATH=src + os.pathsep + path if path else src,
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=tree,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def main():
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "unmutated"
+        copy_tree(tree)
+        killers = sorted({test for *_, tests in MUTANTS for test in tests})
+        code, out = run_tests(tree, killers)
+        if code != 0:
+            print(out)
+            print(f"the killers do not all pass unmutated (pytest exit {code})")
+            return 1
+        for number, (path, old, new, tests) in enumerate(MUTANTS, 1):
+            tree = Path(tmp) / f"mutant{number}"
+            copy_tree(tree)
+            text = (tree / path).read_text()
+            if text.count(old) != 1:
+                problems.append(f"mutant {number}: old text occurs {text.count(old)} times")
+                continue
+            (tree / path).write_text(text.replace(old, new))
+            code, out = run_tests(tree, tests)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            print(f"mutant {number} in {path}: {old.strip()!r} -> {new.strip()!r}: {verdict}")
+            if code != 1:
+                problems.append(f"mutant {number}: {verdict}")
+                if code != 0:
+                    print(out)
+            shutil.rmtree(tree)
+    for problem in problems:
+        print(problem)
+    print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

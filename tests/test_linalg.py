@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from operator import not_
 
 import pytest
 
@@ -12,7 +11,7 @@ from quonalg.gram import build_gram
 from quonalg.linalg import leading_minors, poly_det, split_tree
 from quonalg.posdef import interval_of_definiteness
 
-from lemmas import evaluate_reference, fraction_det, fraction_minors, kron
+from lemmas import evaluate_reference, fraction_det, fraction_minors, kron, plain_det
 
 P = Polynomial
 ONE = P.one()
@@ -53,7 +52,7 @@ def test_packed_and_plain_agree():
         if trial % 7 == 0:
             rows[0][0] = P.zero()  # zero first pivot forces a row swap
         packed = poly_det([r[:] for r in rows])
-        plain = poly_det([r[:] for r in rows], method="plain")
+        plain = plain_det(rows)
         assert packed == plain
         if n <= 4:
             assert packed == laplace_det(rows)
@@ -95,9 +94,9 @@ def test_row_swap_changes_sign():
 
 def test_not_square_raises():
     for rows in ([[ONE, Q]], [[ONE, Q], [Q]], [[ONE, Q], [Q, ONE], [ONE, ONE]]):
-        for method in ("packed", "plain"):
+        for det in (poly_det, plain_det):
             with pytest.raises(ValueError, match="matrix is not square"):
-                poly_det(rows, method)
+                det(rows)
         with pytest.raises(ValueError, match="matrix is not square"):
             split_tree(rows)
 
@@ -300,10 +299,11 @@ def test_split_determinant_of_polynomial_tensor_products():
             else:
                 assert linalg._tensor_split(rows) is not None
             # The packed test, which poly_det runs, agrees with the plain one.
-            images = linalg._pack(rows, linalg._split_stride(linalg._height(rows)))
+            s = linalg._split_stride(linalg._height(rows))
+            images = linalg._ints_at(rows, 1 << s)[0]
             assert (linalg._tensor_split(images) is None) == near_miss
             packed = poly_det(rows)
-            assert packed == poly_det(rows, method="plain")
+            assert packed == plain_det(rows)
             if len(rows) <= 6:
                 assert packed == laplace_det(rows)
             # Both sides have degree at most the sum of the row degrees, so
@@ -347,11 +347,12 @@ def rand_symmetric(rng, n, values):
     return rows
 
 
-def test_symmetric_elimination_matches_fractions():
-    # The half-triangle pass gives the pivots of the full-square pass, and
-    # both match references that share no code with Bareiss.  Zero pivots
-    # are frequent, so with ``swap`` the pass often mirrors its trailing
-    # triangle and goes on over the full square.
+def test_symmetric_elimination_matches_fractions(monkeypatch):
+    # The half-triangle pass gives the pivots of the full-square pass, which
+    # a patched ``_is_symmetric`` forces, and both match references that
+    # share no code with Bareiss.  Zero pivots are frequent, so with
+    # ``swap`` the pass often mirrors its trailing triangle and goes on over
+    # the full square.
     rng = random.Random(83)
     values = (-2, -1, 0, 0, 0, 1, 2, 3)
     mirrored = 0
@@ -363,10 +364,12 @@ def test_symmetric_elimination_matches_fractions():
         assert linalg._is_symmetric(rows)
         expected = fraction_minors(rows)
         for swap in (True, False):
-            half = linalg._bareiss([r[:] for r in rows], linalg._int_divexact, not_, swap, True)
-            full = linalg._bareiss([r[:] for r in rows], linalg._int_divexact, not_, swap)
+            half = linalg._bareiss([r[:] for r in rows], swap)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_is_symmetric", lambda rows: False)
+                full = linalg._bareiss([r[:] for r in rows], swap)
             assert half == full, (trial, swap)
-        assert linalg._det([r[:] for r in rows], symmetric=True) == expected[-1]
+        assert linalg._det([r[:] for r in rows]) == expected[-1]
         assert linalg._bareiss_minors(rows) == expected
         # A zero leading minor and a nonzero determinant force a swap.
         mirrored += 0 in expected[:-1] and expected[-1] != 0
@@ -374,14 +377,16 @@ def test_symmetric_elimination_matches_fractions():
 
 
 def test_one_asymmetric_entry_takes_the_full_loop(monkeypatch):
+    # The whole perturbed matrix is eliminated over the full square; a
+    # symmetric leading submatrix of it may take the half triangle.
     flags = []
-    bareiss = linalg._bareiss
+    is_symmetric = linalg._is_symmetric
 
-    def recording(rows, divexact, is_zero, swap=True, symmetric=False):
-        flags.append(symmetric)
-        return bareiss(rows, divexact, is_zero, swap, symmetric)
+    def recording(rows):
+        flags.append((len(rows), is_symmetric(rows)))
+        return flags[-1][1]
 
-    monkeypatch.setattr(linalg, "_bareiss", recording)
+    monkeypatch.setattr(linalg, "_is_symmetric", recording)
     rng = random.Random(89)
     for trial in range(60):
         n = rng.randint(2, 7)
@@ -390,9 +395,11 @@ def test_one_asymmetric_entry_takes_the_full_loop(monkeypatch):
         rows[i][j] += rng.choice((-2, -1, 1, 2))
         flags.clear()
         assert linalg._bareiss_minors(rows) == fraction_minors(rows)
+        assert flags[0] == (n, False), trial
+        flags.clear()
         polys = [[P.constant(e) for e in row] for row in rows]
         assert poly_det(polys).evaluate(0) == fraction_det(rows)
-        assert flags and not any(flags), trial
+        assert flags == [(n, False)], trial
 
 
 def test_packed_q4_determinant_halves_the_divisions(monkeypatch):
@@ -404,24 +411,23 @@ def test_packed_q4_determinant_halves_the_divisions(monkeypatch):
     rows = build_gram(1, (1, 2, 3, 4)).entries
     assert linalg._tensor_split(rows) is None
     stride = linalg._stride(len(rows), linalg._height(rows))
-    bareiss = linalg._bareiss
+    int_divexact, is_symmetric = linalg._int_divexact, linalg._is_symmetric
+    calls = []
+
+    def counting(num, den):
+        calls.append(den)
+        return int_divexact(num, den)
+
+    monkeypatch.setattr(linalg, "_int_divexact", counting)
     runs = (
         (lambda: linalg._packed_det(rows, stride), ((False, 2024), (True, 3795))),
         (lambda: poly_det(rows), ((False, 440), (True, 770))),
     )
     for det, counts in runs:
         for full_square, divisions in counts:
-            calls = []
-
-            def counting_divexact(num, den):
-                calls.append(den)
-                return linalg._int_divexact(num, den)
-
-            def counting(rows, divexact, is_zero, swap=True, symmetric=False):
-                symmetric = symmetric and not full_square
-                return bareiss(rows, counting_divexact, is_zero, swap, symmetric)
-
-            monkeypatch.setattr(linalg, "_bareiss", counting)
+            calls.clear()
+            full = (lambda rows: False) if full_square else is_symmetric
+            monkeypatch.setattr(linalg, "_is_symmetric", full)
             assert det() == det_closed_form(1, 4)
             assert len(calls) == divisions, full_square
 
@@ -443,7 +449,7 @@ def test_packed_and_plain_agree_on_symmetric_matrices_with_swaps():
         else:
             rows[0][0] = P.zero()
         packed = poly_det([r[:] for r in rows])
-        assert packed == poly_det(rows, method="plain"), trial
+        assert packed == plain_det(rows), trial
         if n <= 4:
             assert packed == laplace_det(rows)
         # A zero leading minor (of size 1 or 2) and a nonzero determinant
@@ -466,11 +472,11 @@ def test_split_stride_is_tight(monkeypatch):
     stride = linalg._split_stride(linalg._height(rows))
     assert stride == (2 * 5**2).bit_length() == 6
     assert linalg._tensor_split(rows) is None
-    assert linalg._tensor_split(linalg._pack(rows, stride)) is None
-    expected = poly_det(rows, method="plain")
+    assert linalg._tensor_split(linalg._ints_at(rows, 1 << stride)[0]) is None
+    expected = plain_det(rows)
     assert poly_det(rows) == expected == laplace_det(rows)
     # One bit less and the packed test accepts a false split.
-    assert linalg._tensor_split(linalg._pack(rows, stride - 1)) is not None
+    assert linalg._tensor_split(linalg._ints_at(rows, 1 << (stride - 1))[0]) is not None
     monkeypatch.setattr(linalg, "_split_stride", lambda h: stride - 1)
     assert poly_det(rows) != expected
 
@@ -552,7 +558,7 @@ def test_centrosymmetric_determinants_split_into_halves():
         if symmetric:
             assert all(linalg._is_symmetric(half) for half in halves)
         packed = poly_det(rows)
-        assert packed == poly_det(rows, method="plain"), trial
+        assert packed == plain_det(rows), trial
         if size <= 4:
             assert packed == laplace_det(rows)
         singular += packed.is_zero
@@ -574,7 +580,7 @@ def test_near_centrosymmetric_matrices_are_not_halved():
             i, j = size - 1 - i, size - 1 - j
         rows[i][j] = rows[i][j] + Q
         assert linalg._centro_halves(rows) is None, trial
-        assert poly_det(rows) == poly_det(rows, method="plain"), trial
+        assert poly_det(rows) == plain_det(rows), trial
 
 
 def test_half_stride_fits_an_extremal_minor():
@@ -589,4 +595,4 @@ def test_half_stride_fits_an_extremal_minor():
     plus, minus = linalg._centro_halves(rows)
     assert plus == minus == [row[:4] for row in top]
     assert linalg._centro_halves(plus) is None
-    assert poly_det(rows) == poly_det(rows, method="plain") == P((256,))
+    assert poly_det(rows) == plain_det(rows) == P((256,))

@@ -106,3 +106,18 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_linear_algebra_oracles_import_nothing_from_linalg():
+    # plain_det, fraction_det and fraction_minors check quonalg.linalg; an
+    # oracle that imported from it would share the code it checks.
+    tree = ast.parse((ROOT / "tests" / "lemmas.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    assert imported and not [
+        name for name in imported if name == "quonalg.linalg" or name.startswith("quonalg.linalg.")
+    ]

@@ -113,10 +113,10 @@ def test_integer_evaluation_matches_fraction_evaluation():
 
 def test_integer_evaluation_needs_polynomial_entries(monkeypatch):
     # The entries are checked before any of them is packed for the split.
-    def no_tree_work(rows, stride):
+    def no_tree_work(rows, x):
         raise AssertionError("packed before the entries were checked")
 
-    monkeypatch.setattr(linalg, "_pack", no_tree_work)
+    monkeypatch.setattr(linalg, "_ints_at", no_tree_work)
     one = Polynomial.one()
     entry = RationalFunction(one, one - Polynomial.q())
     block = Block(m=1, multiset=(1,), basis=("x",), entries=((entry,),))

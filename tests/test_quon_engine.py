@@ -1,12 +1,27 @@
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from quonalg import exact_arith, quon_engine
-from quonalg.colored_perm import ColoredArrangement, enumerate_arrangements
-from quonalg.exact_arith import Polynomial
+from quonalg import colored_perm, exact_arith, formulas, gram, group_algebra, quon_engine
+from quonalg.colored_perm import (
+    ColoredArrangement,
+    enumerate_arrangements,
+    enumerate_group,
+    insertion_cycle,
+)
+from quonalg.exact_arith import Polynomial, RationalFunction
+from quonalg.formulas import (
+    det_closed_form,
+    inverse_closed_form,
+    regular_block_det,
+    verify_inverse,
+)
 from quonalg.gram import build_gram
+from quonalg.group_algebra import cinv_sum
+from quonalg.linalg import leading_minors
+from quonalg.posdef import certify, certify_block, interval_of_definiteness, scan
 from quonalg.quon_engine import (
     CreatorState,
     annihilator_trie,
@@ -281,29 +296,111 @@ def _mode_calls(mode):
     }
 
 
+HALF = Fraction(1, 2)
+
+
+def _block():
+    return build_gram(2, (1, 2))
+
+
+# Each bad m, n or point q beside the call with ints that fills the same
+# caches.  The points must be ints or Fractions: 0.1 would be read as
+# 3602879701896397/36028797018963968, "1e-1" as 1/10 and True as 1.
+SIZE_AND_POINT_CALLS = {
+    "gram(m=2.0)": (lambda: build_gram(2.0, (1, 2)), lambda: build_gram(2, (1, 2))),
+    "gram(m=True)": (lambda: build_gram(True, (1, 2)), lambda: build_gram(1, (1, 2))),
+    "combinatorial(m=2.0)": (
+        lambda: build_gram(2.0, (1, 2), path="combinatorial"),
+        lambda: build_gram(2, (1, 2), path="combinatorial"),
+    ),
+    "cinv_sum(m=2.0)": (lambda: cinv_sum(2.0, 2), lambda: cinv_sum(2, 2)),
+    "cinv_sum(n=True)": (lambda: cinv_sum(2, True), lambda: cinv_sum(2, 1)),
+    "group(n=True)": (lambda: enumerate_group(2, True), lambda: enumerate_group(2, 1)),
+    "cycle(m=2.0)": (lambda: insertion_cycle(2.0, 3, 2, 1), lambda: insertion_cycle(2, 3, 2, 1)),
+    "verify_inverse(m=2.0)": (lambda: verify_inverse(2.0, 2), lambda: verify_inverse(2, 2)),
+    "inverse(m=2.0)": (lambda: inverse_closed_form(2.0, 2), lambda: inverse_closed_form(2, 2)),
+    "det_closed_form(m=True)": (lambda: det_closed_form(True, 2), lambda: det_closed_form(1, 2)),
+    "det_closed_form(n=2.0)": (lambda: det_closed_form(2, 2.0), lambda: det_closed_form(2, 2)),
+    "regular_block_det(m=True)": (
+        lambda: regular_block_det(True, 2),
+        lambda: regular_block_det(1, 2),
+    ),
+    "interval(m=True)": (
+        lambda: interval_of_definiteness(True),
+        lambda: interval_of_definiteness(1),
+    ),
+    "certify(m=True)": (lambda: certify(True, 2, HALF), lambda: certify(1, 2, HALF)),
+    "certify(n=True)": (lambda: certify(1, True, HALF), lambda: certify(1, 1, HALF)),
+    "vacuum(m=1.5)": (
+        lambda: vacuum_expectation([(1, 1)], [(1, 1)], 1.5),
+        lambda: vacuum_expectation([(1, 1)], [(1, 1)], 1),
+    ),
+    "certify(q=0.1)": (lambda: certify(1, 2, 0.1), lambda: certify(1, 2, Fraction(1, 10))),
+    "certify(q='1e-1')": (lambda: certify(2, 2, "1e-1"), lambda: certify(2, 2, Fraction(1, 10))),
+    "certify(q=True)": (lambda: certify(2, 2, True), lambda: certify(2, 2, 1)),
+    "certify_block(q=0.5)": (
+        lambda: certify_block(_block(), 0.5),
+        lambda: certify_block(_block(), HALF),
+    ),
+    "scan(lo=0.0)": (lambda: scan(2, 2, 0.0, HALF, 3), lambda: scan(2, 2, 0, HALF, 3)),
+    "scan(hi=0.5)": (lambda: scan(2, 2, 0, 0.5, 3), lambda: scan(2, 2, 0, HALF, 3)),
+    "leading_minors(q=0.5)": (
+        lambda: leading_minors(_block().split_tree, 0.5),
+        lambda: leading_minors(_block().split_tree, HALF),
+    ),
+    "evaluate(q=0.5)": (lambda: Q.evaluate(0.5), lambda: Q.evaluate(HALF)),
+    "evaluate(q=True)": (lambda: Q.evaluate(True), lambda: Q.evaluate(1)),
+    "quotient(q=0.5)": (
+        lambda: RationalFunction(ONE, ONE - Q).evaluate(0.5),
+        lambda: RationalFunction(ONE, ONE - Q).evaluate(HALF),
+    ),
+}
+
+CACHES = (
+    colored_perm.group_table,
+    colored_perm._enumerate,
+    gram._build_gram_cached,
+    group_algebra.cinv_sum,
+    formulas.det_closed_form,
+    formulas._denominator,
+    formulas.inverse_closed_form,
+)
+
 MALFORMED_CALLS = [
-    pytest.param(call, id=f"{what}{token}")
+    pytest.param(call, None, id=f"{what}{token}")
     for token in BAD_TOKENS
     for what, call in _token_calls(token).items()
 ] + [
-    pytest.param(call, id=f"{what}{token}")
+    pytest.param(call, None, id=f"{what}{token}")
     for token in COSYM_BAD_TOKENS
     for what, call in _cosym_calls(token).items()
 ] + [
-    pytest.param(call, id=f"{what}({mode!r})")
+    pytest.param(call, None, id=f"{what}({mode!r})")
     for mode in BAD_MODES
     for what, call in _mode_calls(mode).items()
+] + [
+    pytest.param(call, warm, id=what) for what, (call, warm) in SIZE_AND_POINT_CALLS.items()
 ]
 
 
-@pytest.mark.parametrize("call", MALFORMED_CALLS)
-def test_malformed_tokens_raise_instead_of_taking_a_value(call):
+@pytest.mark.parametrize("call, warm", MALFORMED_CALLS)
+def test_malformed_tokens_raise_instead_of_taking_a_value(call, warm):
     # A mode or color that is no int, a bool, or a mode below 1 is rejected
     # on every entry point.  int() would read 1.5, 1.9, "1" and True as 1,
     # and a mode 0 or -3 on both sides matches itself, so each of these
-    # words would otherwise take a value.
+    # words would otherwise take a value.  So is an m, n or q of the wrong
+    # type, before any cache is read: lru_cache keys 2.0 and True like 2
+    # and 1, so such a call runs on cleared caches and again after ``warm``,
+    # its int twin, has filled them.
+    if warm is not None:
+        for cached in CACHES:
+            cached.cache_clear()
     with pytest.raises((TypeError, ValueError)):
         call()
+    if warm is not None:
+        warm()
+        with pytest.raises((TypeError, ValueError)):
+            call()
 
 
 def test_annihilator_trie_checks_colors():
