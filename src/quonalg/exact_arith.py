@@ -275,6 +275,40 @@ class Polynomial:
         return " ".join(parts)
 
 
+def power_product(factors):
+    """The expansion of prod f**e over the pairs (f, e) of ``factors``, each
+    f a Polynomial with f(0) != 0 and each e >= 0; ValueError otherwise.
+
+    With F = prod f and G = sum e * f' * F / f (built factor by factor:
+    F, G -> F f, G f + e f' F), the product P satisfies F * P' = G * P,
+    as P' / P = G / F.  The coefficients of q**(k-1) on both sides give
+    one linear recurrence,
+
+        F_0 k P_k = sum_{j=1..k} (G_{j-1} - (k-j) F_j) P_{k-j},
+
+    from P_0 = prod f(0)**e up to k = deg P = sum e * deg f.  P has
+    integer coefficients, so each division by F_0 k is exact; it is
+    checked.  deg G < deg F, so j runs over the j <= deg F with G_{j-1}
+    or F_j nonzero: a few products per coefficient for sparse factors.
+    """
+    full, log, out, degree = _ONE, _ZERO, [1], 0
+    for f, e in factors:
+        if e < 0 or not (f.coeffs and f.coeffs[0]):
+            raise ValueError(f"power_product needs f(0) != 0 and e >= 0, got ({f}, {e})")
+        derivative = Polynomial([e * d * c for d, c in enumerate(f.coeffs)][1:])
+        full, log = full * f, log * f + derivative * full
+        out[0], degree = out[0] * f.coeffs[0] ** e, degree + e * f.degree
+    pad = log.coeffs + (0,) * len(full.coeffs)  # G_{j-1} beside F_j for j >= 1
+    pairs = [(j, g, c) for j, (g, c) in enumerate(zip(pad, full.coeffs[1:]), 1) if g or c]
+    for k in range(1, degree + 1):
+        num = sum((g - (k - j) * c) * out[k - j] for j, g, c in pairs if j <= k)
+        value, rem = divmod(num, full.coeffs[0] * k)
+        if rem:
+            raise ArithmeticError("inexact division in power_product")
+        out.append(value)
+    return Polynomial(out)
+
+
 _ZERO = Polynomial.__new__(Polynomial)
 object.__setattr__(_ZERO, "coeffs", ())
 _ONE = Polynomial.__new__(Polynomial)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .exact_arith import Polynomial, RationalFunction, pack_coeffs
+from .exact_arith import Polynomial, RationalFunction, pack_coeffs, power_product
 from .colored_perm import (
     ColoredPermutation,
     act,
@@ -62,10 +62,9 @@ class DetFactorization:
     perm_factors: tuple  # ((1 - q**(i*i+i), exponent) for i in 1..n-1)
 
     def expand(self):
-        out = self.color_base ** self.color_exponent
-        for base, exponent in self.perm_factors:
-            out = out * base**exponent
-        return out
+        """The expanded product, by the linear recurrence of
+        ``exact_arith.power_product``: every factor has constant term 1."""
+        return power_product(((self.color_base, self.color_exponent),) + self.perm_factors)
 
     def factored_str(self):
         bits = []
@@ -196,7 +195,8 @@ def _denominator(m, n):
     the divisors d >= 2 of t, and each Phi_d is q**d - 1 divided exactly by
     Phi_e for the proper divisors e of d.  1 + (m-1)q is a unit for m = 1
     and Phi_2 for m = 2.  Returns (D, ((factor, exponent), ...)), 1 - q
-    first; D is the product of the factors raised to their exponents.
+    first; D is the product of the factors raised to their exponents
+    (``power_product``).
     """
     q = Polynomial.q()
     exponents = {1: n}  # d -> exponent of Phi_d; d = 1 stands for 1 - q
@@ -218,10 +218,7 @@ def _denominator(m, n):
     factors = [(phi[d], exponents[d]) for d in sorted(exponents)]
     if m >= 3:
         factors.insert(1, (1 + (m - 1) * q, n))
-    denominator = Polynomial.one()
-    for f, e in factors:
-        denominator = denominator * f**e
-    return denominator, tuple(factors)
+    return power_product(factors), tuple(factors)
 
 
 def _divide_out(c, factors):

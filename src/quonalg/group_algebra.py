@@ -26,7 +26,8 @@ from functools import cached_property, reduce
 
 from .exact_arith import Polynomial, pack_coeffs, stride, unpack_int
 from .linalg import split_tree
-from .colored_perm import ColoredPermutation, as_multiset, check_colors, group_table, sized_cache
+from .colored_perm import ColoredPermutation, as_multiset, check_colors, check_sizes
+from .colored_perm import group_table, sized_cache
 
 
 class GroupAlgebraElement:
@@ -42,6 +43,7 @@ class GroupAlgebraElement:
     __slots__ = ("m", "n", "terms")
 
     def __init__(self, m, n, terms=None):
+        check_sizes(m, n)
         clean = {}
         if terms:
             for pi, coeff in terms.items():

@@ -5,7 +5,9 @@ are minors of the input, so every division is exact, and its pivots are the
 leading principal minors of the row-permuted input.  A ZZ[q] matrix enters
 it through one map to ints, ``_ints_at``: its image under q -> 2**stride
 (balanced-digit Kronecker packing, read back by ``exact_arith.unpack_int``;
-proof in ``poly_det``) or its scaled value at a rational point.
+proof in ``poly_det``) or its value at a rational point scaled by one
+common power of the denominator.  A leaf whose degrees allow it is scaled
+per index instead (``_graded_ints``), to the same minors.
 
 The tensor-product split (not the Kronecker packing) is found once per
 Polynomial matrix, in ZZ[q]: ``split_tree`` tests whether the matrix is
@@ -27,6 +29,7 @@ the whole square, which shares no code with this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 
 from .exact_arith import Polynomial, check_point, stride, unpack_int
@@ -39,8 +42,9 @@ def _bareiss(rows, swap=True):
     minor of the matrix with its rows permuted, ``sign`` the sign of that
     permutation.  With ``swap``, a zero pivot is replaced by the first row
     below it with a nonzero entry in its column.  Without ``swap``, or when
-    no such row exists, the pass stops with fewer pivots than rows, and the
-    next leading minor is zero.
+    no such row exists, the pass stops at the zero pivot k, with k pivots,
+    and leaves row k of ``rows`` holding, from column k on, the minors on
+    rows {0..k} and columns {0..k-1, j} (``_bareiss_minors`` reads them).
 
     A matrix equal to its transpose (``_is_symmetric``, tested here and
     nowhere else) is eliminated on its upper triangle alone.
@@ -152,7 +156,8 @@ def _tensor_split(rows):
         for r, row in enumerate(rows):
             corners = rows[r - r % b][::b]
             inner = rows[r % b][:b]
-            if [x * c for x in row] != [a * e for a in corners for e in inner]:
+            scaled = row if c == 1 else [x * c for x in row]
+            if scaled != [a * e for a in corners for e in inner]:
                 break
         else:
             return b
@@ -261,7 +266,10 @@ def _leaf_det(rows):
 
 def _split_det(node):
     """Determinant of the matrix of a ``split_tree`` node (see ``poly_det``),
-    from its leaves' (``_leaf_det``)."""
+    from its leaves' (``_leaf_det``).  The powers are schoolbook
+    ``Polynomial.__pow__``, not ``exact_arith.power_product``: their bases
+    are dense leaf determinants, and the recurrence was slower there
+    (``regular_block_det(2, 4)`` 0.68-0.74 -> 1.69-1.85 s)."""
     rows, children = node
     if children:
         a, b = children
@@ -313,15 +321,25 @@ def poly_det(rows):
 def _bareiss_minors(ints):
     """Leading principal minors of a square int matrix by elimination.
 
-    One Bareiss pass without row swaps gives every minor as a pivot.  After
-    a zero pivot, each later minor takes its own elimination.
+    One Bareiss pass without row swaps gives every minor as a pivot.  If it
+    stops at a zero pivot k, minor k + 1 is 0, and so is every later minor
+    when the pass left row k zero; otherwise each later minor takes its own
+    elimination.
+
+    Proof of the stop.  Let D_j be minor j (D_0 = 1) and b_ij the minor on
+    rows {0..k-1, i} and columns {0..k-1, j}; row k holds b_kj for j >= k
+    (``_bareiss``).  Sylvester's identity (Bareiss, 1968) gives, for t >= 1,
+    det(b_ij), i and j in k..k+t-1, = D_k**(t-1) * D_{k+t}, and D_k != 0 is
+    the last pivot.  A zero row k is the first row of each of these t-by-t
+    determinants, so all of them, and every D_{k+t}, are 0.
     """
-    n = len(ints)
-    _, minors = _bareiss([row[:] for row in ints], swap=False)
-    if len(minors) < n:
-        minors.append(0)
-        minors += [_det([row[:k] for row in ints[:k]]) for k in range(len(minors) + 1, n + 1)]
-    return minors
+    n, rows = len(ints), [row[:] for row in ints]
+    _, minors = _bareiss(rows, swap=False)
+    k = len(minors)
+    if k < n:
+        later = range(k + 2, n + 1) if any(rows[k][k:]) else ()
+        minors += [0] + [_det([row[:j] for row in ints[:j]]) for j in later]
+    return minors + [0] * (n - len(minors))
 
 
 def _kron_minors(da, db, c):
@@ -381,10 +399,54 @@ def _ints_at(rows, x):
     return [[values[entry.coeffs] for entry in row] for row in rows], r**degree
 
 
+def _graded_ints(rows, q0):
+    """``(ints, r**E, lifts)`` for a nonempty Polynomial matrix at q0 = p/r
+    with r > 1, or None where its test fails: minors on smaller integers.
+
+    Let e_i be the degree of rows[0][i] (0 for a zero entry), E the largest
+    entry degree and f_k = 2 * (e_0 + ... + e_{k-1}).  The test is deg
+    rows[i][j] <= e_i + e_j for every i, j, and f_k <= k * E for k = 1..N.
+    Proof.  Then ints = D * rows(q0) * D with D = diag(r**e_i) is an int
+    matrix: sum(c_d * q**d) at entry (i, j) maps to sum(c_d * p**d *
+    r**(e_i + e_j - d)), each distinct (entry, e_i + e_j) once.  Its minor
+    k is det(D_k)**2 = r**f_k times minor k of rows(q0), so times lifts[k-1]
+    = r**(k*E - f_k), an int, it is minor k of r**E * rows(q0), the
+    ``_ints_at`` matrix: the same minors at the same scale.  Each entry the
+    elimination computes, a bordered minor, carries r**(f_k + e_i + e_j) in
+    place of r**((k+1)*E).  Q_n in lexicographic order passes, with e_i the
+    inversion count of word i: entry (i, j) is q**inv(x_i**-1 x_j), and the
+    length of a permutation is subadditive; the first k words have at most
+    k * E / 2 inversions in all (by induction on n, over the blocks of
+    words with one first letter b, each adding b - 1 to the inversions of
+    the words of length n - 1).  K with m >= 3 colors fails the prefix
+    test (f_k = 2k - 2 > k = k * E for k >= 3).
+    """
+    r, p = q0.denominator, q0.numerator
+    if r == 1 or not rows:
+        return None
+    grades = [max(x.degree, 0) for x in rows[0]]
+    keys = [[(x.coeffs, gi + gj) for gj, x in zip(grades, row)] for gi, row in zip(grades, rows)]
+    values, top = dict.fromkeys(chain.from_iterable(keys)), 0
+    for coeffs, g in values:
+        if len(coeffs) - 1 > g:
+            return None
+        top = max(top, len(coeffs) - 1)
+        values[coeffs, g] = sum(c * p**d * r ** (g - d) for d, c in enumerate(coeffs))
+    lifts, f = [], 0
+    for k, e in enumerate(grades, 1):
+        f += 2 * e
+        if f > k * top:
+            return None
+        lifts.append(r ** (k * top - f))
+    return [list(map(values.__getitem__, row)) for row in keys], r**top, lifts
+
+
 def _node_minors(node, q0, corner=None):
     """``(minors, scale)``: the leading minors of the int matrix scale *
     M(q0), M the matrix of a ``split_tree`` node (see ``_kron_minors``).
-    Every node shares the root's corner, so ``corner`` is its ``_ints_at``."""
+    Every node shares the root's corner, so ``corner`` is its ``_ints_at``.
+    A matrix left unsplit is evaluated by ``_graded_ints`` where its test
+    passes and by ``_ints_at`` otherwise, to the same minors and scale."""
     rows, children = node
     if children:
         corner = corner or _ints_at([rows[0][:1]], q0)
@@ -393,6 +455,10 @@ def _node_minors(node, q0, corner=None):
             da, sa = _node_minors(children[0], q0, corner)
             db, sb = _node_minors(children[1], q0, corner)
             return _kron_minors(da, db, c), sa * sb // corner_scale
+    graded = _graded_ints(rows, q0)
+    if graded:
+        ints, scale, lifts = graded
+        return [v * w for v, w in zip(_bareiss_minors(ints), lifts)], scale
     ints, scale = _ints_at(rows, q0)
     return _bareiss_minors(ints), scale
 
@@ -401,10 +467,11 @@ def leading_minors(tree, q0):
     """Exact leading principal minors, a tuple of Fractions, of the matrix
     of a ``split_tree`` node at the rational point q0.
 
-    Only the leaves are evaluated (``_ints_at``), each takes one Bareiss
-    pass, and each node combines its children's minors (``_kron_minors``,
-    with the proofs).  If the corner vanishes at q0, the whole matrix is
-    evaluated instead.  Minor k is divided by scale**k once, at the end.
+    Only the leaves are evaluated (``_graded_ints`` or ``_ints_at``), each
+    takes one Bareiss pass (``_bareiss_minors``), and each node combines
+    its children's minors (``_kron_minors``, with the proofs).  If the
+    corner vanishes at q0, the whole matrix is evaluated instead.  Minor k
+    is divided by scale**k once, at the end.
     """
     values, scale = _node_minors(tree, check_point(q0))
     return tuple(Fraction(v, scale**k) for k, v in enumerate(values, 1))

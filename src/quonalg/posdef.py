@@ -96,7 +96,10 @@ def certify(m, n, q0):
 
 
 def scan(m, n, q_lo, q_hi, steps):
-    """Certify at ``steps`` evenly spaced rational points, endpoints included."""
+    """Certify at ``steps`` evenly spaced rational points, endpoints included.
+    ``steps`` is an int (not a bool) of at least 1."""
+    if type(steps) is not int:
+        raise TypeError(f"steps {steps!r} is not an int")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     check_sizes(m, n)

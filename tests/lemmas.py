@@ -22,6 +22,9 @@ Fractions, the plain route beside ``Polynomial.evaluate``'s integer one.
 coefficients, one shifted copy per step, and ``expectation_reference``
 applies it one annihilator at a time: the plain route beside
 ``quon_engine``'s packed walk.
+``power_product_reference`` multiplies coefficient lists by schoolbook
+convolution, one factor at a time: the plain route beside
+``exact_arith.power_product``'s recurrence.
 ``parse_polynomial`` and ``parse_rational_function`` read the canonical
 strings of ``Polynomial`` and ``RationalFunction`` back, so tests can check
 what the CLI prints.
@@ -250,6 +253,20 @@ def kron(a, b):
     Entry [s*len(b) + i][t*len(b) + j] is a[s][t] * b[i][j].
     """
     return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def power_product_reference(factors):
+    """prod f**e over the pairs (f, e), as a Polynomial, by multiplying
+    coefficient lists e times each, schoolbook."""
+    acc = [1]
+    for f, e in factors:
+        for _ in range(e):
+            out = [0] * (len(acc) + len(f.coeffs) - 1)
+            for i, a in enumerate(acc):
+                for j, b in enumerate(f.coeffs):
+                    out[i + j] += a * b
+            acc = out
+    return Polynomial(acc)
 
 
 def evaluate_reference(poly, point):

@@ -25,6 +25,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LINALG = "src/quonalg/linalg.py"
+ARITH = "src/quonalg/exact_arith.py"
+ALGEBRA = "src/quonalg/group_algebra.py"
+ENGINE = "src/quonalg/quon_engine.py"
+FORMULAS = "src/quonalg/formulas.py"
 T = "tests/test_linalg.py::"
 
 MUTANTS = [
@@ -81,6 +85,54 @@ MUTANTS = [
         "pairs[key] = (a + b, a - b)",
         "pairs[key] = (a + b, b - a)",
         (T + "test_centrosymmetric_determinants_split_into_halves",),
+    ),
+    (
+        LINALG,
+        "if any(rows[k][k:]) else ()",
+        "if any(row[k] for row in rows[k:]) else ()",
+        (T + "test_rank_stop_past_a_zero_pivot",),
+    ),
+    (
+        LINALG,
+        "        if len(coeffs) - 1 > g:\n            return None",
+        "        if False:\n            return None",
+        (T + "test_graded_leaf_minors_match_fractions",),
+    ),
+    (
+        LINALG,
+        "        if f > k * top:\n            return None",
+        "        if False:\n            return None",
+        (T + "test_graded_leaf_minors_match_fractions",),
+    ),
+    (
+        ARITH,
+        "(g - (k - j) * c) * out[k - j]",
+        "(g - c) * out[k - j]",
+        ("tests/test_exact_arith.py::test_power_product_matches_a_schoolbook_product",),
+    ),
+    (
+        ALGEBRA,
+        "    return stride(min(sup_x * l1_y, sup_y * l1_x))",
+        "    return stride(min(sup_x * l1_y, sup_y * l1_x)) - 1",
+        ("tests/test_group_algebra.py::test_product_stride_is_tight",),
+    ),
+    (
+        ALGEBRA,
+        "    return stride(sum(max(map(abs, c.coeffs)) for c in x.terms.values()))",
+        "    return stride(sum(max(map(abs, c.coeffs)) for c in x.terms.values())) - 1",
+        ("tests/test_group_algebra.py::test_rep_matrix_stride_is_tight",),
+    ),
+    (
+        ENGINE,
+        "    return stride * (length * (length + 1) // 2 + 1)",
+        "    return stride * (length * (length + 1) // 2)",
+        ("tests/test_quon_engine.py::test_operator_column_slot_holds_the_largest_degree",),
+    ),
+    (
+        FORMULAS,
+        "    return ga_mul(cleared, s) == target and ga_mul(s, cleared) == target",
+        "    return ga_mul(cleared, s) == target",
+        ("tests/test_formulas.py::test_verify_inverse_reads_both_products",),
     ),
 ]
 

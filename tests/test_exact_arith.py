@@ -9,11 +9,17 @@ from quonalg.exact_arith import (
     RationalFunction,
     pack_coeffs,
     parse_rational,
+    power_product,
     stride,
     unpack_int,
 )
 
-from lemmas import evaluate_reference, parse_polynomial, parse_rational_function
+from lemmas import (
+    evaluate_reference,
+    parse_polynomial,
+    parse_rational_function,
+    power_product_reference,
+)
 
 P = Polynomial
 ONE = P.one()
@@ -251,3 +257,26 @@ def test_parse_rational():
     for text in ("0.5", "1e-1", "1E5", "1_000", "3 / 4", "/2", "1/", "", "0x10", "inf"):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+def test_power_product_matches_a_schoolbook_product():
+    # Random factor lists: constant terms +-1 and +-2, negative
+    # coefficients, exponent 0, constant factors and the empty list.
+    rng = random.Random(131)
+    for trial in range(300):
+        factors = []
+        for _ in range(rng.randint(0, 4)):
+            tail = [rng.randint(-3, 3) for _ in range(rng.randint(0, 5))]
+            factors.append((P([rng.choice((-2, -1, 1, 2))] + tail), rng.randint(0, 6)))
+        assert power_product(factors) == power_product_reference(factors), (trial, factors)
+    assert power_product([]) == ONE
+    assert power_product([(ONE - Q, 3), (ONE + Q, 0)]) == P((1, -3, 3, -1))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[(Q, 1)], [(ONE, 2), (P((0, 1, 1)), 1)], [(P.zero(), 1)], [(ONE + Q, -1)], [(Q, 0)]],
+)
+def test_power_product_refuses_a_zero_constant_term_or_a_negative_exponent(factors):
+    with pytest.raises(ValueError):
+        power_product(factors)

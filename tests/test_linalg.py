@@ -142,6 +142,157 @@ def test_one_pass_minors_past_a_zero_minor():
     assert reached >= 50
 
 
+def with_schur_complement(rng, k, schur, symmetric):
+    """An int matrix L diag U + [[0, 0], [0, S]] of size k + len(S): L is
+    n-by-k and U k-by-n, unit lower and unit upper triangular on top, and
+    U = L^T where ``symmetric``.  Its k-by-k leading part has nonzero
+    leading minors and its Schur complement there is S = ``schur``, so
+    after k Bareiss steps its trailing block is D_k * S."""
+    n = k + len(schur)
+
+    def tall():
+        return [
+            [int(i == j) if j >= i else rng.randint(-2, 2) for j in range(k)] for i in range(n)
+        ]
+
+    left = tall()
+    right = list(zip(*(left if symmetric else tall())))
+    diag = [rng.choice((-2, -1, 1, 2)) for _ in range(k)]
+    rows = [
+        [sum(left[i][a] * diag[a] * right[a][j] for a in range(k)) for j in range(n)]
+        for i in range(n)
+    ]
+    for i, row in enumerate(schur):
+        for j, value in enumerate(row):
+            rows[k + i][k + j] += value
+    return rows
+
+
+def test_rank_stop_past_a_zero_pivot(monkeypatch):
+    # Rank-k products (S = 0), k = 0..n, symmetric and not, stop at pivot k
+    # with no further elimination.  With one nonzero bordered minor the
+    # pass goes on to the per-k route where it lies on row k, and stops
+    # anywhere else (in the lower triangle too), where every later minor is
+    # still 0.  Every result matches a reference that shares no code.
+    dets = []
+    det = linalg._det
+
+    def counting(rows):
+        dets.append(len(rows))
+        return det(rows)
+
+    monkeypatch.setattr(linalg, "_det", counting)
+    rng = random.Random(107)
+    stopped = went_on = 0
+    for trial in range(240):
+        symmetric = trial % 2 == 0
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n)
+        schur = [[0] * (n - k) for _ in range(n - k)]
+        spot = None
+        if k < n - 1 and trial % 3:
+            row = 0 if trial % 3 == 1 else rng.randrange(1, n - k)
+            spot = (row, rng.randrange(1 - bool(row), n - k))
+            schur[spot[0]][spot[1]] = rng.choice((-3, -1, 2))
+            if symmetric:
+                schur[spot[1]][spot[0]] = schur[spot[0]][spot[1]]
+        rows = with_schur_complement(rng, k, schur, symmetric)
+        dets.clear()
+        expected = fraction_minors(rows)
+        assert linalg._bareiss_minors(rows) == expected, (trial, rows)
+        on_row_k = spot is not None and (spot[0] == 0 or symmetric and spot[1] == 0)
+        assert all(expected[:k]) and (on_row_k or not any(expected[k:]))
+        assert dets == (list(range(k + 2, n + 1)) if on_row_k else []), (trial, spot)
+        stopped += spot is not None and not on_row_k
+        went_on += on_row_k
+    assert stopped >= 30 and went_on >= 30
+    # Where row k is nonzero the later minors need not vanish: here the
+    # bordered block is [[0, 1], [1, 0]] and minor k + 2 is -D_k.
+    for symmetric in (True, False):
+        rows = with_schur_complement(rng, 2, [[0, 1], [1, 0]], symmetric)
+        expected = fraction_minors(rows)
+        assert expected[2] == 0 != expected[3]
+        assert linalg._bareiss_minors(rows) == expected
+    # A symmetric pass never updates its lower triangle: row k is read, not
+    # column k, whose entry below the zero pivot is here still the input 0.
+    rows = [[1, 1, 1], [1, 1, 0], [1, 0, 0]]
+    assert linalg._bareiss_minors(rows) == fraction_minors(rows) == [1, 0, -1]
+
+
+def graded_matrix(rng, grades, symmetric):
+    """A Polynomial matrix with row 0 of degrees ``grades`` and entry (i, j)
+    of degree at most grades[i] + grades[j], the last diagonal entry of
+    degree 2 * max(grades); symmetric where asked."""
+    n = len(grades)
+    rows = [[None] * n for _ in range(n)]
+
+    def entry(degree, exact):
+        tail = [rng.choice((-2, -1, 1, 3))] if exact else []
+        return P([rng.randint(-3, 3) for _ in range(degree + 1 - exact)] + tail)
+
+    for i in range(n):
+        for j in range(i if symmetric else 0, n):
+            rows[i][j] = entry(grades[i] + grades[j], i == 0 or i == j == n - 1)
+            if i == 0:
+                rows[i][j] = entry(grades[j], True)
+            if symmetric:
+                rows[j][i] = rows[i][j]
+    rows[-1][-1] = entry(2 * max(grades), True) if n > 1 else rows[0][0]
+    return rows
+
+
+def test_graded_leaf_minors_match_fractions():
+    # Leaves whose grades pass both tests (zero leading minors included,
+    # which take the per-k route on graded ints), fail the triangle test
+    # (one entry of too high a degree) or the prefix test (row 0 of
+    # falling degrees), at points with r > 1 and, where nothing is graded,
+    # at integers.  Each gives the minors and the scale of the uniformly
+    # scaled ``_ints_at`` pass and matches Fraction Horner and Gaussian
+    # elimination.
+    rng = random.Random(109)
+    points = (Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3), Fraction(-54321, 2**17 - 1), -2)
+    passed = failed = zero_passed = 0
+    for trial in range(200):
+        kind, symmetric = trial % 4, trial % 8 < 4
+        n = rng.randint(1, 5) if kind != 3 else rng.randint(2, 5)
+        grades = sorted(rng.randint(0, 3) for _ in range(n))
+        if kind == 2:
+            grades = [4] + sorted((rng.randint(0, 3) for _ in range(n - 1)), reverse=True)
+        elif kind == 3 or n == 1:
+            grades[0] = 0  # a 1-by-1 [[x]] fails the prefix test 2 deg x <= deg x
+        rows = graded_matrix(rng, grades, symmetric)
+        if kind == 1 and n > 1:
+            i, j = rng.randrange(1, n), rng.randrange(1, n)
+            rows[i][j] = rows[i][j] + P.monomial(grades[i] + grades[j] + 1, 2)
+            if symmetric:
+                rows[j][i] = rows[i][j]
+        elif kind == 3:
+            rows[0][0] = P.zero()
+        for q0 in points:
+            graded = linalg._graded_ints(rows, q0)
+            grades_pass = kind in (0, 3) or kind == 1 and n == 1
+            assert (graded is not None) == (grades_pass and q0 != -2), (trial, q0)
+            ints, scale = linalg._ints_at(rows, q0)
+            assert linalg._node_minors((rows, None), q0) == (linalg._bareiss_minors(ints), scale)
+            assert list(leading_minors((rows, None), q0)) == reference_minors(rows, q0)
+            if graded:
+                assert graded[1] == scale
+                passed += 1
+                zero_passed += kind == 3 and any(reference_minors(rows, q0)[1:])
+            else:
+                failed += 1
+    assert passed >= 300 and failed >= 300 and zero_passed >= 50
+    # The m-by-m K of the regular block passes for m = 2 and fails the
+    # prefix test for m >= 3; Q_n passes.
+    third = Fraction(1, 3)
+    for m in (2, 3, 4):
+        k = [[ONE if i == j else Q for j in range(m)] for i in range(m)]
+        assert (linalg._graded_ints(k, third) is not None) == (m == 2)
+    for n in (2, 3, 4):
+        q_n = [list(row) for row in build_gram(1, tuple(range(1, n + 1))).entries]
+        assert linalg._graded_ints(q_n, third) is not None
+
+
 def test_leading_minors_of_a_scaled_integer_matrix():
     # At q = 1/2 the integer matrix is [[4, 2, 0], [2, 5, 3], [0, 3, 7]] over
     # the scale 2: integer minors 4, 16, 76, divided by 2, 2**2, 2**3.
@@ -191,15 +342,23 @@ def test_split_matches_split_free_bareiss_on_regular_blocks(monkeypatch):
     # The regular block is Q_n (x) K (x) ... (x) K: its tree, found once in
     # ZZ[q], gives at every point the minors and the scale of one Bareiss
     # pass over the whole evaluated block.  Every node shares the root's
-    # corner, which is evaluated once; each of the n + 1 leaves once more.
-    ints_at = linalg._ints_at
+    # corner, which is evaluated once; each of the n + 1 leaves once more,
+    # by the graded map where its test passes and by ``_ints_at`` otherwise.
+    ints_at, graded_ints = linalg._ints_at, linalg._graded_ints
     sizes = []
 
     def recording(rows, q0):
         sizes.append(len(rows))
         return ints_at(rows, q0)
 
+    def graded_recording(rows, q0):
+        result = graded_ints(rows, q0)
+        if result:
+            sizes.append(len(rows))
+        return result
+
     monkeypatch.setattr(linalg, "_ints_at", recording)
+    monkeypatch.setattr(linalg, "_graded_ints", graded_recording)
     for m, n in [(2, 2), (3, 2), (4, 2), (2, 3), (5, 2)]:
         block = build_gram(m, tuple(range(1, n + 1)))
         lo, hi = interval_of_definiteness(m)

@@ -204,6 +204,9 @@ def test_scan_structure():
 
     with pytest.raises(ValueError):
         scan(1, 2, 0, 1, 0)
+    for steps in (True, 2.0):
+        with pytest.raises(TypeError, match="steps"):
+            scan(1, 2, 0, 1, steps)
     assert len(scan(1, 2, 0, 0, 1)) == 1
 
 

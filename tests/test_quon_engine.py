@@ -19,7 +19,7 @@ from quonalg.formulas import (
     verify_inverse,
 )
 from quonalg.gram import build_gram
-from quonalg.group_algebra import cinv_sum
+from quonalg.group_algebra import GroupAlgebraElement, cinv_sum
 from quonalg.linalg import leading_minors
 from quonalg.posdef import certify, certify_block, interval_of_definiteness, scan
 from quonalg.quon_engine import (
@@ -344,6 +344,20 @@ SIZE_AND_POINT_CALLS = {
     ),
     "scan(lo=0.0)": (lambda: scan(2, 2, 0.0, HALF, 3), lambda: scan(2, 2, 0, HALF, 3)),
     "scan(hi=0.5)": (lambda: scan(2, 2, 0, 0.5, 3), lambda: scan(2, 2, 0, HALF, 3)),
+    "scan(steps=True)": (lambda: scan(2, 2, 0, HALF, True), lambda: scan(2, 2, 0, HALF, 1)),
+    "scan(steps=2.0)": (lambda: scan(2, 2, 0, HALF, 2.0), lambda: scan(2, 2, 0, HALF, 2)),
+    "element(m=True)": (
+        lambda: GroupAlgebraElement(True, 1, {}),
+        lambda: GroupAlgebraElement(1, 1, {}),
+    ),
+    "element(m=2.0)": (
+        lambda: GroupAlgebraElement(2.0, 2, {}),
+        lambda: GroupAlgebraElement(2, 2, {}),
+    ),
+    "element(n=-1)": (
+        lambda: GroupAlgebraElement(2, -1, {}),
+        lambda: GroupAlgebraElement(2, 1, {}),
+    ),
     "leading_minors(q=0.5)": (
         lambda: leading_minors(_block().split_tree, 0.5),
         lambda: leading_minors(_block().split_tree, HALF),
