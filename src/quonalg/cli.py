@@ -160,6 +160,7 @@ def cmd_det(args):
         )
     fact = det_factorization(args.m, args.n)
     expanded = fact.expand()
+    text = str(expanded)  # rendered once: at (4, 4) it is about 480 MB
     payload = {
         "m": args.m,
         "n": args.n,
@@ -170,11 +171,11 @@ def cmd_det(args):
             "perm_factors": [[str(base), exp] for base, exp in fact.perm_factors],
         },
         "factored_str": fact.factored_str(),
-        "expanded": str(expanded),
+        "expanded": text,
     }
-    rows = [["key", "value"], ["factored", payload["factored_str"]], ["expanded", str(expanded)]]
+    rows = [["key", "value"], ["factored", payload["factored_str"]], ["expanded", text]]
     lines = [f"m={args.m} n={args.n} size={size}"]
-    lines += [f"factored: {payload['factored_str']}", f"expanded: {expanded}"]
+    lines += [f"factored: {payload['factored_str']}", f"expanded: {text}"]
     code = 0
     if args.verify:
         oracle = regular_block_det(args.m, args.n)

@@ -45,6 +45,7 @@ from .group_algebra import (
     GroupAlgebraElement,
     cinv_sum,
     ga_mul,
+    inverts_cinv_sum,
     product_chain,
     rep_matrix,
 )
@@ -195,8 +196,9 @@ def _denominator(m, n):
     the divisors d >= 2 of t, and each Phi_d is q**d - 1 divided exactly by
     Phi_e for the proper divisors e of d.  1 + (m-1)q is a unit for m = 1
     and Phi_2 for m = 2.  Returns (D, ((factor, exponent), ...)), 1 - q
-    first; D is the product of the factors raised to their exponents
-    (``power_product``).
+    first; D is the product of the factors raised to their exponents, by
+    Polynomial products: at these degrees they are faster than the
+    recurrence of ``power_product``.
     """
     q = Polynomial.q()
     exponents = {1: n}  # d -> exponent of Phi_d; d = 1 stands for 1 - q
@@ -218,7 +220,10 @@ def _denominator(m, n):
     factors = [(phi[d], exponents[d]) for d in sorted(exponents)]
     if m >= 3:
         factors.insert(1, (1 + (m - 1) * q, n))
-    return power_product(factors), tuple(factors)
+    denominator = Polynomial.one()
+    for f, e in factors:
+        denominator = denominator * f**e
+    return denominator, tuple(factors)
 
 
 def _divide_out(c, factors):
@@ -261,9 +266,10 @@ def inverse_closed_form(m, n):
     then the geometric product, over k <= j-1, of truncated geometric
     series in cycle(j-1 -> k), whose scalars are the
     (1 - q**((j-k)(j-k+1))); both are neutral-colored.  The color part acts
-    after the permutation part, and verify_inverse pins these orders
-    two-sidedly.  Memoised like ``cinv_sum``, so a caller that prints and
-    then verifies the inverse assembles it once.
+    after the permutation part; ``verify_inverse`` checks both N * s and
+    s * N, so an order that inverts s on one side only fails it.  Memoised
+    like ``cinv_sum``, so a caller that prints and then verifies the
+    inverse assembles it once.
 
     Each coefficient c of the numerator N is printed over the product D of
     all the scalars, reduced by trial division: for each irreducible factor
@@ -309,20 +315,18 @@ def verify_inverse(m, n):
 
     Each printed term num/den is cleared to num * (D / den), with D the
     inverse's denominator, to an element N over ZZ[q]; then N * s == D * e
-    == s * N is checked in ZZ[q].  A den that does not divide D fails the
-    check.
+    == s * N is checked in ZZ[q] through the sparse factors of
+    s = ``cinv_sum(m, n)``, which are checked to multiply to s
+    (``group_algebra.inverts_cinv_sum``).  A den that does not divide D
+    fails the check.
     """
-    s = cinv_sum(m, n)
     denominator = _denominator(m, n)[0]
-    cofactors = {}  # den -> D / den
-    terms = {}
+    parts = {}  # den -> (D / den, {pi: num})
     for pi, c in inverse_closed_form(m, n).terms.items():
-        if c.den not in cofactors:
+        if c.den not in parts:
             try:
-                cofactors[c.den] = denominator.divexact(c.den)
+                parts[c.den] = denominator.divexact(c.den), {}
             except ValueError:
                 return False
-        terms[pi] = c.num * cofactors[c.den]
-    cleared = GroupAlgebraElement(m, n, terms)
-    target = GroupAlgebraElement.identity(m, n).scale(denominator)
-    return ga_mul(cleared, s) == target and ga_mul(s, cleared) == target
+        parts[c.den][1][pi] = c.num
+    return inverts_cinv_sum(m, n, parts.values(), denominator)

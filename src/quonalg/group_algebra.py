@@ -11,7 +11,9 @@ right action of the group; ``rep_matrix`` expands that action in the
 canonical arrangement basis, one column per basis element, as a ``Block``:
 the one matrix type of the package, which Gram blocks share.  Both
 ``rep_matrix`` and ``ga_mul`` walk the terms of x by the lookup tables of
-``colored_perm.GroupTable``, with coefficients packed into ints.
+``colored_perm.GroupTable``, with coefficients packed into ints;
+``inverts_cinv_sum`` multiplies packed vectors by the group sum through its
+sparse factors, and checks the factors first.
 
 ``ga_mul`` is oriented so that ``rep_matrix`` is multiplicative:
 ``rep_matrix(ga_mul(x, y), I)`` equals ``rep_matrix(x, I) @ rep_matrix(y, I)``.
@@ -23,11 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import repeat
+from math import prod
+from operator import add, lshift
 
 from .exact_arith import Polynomial, pack_coeffs, stride, unpack_int
 from .linalg import split_tree
 from .colored_perm import ColoredPermutation, as_multiset, check_colors, check_sizes
-from .colored_perm import group_table, sized_cache
+from .colored_perm import group_table, insertion_cycle, sized_cache
 
 
 class GroupAlgebraElement:
@@ -211,6 +216,158 @@ def cinv_sum(m, n):
     table = group_table(m, n)
     return GroupAlgebraElement(
         m, n, {pi: Polynomial.monomial(c) for pi, c in zip(table.elements, table.cinvs)}
+    )
+
+
+def _sum_factors(m, n):
+    """Sparse factors whose ``product_chain`` is ``cinv_sum(m, n)``: T_2, ...,
+    T_n, then C_1, ..., C_n, each a tuple of terms (pi, e) for q**e * pi.
+
+    T_j = sum_{k=1..j} q**(j-k) * insertion_cycle(j, k), and C_p = e + q *
+    (the m - 1 words with one non-neutral color, at position p, on the
+    identity value word); C_p = e at m = 1 and is left out.  Every term is
+    a pure permutation or a pure color word, and the factors have
+    prod |f| = n! * m**n = |G| terms in all (Zagier's factorization of the
+    q-weighted permutation sum, Comm. Math. Phys. 147 (1992), with one
+    color factor per position).  ``inverts_cinv_sum`` checks the product
+    instead of assuming it.
+    """
+    e = ColoredPermutation.neutral(m, n)
+    factors = [
+        tuple((insertion_cycle(m, n, j, k), j - k) for k in range(1, j + 1))
+        for j in range(2, n + 1)
+    ]
+    for p in range(n if m > 1 else 0):
+        words = (e.colors[:p] + (a,) + e.colors[p + 1 :] for a in range(1, m))
+        factors.append(((e, 0), *((ColoredPermutation(m, e.values, w), 1) for w in words)))
+    return factors
+
+
+def _chain_stride(sup, factors, target_sup):
+    """Bits per packed coefficient of ``_times_factors``: ``stride(B)``, with
+    B = max(sup * prod |f|, target_sup).
+
+    Why it suffices, for an input vector whose coefficients have modulus at
+    most sup and a target whose coefficients have modulus at most
+    target_sup.  A factor's terms are distinct group elements with
+    coefficients q**e, and for one term pi both h -> act(h, pi) and
+    h -> act(pi, h) are bijections of G, so each output position receives
+    one shifted input coefficient per term: times a factor f, the bound
+    grows at most |f|-fold, and the chain's output has coefficients of
+    modulus at most sup * prod |f| <= B.  The target's are at most B too.
+    So every compared polynomial has coefficients below 2**(s-1), where
+    balanced base-2**s digits are unique (``unpack_int`` reads them back),
+    and two packed ints are equal exactly when their polynomials are.
+    Packing is a ring homomorphism, so the final ints are the images of
+    the exact products however large the intermediate ones grow.  The
+    bound is attained: an input with coefficient sup * q**(K - cinv(h))
+    at every h, K the largest cinv, times cinv_sum on either side, has
+    sup * |G| * q**K at the neutral element.
+    """
+    return stride(max(sup * prod(map(len, factors)), target_sup))
+
+
+def _blocks(table):
+    """The offset b * M of the b-th value word's block in a vector of
+    ``_gather``, M = m**n, value words in the group's order."""
+    size = len(table.index)
+    words = (pi.values for pi in table.elements[::size])
+    return dict(zip(words, range(0, len(table.elements), size)))
+
+
+def _gather(table, blocks, pi, on_left):
+    """For pi a pure permutation sigma or a pure color word d: the index into
+    V of each entry of pi * V (``on_left``) or of V * pi, or None for pi = e.
+
+    A vector V over G holds the element (v, color word k) at blocks[v] + k
+    (``_blocks``), k the color word's index in ``table.index``.  pi * V has
+    the term act(h, pi) for h of V, V * pi the term act(pi, h) (``ga_mul``'s
+    orientation); each map is a bijection of G, so an entry is read at its
+    preimage, found from one word build per value word (and per color word
+    for act(h, sigma)) and the color rows of ``table`` (``GroupTable.sums``).
+    """
+    m, n, sigma, index = pi.m, pi.n, pi.values, table.index
+    if pi.colors.count(m) < n:  # act(h, d) = (v, c (+) d), act(d, h) = (v, (d o v) (+) c)
+        minus = (0, *[m - c or m for c in pi.colors])  # -d at positions 1..n
+        words = (minus[1:] if on_left else tuple(map(minus.__getitem__, v)) for v in blocks)
+        rows = zip(blocks.values(), (table.sums(index[w], None) for w in words))
+    elif sigma == tuple(sorted(sigma)):
+        return None
+    elif on_left:  # act(h, sigma) = (v o sigma, c o sigma)
+        back = sorted(range(n), key=sigma.__getitem__)  # w o sigma**-1 = w[back]
+        row = [index[tuple(map(c.__getitem__, back))] for c in index]
+        rows = ((blocks[tuple(map(v.__getitem__, back))], row) for v in blocks)
+    else:  # act(sigma, h) = (sigma o v, c)
+        back = dict(zip(sigma, range(1, n + 1)))  # sigma**-1
+        rows = ((blocks[tuple(map(back.__getitem__, v))], range(len(index))) for v in blocks)
+    return [b + k for b, row in rows for k in row]
+
+
+def _chain(table, blocks, factors, on_left):
+    """The factors as ``_times_factors`` applies them, on the left
+    (``on_left``) or on the right of a vector: per factor, each term's
+    (``_gather`` index, exponent), the first-applied factor first."""
+    order = factors if on_left else reversed(factors)
+    return [[(_gather(table, blocks, pi, on_left), e) for pi, e in f] for f in order]
+
+
+def _times_factors(vector, chain, width):
+    """The packed vector of ``product_chain(factors) * V`` or of
+    ``V * product_chain(factors)``, products in ``ga_mul``'s orientation,
+    for chain = ``_chain(table, blocks, factors, on_left)``.
+
+    V and the result are lists of ints at stride ``width``
+    (``_chain_stride``), indexed as in ``_gather``.  The factors act one at
+    a time: product_chain(factors) * V applies the first factor first,
+    V * product_chain(factors) the last.
+    """
+    for factor in chain:
+        out = None
+        for index, e in factor:
+            terms = vector if index is None else map(vector.__getitem__, index)
+            if e:
+                terms = map(lshift, terms, repeat(e * width))
+            out = list(terms) if out is None else list(map(add, out, terms))
+        vector = out
+    return vector
+
+
+def inverts_cinv_sum(m, n, parts, scalar):
+    """Whether N * s == scalar * e == s * N, for s = ``cinv_sum(m, n)`` and N
+    the sum of cof * x over the (cof, x) of ``parts``, x a dict from group
+    elements to ZZ[q] coefficients, no element in two of them.
+
+    s is taken as its sparse factors (``_sum_factors``), and the check has
+    two parts, both on packed ints (``_chain_stride`` proves the strides):
+    (a) the factors applied to e give the packed s; (b) N, with the
+    coefficient num * cof packed as pack(num) * pack(cof), times the
+    factors on each side is pack(scalar) at e and 0 elsewhere.  No
+    coefficient is unpacked.  The input sup of (b) bounds each
+    ||num * cof||_inf by ||num||_inf * ||cof||_1.
+    """
+    table, factors = group_table(m, n), _sum_factors(m, n)
+    blocks, index, cinvs = _blocks(table), table.index, table.cinvs
+    on_left = _chain(table, blocks, factors, True)
+    # (a): (v, k) has cinv inv(v) + cinv(k), that is cinvs[blocks[v]] + cinvs[k]
+    width = _chain_stride(1, factors, 1)
+    unit = [1] + [0] * (len(cinvs) - 1)
+    packed_sum = [1 << width * (cinvs[b] + c) for b in blocks.values() for c in cinvs[: len(index)]]
+    if _times_factors(unit, on_left, width) != packed_sum:
+        return False
+    sup = 0
+    for cof, x in parts:
+        l1 = sum(map(abs, cof.coeffs))
+        sup = max([sup] + [l1 * max(map(abs, c.coeffs)) for c in x.values()])
+    width = _chain_stride(sup, factors, max(map(abs, scalar.coeffs), default=0))
+    vector = [0] * len(cinvs)
+    for cof, x in parts:
+        packed = pack_coeffs(cof.coeffs, width)
+        for pi, num in x.items():
+            vector[blocks[pi.values] + index[pi.colors]] = pack_coeffs(num.coeffs, width) * packed
+    target = [pack_coeffs(scalar.coeffs, width)] + unit[1:]
+    return (
+        _times_factors(vector, on_left, width) == target
+        and _times_factors(vector, _chain(table, blocks, factors, False), width) == target
     )
 
 

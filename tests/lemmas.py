@@ -25,6 +25,9 @@ applies it one annihilator at a time: the plain route beside
 ``power_product_reference`` multiplies coefficient lists by schoolbook
 convolution, one factor at a time: the plain route beside
 ``exact_arith.power_product``'s recurrence.
+``verify_inverse_reference`` is the dense two-sided check of a printed
+inverse, two ``ga_mul`` products with the group sum built from ``cinv`` on
+objects: the plain route beside ``verify_inverse``'s sparse factors.
 ``parse_polynomial`` and ``parse_rational_function`` read the canonical
 strings of ``Polynomial`` and ``RationalFunction`` back, so tests can check
 what the CLI prints.
@@ -41,7 +44,7 @@ from quonalg.colored_perm import (
     enumerate_group,
 )
 from quonalg.exact_arith import Polynomial, RationalFunction
-from quonalg.group_algebra import GroupAlgebraElement, product_chain
+from quonalg.group_algebra import GroupAlgebraElement, ga_mul, product_chain
 
 
 def inverse(pi):
@@ -170,6 +173,25 @@ def ga_mul_reference(x, y):
             g = act(pi_y, pi_x)
             out[g] = out.get(g, Polynomial.zero()) + cx * cy
     return GroupAlgebraElement(x.m, x.n, out)
+
+
+def verify_inverse_reference(printed, denominator):
+    """Whether the printed inverse, each term num/den cleared to
+    num * (D / den) with D = ``denominator``, gives N * s == D * e == s * N
+    by two dense ``ga_mul`` products, s the sum of q**cinv(pi) * pi; a den
+    that does not divide D fails."""
+    m, n = printed.m, printed.n
+    terms = {}
+    for pi, c in printed.terms.items():
+        try:
+            terms[pi] = c.num * denominator.divexact(c.den)
+        except ValueError:
+            return False
+    cleared = GroupAlgebraElement(m, n, terms)
+    s = {pi: Polynomial.monomial(cinv(pi)) for pi in enumerate_group(m, n)}
+    s = GroupAlgebraElement(m, n, s)
+    target = GroupAlgebraElement.identity(m, n).scale(denominator)
+    return ga_mul(cleared, s) == target and ga_mul(s, cleared) == target
 
 
 def rep_matrix_reference(x, multiset):

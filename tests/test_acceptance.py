@@ -116,7 +116,8 @@ def test_criterion_4_determinant_oracle_under_3min():
 
 
 def test_criterion_5_closed_form_inverse_two_sided_under_2min():
-    cases = [(1, 2), (1, 3), (2, 1), (2, 2), (3, 2), (2, 3), (1, 5), (3, 3), (2, 4)]
+    cases = [(1, 2), (1, 3), (2, 1), (2, 2), (3, 2), (2, 3), (1, 5), (3, 3), (2, 4),
+             (1, 6), (3, 4), (2, 5)]
     start = time.perf_counter()
     for m, n in cases:
         assert verify_inverse(m, n), (m, n)

@@ -151,6 +151,24 @@ def test_det_json_round_trip():
     assert expanded == det_closed_form(2, 2)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_det_renders_the_expanded_determinant_once(monkeypatch, fmt):
+    # at (4, 4) one rendering is about 480 MB of text
+    from quonalg.exact_arith import Polynomial
+    from quonalg.formulas import det_closed_form
+
+    render, expanded, seen = Polynomial.__str__, det_closed_form(3, 2), []
+
+    def counting(self):
+        if self == expanded:
+            seen.append(1)
+        return render(self)
+
+    monkeypatch.setattr(Polynomial, "__str__", counting)
+    code, out, _ = run_cli(["det", "--m", "3", "--n", "2", "--format", fmt])
+    assert code == 0 and render(expanded) in out and len(seen) == 1
+
+
 def test_det_csv_has_match_row():
     code, out, _ = run_cli(["det", "--m", "2", "--n", "1", "--format", "csv", "--verify"])
     rows = list(csv.reader(io.StringIO(out)))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from quonalg import formulas, linalg
+from quonalg import formulas, group_algebra, linalg
 from quonalg.colored_perm import ColoredPermutation
 from quonalg.exact_arith import Polynomial, RationalFunction
 from quonalg.formulas import (
@@ -24,7 +24,13 @@ from quonalg.group_algebra import (
     ga_mul,
 )
 
-from lemmas import all_shifts_sum, color_inverse_reference, factor_sum, position_product
+from lemmas import (
+    all_shifts_sum,
+    color_inverse_reference,
+    factor_sum,
+    position_product,
+    verify_inverse_reference,
+)
 
 P = Polynomial
 ONE = P.one()
@@ -131,6 +137,8 @@ def test_factor_sum_single_position_three_colors():
 )
 def test_verify_inverse_two_sided(m, n):
     assert verify_inverse(m, n)
+    if n <= 4:  # the dense two-sided products agree
+        assert verify_inverse_reference(inverse_closed_form(m, n), _denominator(m, n)[0])
 
 
 @pytest.mark.parametrize("m,n", [(1, 3), (2, 3), (3, 2), (4, 2)])
@@ -142,9 +150,12 @@ def test_color_part_is_the_product_of_the_position_inverses(m, n):
 
 
 def _verify_with_printed_terms(monkeypatch, m, n, terms):
+    # the sparse factors and the dense two-sided products give one verdict
     printed = GroupAlgebraElement(m, n, terms)
     monkeypatch.setattr(formulas, "inverse_closed_form", lambda *_: printed)
-    return verify_inverse(m, n)
+    verdict = verify_inverse(m, n)
+    assert verdict == verify_inverse_reference(printed, _denominator(m, n)[0])
+    return verdict
 
 
 def test_verify_inverse_fails_on_a_perturbed_numerator(monkeypatch):
@@ -188,17 +199,23 @@ def test_verify_inverse_fails_on_a_den_with_one_extra_factor_power(monkeypatch):
 
 
 def test_verify_inverse_reads_both_products(monkeypatch):
-    s, e = cinv_sum(2, 2), GroupAlgebraElement.identity(2, 2)
-    inverse_closed_form(2, 2)  # memoised before ga_mul is patched
-    for s_on_the_left in (False, True):
+    # one side of the kernel off by one at one entry: s * N on the chain of
+    # check (a), the factors on the left, or N * s on the other chain
+    times = group_algebra._times_factors
+    inverse_closed_form(2, 2)
+    for off_on_the_left in (True, False):
+        chains = []
 
-        def one_side_off(x, y):
-            product = ga_mul(x, y)
-            return product + e if (x is s) == s_on_the_left else product
+        def one_side_off(vector, chain, width):
+            out = times(vector, chain, width)
+            chains.append(chain)
+            if any(vector[1:]) and (chain is chains[0]) == off_on_the_left:  # N, not e
+                out[1] += 1
+            return out
 
-        monkeypatch.setattr(formulas, "ga_mul", one_side_off)
+        monkeypatch.setattr(group_algebra, "_times_factors", one_side_off)
         assert verify_inverse(2, 2) is False
-    monkeypatch.setattr(formulas, "ga_mul", ga_mul)
+    monkeypatch.setattr(group_algebra, "_times_factors", times)
     assert verify_inverse(2, 2) is True
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,9 +9,10 @@ from quonalg.colored_perm import (
     cinv,
     enumerate_arrangements,
     enumerate_group,
+    group_table,
 )
-from quonalg.exact_arith import Polynomial
-from quonalg.formulas import _color_part, det_factorization, inverse_closed_form
+from quonalg.exact_arith import Polynomial, pack_coeffs, unpack_int
+from quonalg.formulas import _color_part, det_factorization, inverse_closed_form, verify_inverse
 from quonalg.group_algebra import (
     GroupAlgebraElement,
     cinv_sum,
@@ -367,3 +369,125 @@ def test_product_chain_covariance():
     assert rc == matmul(ry, rx)
     with pytest.raises(ValueError):
         product_chain([])
+
+
+# -- the group sum through its sparse factors ---------------------------------
+
+
+def factor_elements(m, n, factors):
+    return [GroupAlgebraElement(m, n, {pi: P.monomial(e) for pi, e in f}) for f in factors]
+
+
+def packed(x, width):
+    """x as a vector of ``_times_factors``: (v, color word k) at blocks[v] + k."""
+    table = group_table(x.m, x.n)
+    blocks, vector = group_algebra._blocks(table), [0] * len(table.elements)
+    for pi, c in x.terms.items():
+        vector[blocks[pi.values] + table.index[pi.colors]] = pack_coeffs(c.coeffs, width)
+    return vector
+
+
+def unpacked(m, n, vector, width):
+    table = group_table(m, n)
+    blocks = group_algebra._blocks(table)
+    colors = list(table.index)
+    return GroupAlgebraElement(m, n, {
+        ColoredPermutation(m, v, colors[k]): P(unpack_int(vector[b + k], width))
+        for v, b in blocks.items() for k in range(len(colors))
+    })
+
+
+def times(x, factors, width, on_left):
+    """product_chain(factors) * x (``on_left``) or x * product_chain(factors),
+    by the packed kernel, read back at ``width``."""
+    table = group_table(x.m, x.n)
+    chain = group_algebra._chain(table, group_algebra._blocks(table), factors, on_left)
+    return unpacked(x.m, x.n, group_algebra._times_factors(packed(x, width), chain, width), width)
+
+
+SUM_SIZES = [(1, 1), (1, 2), (2, 1), (3, 1), (1, 4), (2, 3), (3, 2), (4, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("m,n", SUM_SIZES)
+def test_sum_factors_multiply_to_cinv_sum(m, n):
+    # dense products, and one term per group element in all
+    factors = group_algebra._sum_factors(m, n)
+    assert math.prod(map(len, factors)) == len(enumerate_group(m, n))
+    e = GroupAlgebraElement.identity(m, n)
+    assert product_chain([e] + factor_elements(m, n, factors)) == cinv_sum(m, n)
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 1)])
+def test_each_factor_on_each_side_equals_the_object_level_product(m, n):
+    rng = random.Random(31 * m + n)
+    x = rand_element(rng, m, n, 6)
+    factors = group_algebra._sum_factors(m, n)
+    sup = max(max(map(abs, c.coeffs)) for c in x.terms.values())
+    for f, element in zip(factors, factor_elements(m, n, factors)):
+        width = group_algebra._chain_stride(sup, [f], 0)
+        assert times(x, [f], width, True) == ga_mul_reference(element, x)
+        assert times(x, [f], width, False) == ga_mul_reference(x, element)
+
+
+@pytest.mark.parametrize("m,n,sup", [(2, 2, 5), (1, 4, 3), (3, 2, 1)])
+def test_chain_stride_is_tight(m, n, sup):
+    # x has sup * q**(K - cinv(h)) at every h, so s * x and x * s have
+    # sup * |G| * q**K at e: the bound sup * prod |f| is reached, and one
+    # bit less cannot read it back
+    group, factors = enumerate_group(m, n), group_algebra._sum_factors(m, n)
+    top = max(map(cinv, group))
+    x = GroupAlgebraElement(m, n, {h: P.monomial(top - cinv(h), sup) for h in group})
+    s, e = cinv_sum(m, n), ColoredPermutation.neutral(m, n)
+    width = group_algebra._chain_stride(sup, factors, 0)
+    assert group_algebra._chain_stride(sup, factors, 2**width) == width + 2
+    for on_left, product in ((True, ga_mul(s, x)), (False, ga_mul(x, s))):
+        assert product.coeff(e) == P.monomial(top, sup * len(group))
+        assert times(x, factors, width, on_left) == product
+        assert times(x, factors, width - 1, on_left).coeff(e) != product.coeff(e)
+
+
+def corrupted_factors(m, n):
+    """(name, factors) with one T_j exponent off by one or one C_p color dropped."""
+    factors = group_algebra._sum_factors(m, n)
+    for i, f in enumerate(factors):
+        if f[0][0].colors.count(m) == n:  # T_j: its first term, k = 1
+            (pi, e), *rest = f
+            yield f"T{i + 2} exponent", factors[:i] + [((pi, e + 1), *rest)] + factors[i + 1 :]
+        else:  # C_p: its last color dropped
+            yield f"C{i - n + 2} color", factors[:i] + [f[:-1]] + factors[i + 1 :]
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 2)])
+def test_a_wrong_factor_fails_check_a(monkeypatch, m, n):
+    # check (a) rejects each wrong factor list before (b) runs: one kernel call
+    kernel, calls = group_algebra._times_factors, []
+    monkeypatch.setattr(group_algebra, "_times_factors", lambda *a: calls.append(1) or kernel(*a))
+    inverse_closed_form(m, n)
+    for name, factors in corrupted_factors(m, n):
+        assert product_chain(factor_elements(m, n, factors)) != cinv_sum(m, n), name
+        monkeypatch.setattr(group_algebra, "_sum_factors", lambda *_: factors)
+        calls.clear()
+        assert verify_inverse(m, n) is False and len(calls) == 1, name
+
+
+def test_check_a_decides_a_consistent_wrong_product(monkeypatch):
+    # Each wrong product has an exact inverse N over D, so (b) alone holds:
+    # at (1, 2), T_2 = e + q**2 t has N = e - q**2 t and D = 1 - q**4; at
+    # (2, 1), C_1 without its color is e, with N = e and D = 1.
+    t = ColoredPermutation(1, (2, 1), (1, 1))
+    e12, e21 = ColoredPermutation.neutral(1, 2), ColoredPermutation.neutral(2, 1)
+    cases = [
+        (1, 2, [((t, 2), (e12, 0))], {e12: ONE, t: -Q**2}, ONE - Q**4),
+        (2, 1, [((e21, 0),)], {e21: ONE}, ONE),
+    ]
+    for m, n, factors, x, d in cases:
+        inverse = GroupAlgebraElement(m, n, x)
+        wrong = product_chain([GroupAlgebraElement.identity(m, n)] + factor_elements(m, n, factors))
+        identity = GroupAlgebraElement.identity(m, n).scale(d)
+        assert ga_mul(inverse, wrong) == identity == ga_mul(wrong, inverse)
+        assert wrong != cinv_sum(m, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(group_algebra, "_sum_factors", lambda *_: factors)
+            assert group_algebra.inverts_cinv_sum(m, n, [(ONE, x)], d) is False
+    # the true inverse of the group sum at (1, 2) passes: (1 - q t)/(1 - q**2)
+    assert group_algebra.inverts_cinv_sum(1, 2, [(ONE, {e12: ONE, t: -Q})], ONE - Q**2)
