@@ -24,7 +24,6 @@ from .group_algebra import (
     GroupAlgebraElement,
     cinv_sum,
     ga_mul,
-    product_chain,
     rep_matrix,
 )
 from .quon_engine import (
@@ -79,7 +78,6 @@ __all__ = [
     "GroupAlgebraElement",
     "cinv_sum",
     "ga_mul",
-    "product_chain",
     "rep_matrix",
     "CreatorState",
     "apply_annihilator",

@@ -23,9 +23,11 @@ verification finds a mismatch, 2 on usage or parse errors and on an
 ``--output`` path that cannot be written.  The block-size guard (default
 10000 basis elements) can be lifted with QUON_MAX_BLOCK; ``gram --path
 combinatorial`` also walks the whole group of m**n * n! elements, so the
-same limit applies to the group's size there.  ``det --verify`` eliminates
-the two n!/2-by-n!/2 centrosymmetric halves of the factor Q_n of the
-regular block, so it is refused above n = 4 whatever the block size.
+same limit applies to the group's size there; ``posdef --scan`` builds
+every report before it prints one, so the limit caps its number of points
+too.  ``det --verify`` eliminates the two n!/2-by-n!/2 centrosymmetric
+halves of the factor Q_n of the regular block, so it is refused above
+n = 4 whatever the block size.
 """
 
 from __future__ import annotations
@@ -56,6 +58,17 @@ class UsageError(Exception):
     pass
 
 
+def _limit():
+    """The size limit: QUON_MAX_BLOCK where it is set, else DEFAULT_MAX_BLOCK."""
+    raw = os.environ.get("QUON_MAX_BLOCK", "")
+    if not raw.strip():
+        return DEFAULT_MAX_BLOCK
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise UsageError(f"QUON_MAX_BLOCK must be an integer, got {raw!r}") from exc
+
+
 def _guard_size(m, multiset, what):
     """Basis size m**n * n!/prod(multiplicity!) of the block of ``multiset``, guarded.
 
@@ -63,13 +76,7 @@ def _guard_size(m, multiset, what):
     the first k values, an integer at every k), and the guard trips at the
     first partial product above the limit, so a huge size is never formed.
     """
-    raw = os.environ.get("QUON_MAX_BLOCK", "")
-    limit = DEFAULT_MAX_BLOCK
-    if raw.strip():
-        try:
-            limit = int(raw)
-        except ValueError as exc:
-            raise UsageError(f"QUON_MAX_BLOCK must be an integer, got {raw!r}") from exc
+    limit = _limit()
     size, seen, exact = 1, {}, True
     for k, value in enumerate(multiset, 1):
         if size > limit:
@@ -221,6 +228,12 @@ def cmd_posdef(args):
         steps = _parsed(int, pieces[2])
         if steps < 1:
             raise UsageError("--scan steps must be >= 1")
+        limit = _limit()
+        if steps > limit:  # every report is built before any is printed
+            raise UsageError(
+                f"--scan has {steps} points, above the limit {limit}; "
+                "set QUON_MAX_BLOCK to override"
+            )
         reports = scan(args.m, args.n, lo, hi, steps)
     header = ["q0", "verdict", "smallest_minor"]
     table = [[str(rep.q0), rep.verdict, str(rep.smallest_minor)] for rep in reports]

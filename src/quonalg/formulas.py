@@ -29,7 +29,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 
 from .exact_arith import Polynomial, RationalFunction, pack_coeffs, power_product
@@ -46,7 +46,6 @@ from .group_algebra import (
     cinv_sum,
     ga_mul,
     inverts_cinv_sum,
-    product_chain,
     rep_matrix,
 )
 from . import linalg
@@ -128,36 +127,6 @@ def regular_block_det(m, n):
     return linalg.poly_det(rep_matrix(cinv_sum(m, n), tuple(range(1, n + 1))).entries)
 
 
-def _difference_product(m, n, j):
-    """Product over k = 1..j-1 of (1 - q**(j-k) * insertion_cycle(j, k))."""
-    q = Polynomial.q()
-    factors = []
-    for k in range(1, j):
-        cyc = GroupAlgebraElement.from_element(insertion_cycle(m, n, j, k))
-        factors.append(GroupAlgebraElement.identity(m, n) - cyc.scale(q ** (j - k)))
-    return product_chain(factors)
-
-
-def _geometric_product(m, n, j):
-    """Product over k = j-1..1 of geometric series in insertion_cycle(j-1, k).
-
-    The k factor is sum_{i=0}^{j-1-k} q**((j-k+1)i) cycle**i, the numerator
-    of the inverse of 1 - q**(j-k) * cycle(j -> k) over the scalar
-    (1 - q**((j-k)(j-k+1))); ``_denominator`` holds the scalars.
-    """
-    factors = []
-    for k in range(j - 1, 0, -1):
-        top = j - 1 - k
-        cyc = insertion_cycle(m, n, j - 1, k)
-        power = ColoredPermutation.neutral(m, n)
-        terms = {}
-        for i in range(top + 1):
-            terms[power] = Polynomial.monomial((top + 2) * i)
-            power = act(power, cyc)
-        factors.append(GroupAlgebraElement(m, n, terms))
-    return product_chain(factors)
-
-
 def _color_part(m, n):
     """The numerator of the inverse of the color sum, over ((1 + (m-1)q)(1 - q))**n.
 
@@ -186,19 +155,50 @@ def _color_part(m, n):
     )
 
 
+def _inverse_factors(m, n):
+    """The factors of the inverse's numerator, reduce(ga_mul, factors).
+
+    For j = 2..n, a neutral-colored run: for k = 1..j-1 the geometric series
+    sum_{i<j-k} q**((j-k+1)i) cycle**i, cycle = insertion_cycle(j-1, k) of
+    order j - k, which inverts 1 - q**(j-k+1) * cycle over the scalar
+    1 - q**((j-k)(j-k+1)) of ``_denominator``; then
+    1 - q**(j-k) * insertion_cycle(j, k) for k = j-1..1.  The run times T_j
+    of ``group_algebra._sum_factors``, on either side, is its scalars times
+    e (Zagier's factorization).  Last, the color part (``_color_part``):
+    its weights count the non-neutral colors only, so conjugation by a
+    permutation fixes it and it commutes with the other factors.  ``ga_mul``
+    walks its left operand once per term of its right one, so the product
+    is folded from the left and the m**n-term color part comes last.
+    """
+    e = ColoredPermutation.neutral(m, n)
+    factors = []
+    for j in range(2, n + 1):
+        for k in range(1, j):
+            top, cycle = j - 1 - k, insertion_cycle(m, n, j - 1, k)
+            power, terms = e, {}
+            for i in range(top + 1):
+                terms[power] = Polynomial.monomial((top + 2) * i)
+                power = act(power, cycle)
+            factors.append(GroupAlgebraElement(m, n, terms))
+        for k in range(j - 1, 0, -1):
+            cycle = insertion_cycle(m, n, j, k)
+            factors.append(GroupAlgebraElement(m, n, {e: 1, cycle: Polynomial.monomial(j - k, -1)}))
+    return factors + [_color_part(m, n)]
+
+
 @lru_cache(maxsize=None)
 def _denominator(m, n):
     """The inverse's denominator D and its irreducible factors with exponents.
 
     D = ((1 + (m-1)q)(1 - q))**n * prod_{1 <= k < j <= n} (1 - q**t) with
     t = (j-k)(j-k+1): the color scalar at each position, then the scalars
-    of ``_geometric_product``.  Each 1 - q**t is (1 - q) times Phi_d over
-    the divisors d >= 2 of t, and each Phi_d is q**d - 1 divided exactly by
-    Phi_e for the proper divisors e of d.  1 + (m-1)q is a unit for m = 1
-    and Phi_2 for m = 2.  Returns (D, ((factor, exponent), ...)), 1 - q
-    first; D is the product of the factors raised to their exponents, by
-    Polynomial products: at these degrees they are faster than the
-    recurrence of ``power_product``.
+    of the geometric series of ``_inverse_factors``.  Each 1 - q**t is
+    (1 - q) times Phi_d over the divisors d >= 2 of t, and each Phi_d is
+    q**d - 1 divided exactly by Phi_e for the proper divisors e of d.
+    1 + (m-1)q is a unit for m = 1 and Phi_2 for m = 2.  Returns
+    (D, ((factor, exponent), ...)), 1 - q first; D is the product of the
+    factors raised to their exponents, by Polynomial products: at these
+    degrees they are faster than the recurrence of ``power_product``.
     """
     q = Polynomial.q()
     exponents = {1: n}  # d -> exponent of Phi_d; d = 1 stands for 1 - q
@@ -258,18 +258,17 @@ def _divide_out(c, factors):
 def inverse_closed_form(m, n):
     """The closed-form inverse of cinv_sum(m, n), assembled from sparse factors.
 
-    Every factor is a ZZ[q] numerator over a scalar ZZ[q] denominator.  The
-    color part (``_color_part``) is the inverse of the color sum, one term
-    per color word, over ((1 + (m-1)q)(1-q))**n.  The permutation part has
-    one block for each size j = n..2, the largest acting first: the
-    difference product, over k < j, of (1 - q**(j-k) * cycle(j -> k)),
-    then the geometric product, over k <= j-1, of truncated geometric
-    series in cycle(j-1 -> k), whose scalars are the
-    (1 - q**((j-k)(j-k+1))); both are neutral-colored.  The color part acts
-    after the permutation part; ``verify_inverse`` checks both N * s and
-    s * N, so an order that inverts s on one side only fails it.  Memoised
-    like ``cinv_sum``, so a caller that prints and then verifies the
-    inverse assembles it once.
+    Every factor is a ZZ[q] numerator over a scalar ZZ[q] denominator, and
+    the numerator N is their one product in ``ga_mul``'s order
+    (``_inverse_factors``): a run of neutral-colored factors for each size
+    j = 2..n, then the color part (``_color_part``), the inverse of the
+    color sum, one term per color word, over ((1 + (m-1)q)(1-q))**n.  In
+    ``ga_mul(x, y)`` y acts first, so the color part acts first; it
+    commutes with the permutation factors, so any place for it gives the
+    same N.  ``verify_inverse`` checks both N * s and s * N, so an order
+    that inverts s on one side only fails it.  Memoised like ``cinv_sum``,
+    so a caller that prints and then verifies the inverse assembles it
+    once.
 
     Each coefficient c of the numerator N is printed over the product D of
     all the scalars, reduced by trial division: for each irreducible factor
@@ -291,15 +290,11 @@ def inverse_closed_form(m, n):
     coefficient.
     """
     check_sizes(m, n, 1)
-    blocks = [
-        ga_mul(_geometric_product(m, n, j), _difference_product(m, n, j))
-        for j in range(n, 1, -1)
-    ]
-    perm = product_chain(blocks) if blocks else GroupAlgebraElement.identity(m, n)
+    numerator = reduce(ga_mul, _inverse_factors(m, n))
     denominator, factors = _denominator(m, n)
     reduced = {}  # removed exponents (k_f) -> D / R
     terms = {}
-    for pi, c in ga_mul(perm, _color_part(m, n)).terms.items():
+    for pi, c in numerator.terms.items():
         c, key = _divide_out(c, factors)
         if key not in reduced:
             den = denominator

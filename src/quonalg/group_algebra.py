@@ -24,7 +24,7 @@ ga_mul(x, y) the arrangement is acted on by y's group element first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import repeat
 from math import prod
 from operator import add, lshift
@@ -198,18 +198,6 @@ def ga_mul(x, y):
     )
 
 
-def product_chain(factors):
-    """Left-to-right product: the first factor's group elements act first.
-
-    product_chain([x, y, z]) has representation rep(z) @ rep(y) @ rep(x); it
-    is the element whose right action equals acting by x, then y, then z.
-    """
-    factors = list(factors)
-    if not factors:
-        raise ValueError("empty product")
-    return reduce(lambda acc, f: ga_mul(f, acc), factors)
-
-
 @sized_cache
 def cinv_sum(m, n):
     """The q-weighted group sum: every element with coefficient q**cinv."""
@@ -220,8 +208,9 @@ def cinv_sum(m, n):
 
 
 def _sum_factors(m, n):
-    """Sparse factors whose ``product_chain`` is ``cinv_sum(m, n)``: T_2, ...,
-    T_n, then C_1, ..., C_n, each a tuple of terms (pi, e) for q**e * pi.
+    """Sparse factors of s = ``cinv_sum(m, n)``: T_2, ..., T_n, then C_1, ...,
+    C_n, each a tuple of terms (pi, e) for q**e * pi, with
+    s = C_n ... C_1 T_n ... T_2 in ``ga_mul``'s order.
 
     T_j = sum_{k=1..j} q**(j-k) * insertion_cycle(j, k), and C_p = e + q *
     (the m - 1 words with one non-neutral color, at position p, on the
@@ -312,14 +301,13 @@ def _chain(table, blocks, factors, on_left):
 
 
 def _times_factors(vector, chain, width):
-    """The packed vector of ``product_chain(factors) * V`` or of
-    ``V * product_chain(factors)``, products in ``ga_mul``'s orientation,
-    for chain = ``_chain(table, blocks, factors, on_left)``.
+    """The packed vector of P * V or of V * P, for chain = ``_chain(table,
+    blocks, factors, on_left)`` and P = f_r ... f_1 in ``ga_mul``'s order
+    for factors f_1, ..., f_r (P = s for ``_sum_factors``).
 
     V and the result are lists of ints at stride ``width``
     (``_chain_stride``), indexed as in ``_gather``.  The factors act one at
-    a time: product_chain(factors) * V applies the first factor first,
-    V * product_chain(factors) the last.
+    a time: P * V applies f_1 first, V * P applies f_r first.
     """
     for factor in chain:
         out = None

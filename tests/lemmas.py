@@ -35,6 +35,7 @@ what the CLI prints.
 
 import re
 from fractions import Fraction
+from functools import reduce
 
 from quonalg.colored_perm import (
     ColoredPermutation,
@@ -44,7 +45,7 @@ from quonalg.colored_perm import (
     enumerate_group,
 )
 from quonalg.exact_arith import Polynomial, RationalFunction
-from quonalg.group_algebra import GroupAlgebraElement, ga_mul, product_chain
+from quonalg.group_algebra import GroupAlgebraElement, ga_mul
 
 
 def inverse(pi):
@@ -138,7 +139,7 @@ def at_position(x, n, pos):
 
 def position_product(x, n):
     """The product over positions 1..n of the n = 1 element x placed there."""
-    return product_chain(at_position(x, n, pos) for pos in range(1, n + 1))
+    return reduce(ga_mul, (at_position(x, n, pos) for pos in range(1, n + 1)))
 
 
 def color_inverse_reference(m, n):

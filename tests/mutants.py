@@ -31,6 +31,7 @@ ENGINE = "src/quonalg/quon_engine.py"
 FORMULAS = "src/quonalg/formulas.py"
 T = "tests/test_linalg.py::"
 GA = "tests/test_group_algebra.py::"
+F = "tests/test_formulas.py::"
 
 MUTANTS = [
     (
@@ -171,6 +172,42 @@ MUTANTS = [
         "    color_exponent = n * m ** (n - 1) * factorial(n)",
         "    color_exponent = m**n * factorial(n)",
         ("tests/test_formulas.py::test_det_closed_form_matches_bruteforce",),
+    ),
+    (
+        LINALG,
+        "return _kron_minors(da, db, c), sa * sb // corner_scale",
+        "return _kron_minors(da, db, c), sa * sb",
+        (T + "test_split_of_tensor_products_and_near_misses",),
+    ),
+    (
+        FORMULAS,
+        "        for d in range(1, t + 1):",
+        "        for d in range(1, t):",
+        (F + "test_denominator_factors_multiply_to_the_scalars",),
+    ),
+    (
+        FORMULAS,
+        " * (-q) ** k for k in range(n + 1)]",
+        " * q ** k for k in range(n + 1)]",
+        (F + "test_color_part_is_the_product_of_the_position_inverses",),
+    ),
+    (
+        FORMULAS,
+        " ** (n - k) * (-q) ** k",
+        " ** (n - k - 1) * (-q) ** k",
+        (F + "test_color_part_is_the_product_of_the_position_inverses",),
+    ),
+    (
+        FORMULAS,
+        "    numerator = reduce(ga_mul, _inverse_factors(m, n))",
+        "    numerator = reduce(ga_mul, _inverse_factors(m, n)[::-1])",
+        (F + "test_verify_inverse_two_sided",),
+    ),
+    (
+        FORMULAS,
+        "terms[power] = Polynomial.monomial((top + 2) * i)",
+        "terms[power] = Polynomial.monomial((top + 1) * i)",
+        (F + "test_inverse_factor_shapes",),
     ),
 ]
 

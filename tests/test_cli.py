@@ -263,6 +263,8 @@ def test_output_is_pinned(name, fmt):
          {"QUON_MAX_BLOCK": "5"},
          "group walked by the combinatorial path has 8 basis elements, above the limit 5; "
          "set QUON_MAX_BLOCK to override"),
+        (["posdef", "--m", "1", "--n", "2", "--scan=0:1:4"], {"QUON_MAX_BLOCK": "3"},
+         "--scan has 4 points, above the limit 3; set QUON_MAX_BLOCK to override"),
     ],
 )
 def test_usage_error_text_is_pinned(argv, env, message):
@@ -418,6 +420,18 @@ def test_block_size_guard():
     code, _, err = run_cli(["enumerate", "--m", "1", "--n", "3"],
                            env={"QUON_MAX_BLOCK": "zebra"})
     assert code == 2
+
+
+def test_scan_points_are_guarded():
+    # every report is built before any is printed, so a scan past the limit
+    # is refused at once instead of running with no output
+    start = time.perf_counter()
+    code, out, err = run_cli(["posdef", "--m", "2", "--n", "2", "--scan=0:1:99999999999999999999999"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and "above the limit 10000" in err
+    code, out, err = run_cli(["posdef", "--m", "1", "--n", "2", "--scan=0:1:4"],
+                             env={"QUON_MAX_BLOCK": "4"})
+    assert (code, err) == (0, "") and len(out.splitlines()) == 4
 
 
 def _cap_address_space():

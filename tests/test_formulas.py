@@ -1,5 +1,6 @@
 import math
 import random
+from functools import reduce
 
 import pytest
 
@@ -9,8 +10,6 @@ from quonalg.exact_arith import Polynomial, RationalFunction
 from quonalg.formulas import (
     _color_part,
     _denominator,
-    _difference_product,
-    _geometric_product,
     det_closed_form,
     det_factorization,
     inverse_closed_form,
@@ -319,27 +318,29 @@ def test_inverse_two_positions_one_color_explicit():
 
 
 def test_inverse_factor_shapes():
-    m, n = 2, 3
-    color = _color_part(m, n)
-    difference_products = [_difference_product(m, n, j) for j in range(2, n + 1)]
-    geometric = [_geometric_product(m, n, j) for j in range(2, n + 1)]
-    assert len(color) == m**n
-    assert len(difference_products) == 2
-    assert len(geometric) == 2
-    # the color scalar (1 + q)(1 - q) at three positions, then one
-    # geometric scalar per cycle: 1 - q^2 for block 2, (1 - q^2)(1 - q^6)
-    # for block 3
-    denominator = ((ONE + Q) * (ONE - Q)) ** 3 * (ONE - Q**2) ** 2 * (ONE - Q**6)
-    assert _denominator(m, n)[0] == denominator
-    neutral_word = (1, 2, 3)
-    for element in difference_products + geometric:
-        for pi in set(element.terms):
-            assert set(pi.colors) <= {2}
-    # the color part is neutral in the values; at m = 2 its weights are 1
-    # at a neutral position and -q at a shifted one
-    for pi, c in color.terms.items():
-        assert pi.values == neutral_word
-        assert c == (-Q) ** (3 - pi.colors.count(2))
+    # n(n-1) neutral-colored permutation factors, then the m**n-term color
+    # part; the j-th run of 2(j-1) factors times T_j, on either side, is
+    # its scalar prod_{k<j} (1 - q^((j-k)(j-k+1))) times e
+    for m, n in [(1, 3), (1, 4), (2, 3), (3, 3)]:
+        *perm, color = formulas._inverse_factors(m, n)
+        assert len(perm) == n * (n - 1) and color == _color_part(m, n) and len(color) == m**n
+        assert all(pi.colors.count(m) == n for x in perm for pi in x.terms)
+        sum_factors = group_algebra._sum_factors(m, n)
+        for j in range(2, n + 1):
+            run = reduce(ga_mul, perm[(j - 2) * (j - 1) : (j - 1) * j])
+            t_j = GroupAlgebraElement(m, n, {pi: P.monomial(e) for pi, e in sum_factors[j - 2]})
+            scalars = (ONE - Q ** ((j - k) * (j - k + 1)) for k in range(1, j))
+            target = GroupAlgebraElement.identity(m, n).scale(math.prod(scalars, start=ONE))
+            assert ga_mul(run, t_j) == target == ga_mul(t_j, run), (m, n, j)
+
+
+def test_color_part_commutes_with_the_permutation_factors():
+    # its weights count non-neutral colors only, so conjugation by a
+    # permutation fixes it, and its place in the product does not matter
+    for m, n in [(2, 3), (3, 3)]:
+        *perm, color = formulas._inverse_factors(m, n)
+        for x in perm:
+            assert ga_mul(x, color) == ga_mul(color, x), (m, n)
 
 
 def test_inverse_matches_direct_linear_solve_small():

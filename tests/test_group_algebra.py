@@ -1,5 +1,6 @@
 import math
 import random
+from functools import reduce
 
 import pytest
 
@@ -17,7 +18,6 @@ from quonalg.group_algebra import (
     GroupAlgebraElement,
     cinv_sum,
     ga_mul,
-    product_chain,
     rep_matrix,
 )
 
@@ -359,18 +359,6 @@ def test_coset_power_law_for_cyclic_subgroups():
                 assert det_big == det_small**index
 
 
-def test_product_chain_covariance():
-    rng = random.Random(3)
-    x, y = rand_element(rng, 2, 2), rand_element(rng, 2, 2)
-    chained = product_chain([x, y])
-    rx = [list(r) for r in rep_matrix(x, (1, 2)).entries]
-    ry = [list(r) for r in rep_matrix(y, (1, 2)).entries]
-    rc = [list(r) for r in rep_matrix(chained, (1, 2)).entries]
-    assert rc == matmul(ry, rx)
-    with pytest.raises(ValueError):
-        product_chain([])
-
-
 # -- the group sum through its sparse factors ---------------------------------
 
 
@@ -398,8 +386,8 @@ def unpacked(m, n, vector, width):
 
 
 def times(x, factors, width, on_left):
-    """product_chain(factors) * x (``on_left``) or x * product_chain(factors),
-    by the packed kernel, read back at ``width``."""
+    """P * x (``on_left``) or x * P, for P = f_r ... f_1 the product of the
+    factors in ``ga_mul``'s order, by the packed kernel, read back at ``width``."""
     table = group_table(x.m, x.n)
     chain = group_algebra._chain(table, group_algebra._blocks(table), factors, on_left)
     return unpacked(x.m, x.n, group_algebra._times_factors(packed(x, width), chain, width), width)
@@ -414,7 +402,7 @@ def test_sum_factors_multiply_to_cinv_sum(m, n):
     factors = group_algebra._sum_factors(m, n)
     assert math.prod(map(len, factors)) == len(enumerate_group(m, n))
     e = GroupAlgebraElement.identity(m, n)
-    assert product_chain([e] + factor_elements(m, n, factors)) == cinv_sum(m, n)
+    assert reduce(ga_mul, reversed(factor_elements(m, n, factors)), e) == cinv_sum(m, n)
 
 
 @pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 1)])
@@ -464,7 +452,7 @@ def test_a_wrong_factor_fails_check_a(monkeypatch, m, n):
     monkeypatch.setattr(group_algebra, "_times_factors", lambda *a: calls.append(1) or kernel(*a))
     inverse_closed_form(m, n)
     for name, factors in corrupted_factors(m, n):
-        assert product_chain(factor_elements(m, n, factors)) != cinv_sum(m, n), name
+        assert reduce(ga_mul, reversed(factor_elements(m, n, factors))) != cinv_sum(m, n), name
         monkeypatch.setattr(group_algebra, "_sum_factors", lambda *_: factors)
         calls.clear()
         assert verify_inverse(m, n) is False and len(calls) == 1, name
@@ -482,7 +470,7 @@ def test_check_a_decides_a_consistent_wrong_product(monkeypatch):
     ]
     for m, n, factors, x, d in cases:
         inverse = GroupAlgebraElement(m, n, x)
-        wrong = product_chain([GroupAlgebraElement.identity(m, n)] + factor_elements(m, n, factors))
+        wrong = reduce(ga_mul, reversed(factor_elements(m, n, factors)))
         identity = GroupAlgebraElement.identity(m, n).scale(d)
         assert ga_mul(inverse, wrong) == identity == ga_mul(wrong, inverse)
         assert wrong != cinv_sum(m, n)

@@ -361,15 +361,16 @@ def test_split_matches_split_free_bareiss_on_regular_blocks(monkeypatch):
     monkeypatch.setattr(linalg, "_graded_ints", graded_recording)
     for m, n in [(2, 2), (3, 2), (4, 2), (2, 3), (5, 2)]:
         block = build_gram(m, tuple(range(1, n + 1)))
+        tree = block.split_tree  # found once; finding it evaluates the block too
         lo, hi = interval_of_definiteness(m)
         for q0 in (lo, hi, Fraction(1, 3), Fraction(-54321, 2**17 - 1), Fraction(3, 2)):
             ints, scale = ints_at(block.entries, q0)
             expected = (linalg._bareiss_minors(ints), scale)
             sizes.clear()
-            assert linalg._node_minors(block.split_tree, q0) == expected, (m, n, q0)
-            assert sorted(sizes) == sorted([1, len(block.split_tree[0]) // m**n] + [m] * n)
+            assert linalg._node_minors(tree, q0) == expected, (m, n, q0)
+            assert sorted(sizes) == sorted([1, len(tree[0]) // m**n] + [m] * n)
             minors = [Fraction(v, scale**k) for k, v in enumerate(expected[0], 1)]
-            assert leading_minors(block.split_tree, q0) == tuple(minors)
+            assert leading_minors(tree, q0) == tuple(minors)
 
 
 def test_split_of_tensor_products_and_near_misses(monkeypatch):
