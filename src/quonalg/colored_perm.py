@@ -17,7 +17,12 @@ row per color word, built on first use by composing generator rows, and per
 multiset an image table (``GroupTable.basis``) from value word and color
 index to basis position.
 Composing an arrangement with the n! permutations costs n! word builds,
-and each of the m**n * n! group elements then costs one list index.
+and each of the m**n * n! group elements then costs one list index.  A
+matrix that the left symmetries of a multiset keep (relabelling modes of
+equal multiplicity, shifting each mode's colors) is walked for one
+arrangement per orbit, and ``GroupTable.columns`` reads every other column
+off it: a block of size arrangements with k distinct modes costs
+size / (|Aut(I)| * m**k) walks.
 
 The enumeration order fixed here is part of the package contract (matrix
 rows, CSV exports, and the CLI depend on it): value words ascend
@@ -35,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import product
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -196,6 +202,7 @@ class GroupTable:
         self.index = {pi.colors: i for i, pi in enumerate(self.elements[: m**n])}
         self._rows = [None] * m**n
         self._bases = {}
+        self._maps = {}
         self.moves = self.compile(zip(self.elements, self.cinvs))
 
     def basis(self, multiset):
@@ -210,6 +217,82 @@ class GroupTable:
                 row[self.index[theta.colors]] = i
             found = self._bases[multiset] = basis, image
         return found
+
+    def columns(self, multiset, column):
+        """Every column of a matrix M on the basis of ``multiset`` with
+        M[g.i][g.j] = M[i][j] for each symmetry g below, in basis order:
+        ``column(theta)`` gives the column of one basis element theta per
+        orbit (a sequence indexed by basis position), and every other
+        column is transported from it.
+
+        The symmetries.  Let I have k distinct modes.  A pair g = (h, d) of
+        a permutation h of those modes that keeps each one's multiplicity
+        and a map d from them to Z_m acts on the arrangements of I by
+        g.(v, c) = (h o v, c (+) d o v).  It commutes with the right action:
+        act(g.(v, c), (sigma, p)) = (h o v o sigma, c o sigma (+) d o v o
+        sigma (+) p) = g.act((v, c), (sigma, p)), because (+) is commutative.
+        So act(theta_j, pi) = theta_i iff act(g.theta_j, pi) = g.theta_i,
+        and every ``rep_matrix(x, I)``, the Gram block among them (it is
+        that of the q**cinv group sum), has M[g.i][g.j] = M[i][j].
+
+        Transport.  For t = g.k, M[i][t] = M[g.(g^-1.i)][g.k] = M[g^-1.i][k]:
+        column t is column k read at the positions g^-1.i, one
+        ``itemgetter`` call.  The generators are the swaps of two modes of
+        equal multiplicity that are adjacent among those modes in ascending
+        order, which generate every such h, and the unit shift of the color
+        at every position of one mode, which generate every d (for m = 1
+        the shifts are the identity and are left out).  The group is finite,
+        so a search from the first element of an orbit along the generators
+        alone, without their inverses, reaches the whole orbit.
+
+        Orbit size.  The action is free: g.(v, c) = (v, c) forces h o v = v,
+        so h fixes every mode (each occurs in v), and d o v = 0, so d = 0.
+        Each orbit thus has |Aut(I)| * m**k elements, |Aut(I)| the product
+        over multiplicities of the factorial of the number of modes with
+        it, and a regular block (distinct modes 1..n) is one orbit.
+        """
+        basis = self.basis(multiset)[0]
+        maps = self._maps.get(multiset)
+        if maps is None:
+            maps = self._maps[multiset] = self._symmetries(multiset)
+        cols = [None] * len(basis)
+        for j, theta in enumerate(basis):
+            if cols[j] is None:
+                cols[j], orbit = column(theta), [j]
+                for k in orbit:
+                    for forward, backward in maps:
+                        t = forward[k]
+                        if cols[t] is None:
+                            cols[t] = backward(cols[k])
+                            orbit.append(t)
+        return cols
+
+    def _symmetries(self, multiset):
+        """Per generator g of ``columns``, the basis positions of g.theta for
+        the basis elements theta, in basis order, and an ``itemgetter`` of
+        the positions of g^-1.theta.  A basis with a generator has at least
+        two elements (m > 1 or two distinct modes), so each getter returns
+        a tuple."""
+        basis, image = self.basis(multiset)
+        m, modes, classes = self.m, sorted(set(multiset)), {}
+        for a in modes:
+            classes.setdefault(multiset.count(a), []).append(a)
+        swaps = [{a: b, b: a} for same in classes.values() for a, b in zip(same, same[1:])]
+        images = [
+            [(tuple([h.get(v, v) for v in t.values]), t.colors) for t in basis] for h in swaps
+        ]
+        images += [
+            [(t.values, tuple([c % m + 1 if v == a else c for v, c in t.tokens])) for t in basis]
+            for a in (modes if m > 1 else ())
+        ]
+        maps = []
+        for words in images:
+            forward = [image[v][self.index[c]] for v, c in words]
+            backward = [0] * len(forward)
+            for i, t in enumerate(forward):
+                backward[t] = i
+            maps.append((forward, itemgetter(*backward)))
+        return maps
 
     def compile(self, items):
         """Distinct (element, payload) pairs grouped by value word sigma:

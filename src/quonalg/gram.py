@@ -7,9 +7,11 @@ enumeration order.  It is a ``Block`` of Polynomials in ZZ[q], since every
 entry is a q**cinv generating sum.  The ``operator`` path builds the
 whole block in one walk of a trie of the bra words with the annihilator
 rewriting engine, every ket packed into its own slot of one int
-(``operator_column``); the ``combinatorial`` path fills it one column per
-ket, counting the column as q**cinv sums over colored permutations in one
-walk of the group (``cosym_column``).  The block also equals the
+(``operator_column``); the ``combinatorial`` path counts one ket's column
+as q**cinv sums over colored permutations in one walk of the group
+(``cosym_column``), for one ket per orbit of the multiset's mode and color
+symmetries, and transports it to the rest of the orbit
+(``GroupTable.columns``).  The block also equals the
 right-action matrix of the q-weighted group sum on the arrangement module
 (``verify_representation`` checks all of this).
 
@@ -17,8 +19,9 @@ The counting loop and ``rep_matrix(cinv_sum(m, n), multiset)`` compute the
 same formula, entry (i, j) = sum of q**cinv(pi) over pi with
 act(basis[j], pi) == basis[i], in different loop orders.  They share the
 lookup tables of ``colored_perm.GroupTable`` (the color sums, the image
-table of the multiset and the cinv values compiled with the group), but no
-loop, so only the operator path is independent of both.
+table of the multiset and the cinv values compiled with the group) and its
+orbit transport, but no loop, so only the operator path is independent of
+both.
 
 The infinite form is block diagonal over multisets; this module only ever
 materializes one finite block at a time.
@@ -30,7 +33,7 @@ import csv
 import io
 from functools import lru_cache
 
-from .colored_perm import as_multiset, check_sizes, enumerate_arrangements
+from .colored_perm import as_multiset, check_sizes, enumerate_arrangements, group_table
 from .exact_arith import Polynomial
 from .quon_engine import annihilator_trie, cosym_column, operator_column
 # Unused here; bench/test_bench.py checks that a traced pass also wraps
@@ -48,8 +51,10 @@ def build_gram(m, multiset, path="operator"):
     bras share their innermost annihilators (a block wider than one walk,
     see ``operator_column``, takes a walk per part); path = "combinatorial"
     uses the colored-permutation counting sum, one table walk of the group
-    per ket: size * n! word builds and size * m**n * n! list indices.  The
-    two must agree exactly.
+    per orbit of the multiset's symmetries (``GroupTable.columns``), which
+    is size / (|Aut(I)| * m**k) walks for k distinct modes and one for a
+    regular block: n! word builds and m**n * n! list indices per walk, and
+    one transported column per other ket.  The two must agree exactly.
     """
     if path not in ("operator", "combinatorial"):
         raise ValueError(f"unknown path {path!r}")
@@ -69,7 +74,8 @@ def _build_gram_cached(m, multiset, path):
         entries = tuple(rows.get(word, zeros) for word in words)
     else:
         seen = {}
-        columns = [_shared(column, seen) for column in map(cosym_column, basis)]
+        table = group_table(m, len(multiset))
+        columns = table.columns(multiset, lambda ket: _shared(cosym_column(ket), seen))
         entries = tuple(zip(*columns))
     return Block(m=m, multiset=multiset, basis=basis, entries=entries)
 

@@ -8,7 +8,8 @@ Polynomial), and the denominator is a central scalar, so products of such
 pairs multiply numerators and denominators separately.  The module of
 formal combinations of the colored arrangements of a multiset I carries a
 right action of the group; ``rep_matrix`` expands that action in the
-canonical arrangement basis, one column per basis element, as a ``Block``:
+canonical arrangement basis, one column per basis element (walked for one
+element per symmetry orbit, ``GroupTable.columns``), as a ``Block``:
 the one matrix type of the package, which Gram blocks share.  Both
 ``rep_matrix`` and ``ga_mul`` walk the terms of x by the lookup tables of
 ``colored_perm.GroupTable``, with coefficients packed into ints;
@@ -394,8 +395,13 @@ def rep_matrix(x, multiset):
 
     Column j expands basis[j] acted on by x in the canonical arrangement
     basis; for the multiset {1..n} this is the regular representation.
-    Entries are summed as packed ints and unpacked once per distinct value;
-    coefficients that are not Polynomials raise TypeError.
+    The left symmetries of the multiset commute with the right action of
+    every term, so one basis element per orbit is walked, one word build
+    per value word of x's terms (n! for ``cinv_sum``) and one list index
+    per term each, and ``GroupTable.columns`` transports its column to the
+    rest of the orbit.
+    A walked column is summed as packed ints and each distinct value is
+    unpacked once; coefficients that are not Polynomials raise TypeError.
 
     Why the stride s = ``stride(B)`` of ``_rep_stride``, with B the
     sum of ||c||_inf over the terms of x, suffices: packing is a ring
@@ -414,16 +420,18 @@ def rep_matrix(x, multiset):
     table = group_table(m, x.n)
     basis, image = table.basis(multiset)
     moves = table.compile((pi, pack_coeffs(c.coeffs, stride)) for pi, c in x.terms.items())
-    cols = []
-    for theta in basis:
+    polys = {0: Polynomial.zero()}
+
+    def column(theta):
         col = [0] * len(basis)
         for targets, packed in table.walk(image, moves, theta.values, theta.colors):
             for i, c in zip(targets, packed):
                 col[i] += c
-        cols.append(col)
-    zero = Polynomial.zero()
-    polys = {v: Polynomial(unpack_int(v, stride)) if v else zero for v in set().union(*cols)}
-    entries = tuple(tuple(map(polys.__getitem__, row)) for row in zip(*cols))
+        for v in set(col).difference(polys):  # each distinct value unpacked once
+            polys[v] = Polynomial(unpack_int(v, stride))
+        return list(map(polys.__getitem__, col))
+
+    entries = tuple(zip(*table.columns(multiset, column)))
     return Block(m=m, multiset=multiset, basis=basis, entries=entries)
 
 

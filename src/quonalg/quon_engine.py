@@ -70,8 +70,9 @@ colored permutations carrying the ket arrangement to the bra arrangement
 group; it computes the same formula as ``rep_matrix(cinv_sum(m, n), ...)``
 in ``group_algebra``, in a different loop order.  Both walk the group by
 the lookup tables of ``colored_perm.GroupTable``, built once per (m, n)
-with each element's cinv; they share no loop, and the rewriting path
-above uses none of this.
+with each element's cinv, and both blocks walk one column per symmetry
+orbit (``GroupTable.columns``); they share no loop, and the rewriting
+path above uses none of this.
 """
 
 from __future__ import annotations
@@ -289,8 +290,9 @@ def cosym_column(theta_ket):
     product 0.
 
     Each pi adds 1 to the count of its cinv at the basis position of
-    act(theta_ket, pi), found by ``GroupTable.walk``: size * n! word
-    builds and size * m**n * n! list indices per block.  This is
+    act(theta_ket, pi), found by ``GroupTable.walk``: n! word builds and
+    m**n * n! list indices per column.  ``build_gram`` calls it for one ket
+    per symmetry orbit and transports the column to the others.  This is
     ``rep_matrix(cinv_sum(m, n), multiset)`` in another loop order.  The
     ket's tokens are checked by ``check_tokens``, as on the rewriting path.
     """

@@ -28,6 +28,11 @@ convolution, one factor at a time: the plain route beside
 ``verify_inverse_reference`` is the dense two-sided check of a printed
 inverse, two ``ga_mul`` products with the group sum built from ``cinv`` on
 objects: the plain route beside ``verify_inverse``'s sparse factors.
+``cosym_column_reference`` and ``rep_column_reference`` give one column of
+a Gram block and of ``rep_matrix`` from one walk of the group's table for
+that column alone: the plain route beside ``GroupTable.columns``, which
+walks one column per symmetry orbit and transports the rest.  Nothing in
+this module reads the symmetry code.
 ``parse_polynomial`` and ``parse_rational_function`` read the canonical
 strings of ``Polynomial`` and ``RationalFunction`` back, so tests can check
 what the CLI prints.
@@ -43,6 +48,7 @@ from quonalg.colored_perm import (
     cinv,
     enumerate_arrangements,
     enumerate_group,
+    group_table,
 )
 from quonalg.exact_arith import Polynomial, RationalFunction
 from quonalg.group_algebra import GroupAlgebraElement, ga_mul
@@ -163,6 +169,38 @@ def cosym_reference(theta_bra, theta_ket):
         if act(theta_ket, pi) == theta_bra:
             total = total + Polynomial.monomial(cinv(pi))
     return total
+
+
+def cosym_column_reference(theta_ket):
+    """The ket's column of the Gram block from one walk of the group for
+    this ket alone: each pi adds 1 to the count of cinv(pi) at the basis
+    position of act(theta_ket, pi), found by ``GroupTable.walk``.  This is
+    the counting loop that filled every column before blocks were walked
+    once per symmetry orbit; no column is read from another."""
+    n = theta_ket.n
+    table = group_table(theta_ket.m, n)
+    basis, image = table.basis(tuple(sorted(theta_ket.values)))
+    counts = [[0] * (n * (n + 1) // 2 + 1) for _ in basis]
+    for targets, cinvs in table.walk(image, table.moves, theta_ket.values, theta_ket.colors):
+        for i, c in zip(targets, cinvs):
+            counts[i][c] += 1
+    return tuple(map(Polynomial, counts))
+
+
+def rep_column_reference(x, multiset, theta):
+    """The column of theta in ``rep_matrix(x, multiset)`` from one walk of
+    x's terms for theta alone (``GroupTable.walk``), each term adding its
+    coefficient, a Polynomial, at the position of its image.  This is the
+    loop that filled every column of ``rep_matrix`` before it walked one
+    basis element per symmetry orbit, without the packing."""
+    table = group_table(x.m, x.n)
+    basis, image = table.basis(tuple(multiset))
+    column = [Polynomial.zero()] * len(basis)
+    moves = table.compile(x.terms.items())
+    for targets, coeffs in table.walk(image, moves, theta.values, theta.colors):
+        for i, c in zip(targets, coeffs):
+            column[i] = column[i] + c
+    return tuple(column)
 
 
 def ga_mul_reference(x, y):

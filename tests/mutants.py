@@ -29,9 +29,11 @@ ARITH = "src/quonalg/exact_arith.py"
 ALGEBRA = "src/quonalg/group_algebra.py"
 ENGINE = "src/quonalg/quon_engine.py"
 FORMULAS = "src/quonalg/formulas.py"
+COLORED = "src/quonalg/colored_perm.py"
 T = "tests/test_linalg.py::"
 GA = "tests/test_group_algebra.py::"
 F = "tests/test_formulas.py::"
+ORBITS = "tests/test_gram.py::test_orbit_blocks_match_a_walk_per_column"
 
 MUTANTS = [
     (
@@ -208,6 +210,24 @@ MUTANTS = [
         "terms[power] = Polynomial.monomial((top + 2) * i)",
         "terms[power] = Polynomial.monomial((top + 1) * i)",
         (F + "test_inverse_factor_shapes",),
+    ),
+    (
+        COLORED,
+        "cols[t] = backward(cols[k])",
+        "cols[t] = itemgetter(*forward)(cols[k])",
+        (ORBITS,),
+    ),
+    (
+        COLORED,
+        "classes.setdefault(multiset.count(a), [])",
+        "classes.setdefault(1, [])",
+        (ORBITS,),
+    ),
+    (
+        COLORED,
+        "c % m + 1 if v == a else c for v, c in t.tokens",
+        "c % m + 1 if i == t.values.index(a) else c for i, c in enumerate(t.colors)",
+        (ORBITS,),
     ),
 ]
 

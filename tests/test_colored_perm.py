@@ -192,6 +192,33 @@ def test_color_sum_rows_call_act_only_for_the_generators(monkeypatch):
         assert calls == (n * size if m > 1 else 0), (m, n)
 
 
+@pytest.mark.parametrize(
+    "m,multiset",
+    [
+        (1, ()), (3, ()), (1, (1, 1, 2)), (1, (2, 2, 2)), (1, (1, 2, 3, 4)), (2, (1, 1, 2)),
+        (2, (1, 2, 3)), (3, (1, 1)), (3, (1, 1, 2)), (2, (1, 1, 2, 2)), (2, (1, 1, 2, 3)),
+        (4, (1, 2, 2)), (3, (1, 2, 2, 3)), (2, (1, 1, 2, 3, 3)),
+    ],
+)
+def test_the_symmetries_act_freely_with_orbits_of_the_predicted_size(m, multiset):
+    # size / (|Aut(I)| * m**k) orbits, Aut(I) the permutations of the k
+    # distinct modes that keep their multiplicities.  Every column is the
+    # identity labels at its orbit's first element, so column t = g.r holds
+    # the positions g^-1.i, and its entry t is r.
+    table = GroupTable(m, len(multiset))
+    basis = table.basis(multiset)[0]
+    walked = []
+    labels = list(range(len(basis)))
+    columns = table.columns(multiset, lambda theta: walked.append(theta) or labels)
+    mults = [multiset.count(a) for a in set(multiset)]
+    orbit = math.prod(math.factorial(mults.count(k)) for k in set(mults)) * m ** len(mults)
+    assert len(walked) * orbit == len(basis)
+    roots = [column[t] for t, column in enumerate(columns)]
+    assert sorted(set(roots)) == [basis.index(theta) for theta in walked]
+    assert all(roots.count(r) == orbit for r in set(roots))
+    assert all(sorted(column) == list(range(len(basis))) for column in columns)
+
+
 def test_act_rejects_colors_outside_the_range():
     good = ColoredPermutation(2, (1, 2), (1, 2))
     for theta, pi in [

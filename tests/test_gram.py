@@ -1,13 +1,16 @@
 import csv
 import io
+import random
 from fractions import Fraction
-from math import factorial
+from itertools import combinations_with_replacement
+from math import factorial, prod
 
 import pytest
 
 from quonalg import colored_perm, quon_engine
 from quonalg.colored_perm import enumerate_group
 from quonalg.exact_arith import Polynomial
+from quonalg.group_algebra import GroupAlgebraElement, cinv_sum, rep_matrix
 from quonalg.gram import (
     _build_gram_cached,
     build_gram,
@@ -17,7 +20,12 @@ from quonalg.gram import (
 )
 
 from golden_block import GOLDEN_M3_N2_EXPONENTS
-from lemmas import kron, parse_rational_function
+from lemmas import (
+    cosym_column_reference,
+    kron,
+    parse_rational_function,
+    rep_column_reference,
+)
 
 P = Polynomial
 ONE = P.one()
@@ -95,28 +103,107 @@ def test_csv_and_json_carry_identical_content():
             assert hash(parsed) == hash(block.entries[i][j])
 
 
-def test_combinatorial_path_walks_the_group_once_per_ket(monkeypatch):
-    walks = builds = lookups = 0
+def counted_walks(monkeypatch):
+    """Counts, reset by the caller, of ``GroupTable.walk`` calls, of the
+    permutations whose words they build and of their list lookups."""
+    counts = {}
     real_walk = colored_perm.GroupTable.walk
 
     def counted_walk(self, image, moves, values, colors):
-        nonlocal walks, builds, lookups
-        walks += 1
+        counts["walks"] += 1
         for targets, payloads in real_walk(self, image, moves, values, colors):
-            builds += 1  # the value and color words of one permutation
+            counts["builds"] += 1  # the value and color words of one permutation
             targets = list(targets)
-            lookups += len(targets)
+            counts["lookups"] += len(targets)
             yield targets, payloads
 
     monkeypatch.setattr(colored_perm.GroupTable, "walk", counted_walk)
-    m, multiset = 2, (1, 1, 2)
+    return counts
+
+
+# (m, multiset, orbits): (1, 1, 2) has no mode swap, so 24 / 2**2 orbits;
+# the regular block (1, 2, 3) is one orbit of 3! * 2**3 elements
+ORBIT_PINS = [(2, (1, 1, 2), 6), (2, (1, 2, 3), 1)]
+
+
+def test_combinatorial_path_walks_the_group_once_per_orbit(monkeypatch):
+    counts = counted_walks(monkeypatch)
+    for m, multiset, orbits in ORBIT_PINS:
+        n = len(multiset)
+        counts.update(walks=0, builds=0, lookups=0)
+        block = _build_gram_cached.__wrapped__(m, multiset, "combinatorial")
+        group = enumerate_group(m, n)
+        assert counts == {
+            "walks": orbits,
+            "builds": orbits * factorial(n),
+            "lookups": orbits * len(group),
+        }
+        assert block == build_gram(m, multiset, "operator")
+
+
+def test_rep_matrix_walks_the_group_once_per_orbit(monkeypatch):
+    counts = counted_walks(monkeypatch)
+    for m, multiset, orbits in ORBIT_PINS:
+        n = len(multiset)
+        x = cinv_sum(m, n)
+        counts.update(walks=0, builds=0, lookups=0)
+        block = rep_matrix(x, multiset)
+        group = enumerate_group(m, n)
+        assert counts == {
+            "walks": orbits,
+            "builds": orbits * factorial(n),
+            "lookups": orbits * len(group),
+        }
+        assert block.entries == build_gram(m, multiset, "operator").entries
+
+
+# Every multiset of modes 1..4 with m <= 4, n <= 4 and |G| = m**n * n! <= 2000
+# whose block has at most 500 rows: 232 of the 245 multisets.  The other 13,
+# at (3, 4), have 972 or 1,944 rows; building their full blocks three ways
+# costs about four times as much as all 232 together.
+SYMMETRY_CASES = [
+    (m, multiset)
+    for m in range(1, 5)
+    for n in range(5)
+    if m**n * factorial(n) <= 2000
+    for multiset in combinations_with_replacement(range(1, 5), n)
+    if m**n * factorial(n) // prod(map(factorial, map(multiset.count, set(multiset)))) <= 500
+]
+
+
+def test_orbit_blocks_match_a_walk_per_column():
+    # Columns walked for themselves alone (lemmas) against blocks that walk
+    # one column per orbit and transport the rest: every column of a block
+    # of up to 27, eight seeded ones of a larger block.  The general element
+    # has no symmetry of its own; only the left action makes it transport.
+    rng = random.Random(28)
+    assert len(SYMMETRY_CASES) == 232
+    for m, multiset in SYMMETRY_CASES:
+        n = len(multiset)
+        gram = _build_gram_cached.__wrapped__(m, multiset, "combinatorial")
+        rep = rep_matrix(cinv_sum(m, n), multiset).entries
+        group = enumerate_group(m, n)
+        x = GroupAlgebraElement(
+            m, n, {rng.choice(group): P([rng.randint(-3, 3) for _ in range(3)]) for _ in range(6)}
+        )
+        general = rep_matrix(x, multiset).entries
+        size = gram.size
+        for j in range(size) if size <= 27 else rng.sample(range(size), 8):
+            ket, case = gram.basis[j], (m, multiset, j)
+            expected = cosym_column_reference(ket)
+            assert tuple(row[j] for row in gram.entries) == expected, case
+            assert tuple(row[j] for row in rep) == expected, case
+            assert tuple(row[j] for row in general) == rep_column_reference(x, multiset, ket), case
+
+
+@pytest.mark.parametrize(
+    "m,multiset", [(1, ()), (3, ()), (1, (1, 1, 2)), (1, (1, 2, 3)), (1, (2, 2, 3, 3))]
+)
+def test_empty_and_one_color_blocks_by_orbits(m, multiset):
+    # n = 0 is one orbit of one arrangement; with m = 1 there is no color shift
     block = _build_gram_cached.__wrapped__(m, multiset, "combinatorial")
-    group = enumerate_group(m, len(multiset))
-    assert block.size == 24 and len(group) == 48
-    assert walks == block.size
-    assert builds == block.size * factorial(len(multiset))
-    assert lookups == block.size * len(group)
     assert block == build_gram(m, multiset, "operator")
+    assert multiset or block.entries == ((ONE,),)
 
 
 def test_combinatorial_path_counts_cinv_once_per_group_element(monkeypatch):

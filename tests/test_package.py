@@ -121,3 +121,21 @@ def test_linear_algebra_oracles_import_nothing_from_linalg():
     assert imported and not [
         name for name in imported if name == "quonalg.linalg" or name.startswith("quonalg.linalg.")
     ]
+
+
+def test_column_oracles_read_no_symmetry_code():
+    # cosym_column_reference and rep_column_reference check the columns
+    # that GroupTable.columns transports; an oracle that read the orbit maps
+    # would share the code it checks.
+    tree = ast.parse((ROOT / "tests" / "lemmas.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    assert {"walk", "group_table"} <= names
+    symmetry = {"columns", "_symmetries", "_maps", "build_gram", "cosym_column", "rep_matrix"}
+    assert not names & symmetry
