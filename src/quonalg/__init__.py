@@ -9,7 +9,6 @@ group sums, and exact rational positive-definiteness certificates.
 from .exact_arith import Polynomial, parse_rational
 from .colored_perm import (
     ColoredArrangement,
-    ColoredPermutation,
     act,
     as_multiset,
     cinv,
@@ -65,7 +64,6 @@ __all__ = [
     "Polynomial",
     "parse_rational",
     "ColoredArrangement",
-    "ColoredPermutation",
     "act",
     "as_multiset",
     "cinv",

@@ -1,12 +1,12 @@
 """Colored permutations, colored arrangements of a multiset, and the
 colored-inversion statistic cinv.
 
-A colored permutation on n positions with m colors is a pair of words: a
-bijection of 1..n in one-line form and a color word over 1..m.  Color m is
+A colored arrangement with m colors is a pair of words: a rearrangement of
+a multiset of positive integers and a color word over 1..m.  Color m is
 the neutral color; it plays the role of 0 modulo m in all color arithmetic.
-A colored arrangement replaces the bijection by a rearrangement of an
-arbitrary multiset of positive integers, so the group elements are exactly
-the arrangements of the multiset {1, ..., n}.
+The colored permutations on n positions, the group elements, are exactly
+the arrangements of the multiset {1, ..., n} (``check_element``), and
+``ColoredArrangement`` holds both.
 
 The right action of a colored permutation (perm, pcolors) on an arrangement
 (values, colors) produces (values o perm, colors o perm + pcolors mod m);
@@ -62,11 +62,6 @@ class ColoredArrangement:
 
     def __str__(self):
         return word_str(self.tokens)
-
-
-@dataclass(frozen=True)
-class ColoredPermutation(ColoredArrangement):
-    """A colored arrangement whose value word is a bijection of 1..n."""
 
     @classmethod
     def neutral(cls, m, n):
@@ -126,6 +121,14 @@ def check_colors(m, colors):
             raise ValueError(f"color {c} outside 1..{m}")
 
 
+def check_element(pi):
+    """Raise ``ValueError`` unless the arrangement pi is an element of the
+    group: its value word a permutation of 1..n, its colors in 1..m."""
+    if sorted(pi.values) != list(range(1, pi.n + 1)):
+        raise ValueError(f"{pi} is not a group element: its values are not 1..{pi.n}")
+    check_colors(pi.m, pi.colors)
+
+
 def check_tokens(modes, colors=(), m=None):
     """Raise ``TypeError`` unless every mode and color has type int (a bool
     has not), and ``ValueError`` unless every mode is at least 1 and every
@@ -166,18 +169,20 @@ def act(theta, pi):
 
     Position i of the result takes theta's value at position pi(i), and its
     color is the mod-m sum of theta's color there and pi's color at i
-    (representatives chosen in 1..m).  Returns the same type as theta, so
-    acting on a ColoredPermutation yields the group composition.  Colors
-    of either argument outside 1..m raise ``ValueError``.
+    (representatives chosen in 1..m).  When theta is a group element too,
+    the result is the group composition.  A pi that is not a group element
+    (``check_element``) and colors of theta outside 1..m raise
+    ``ValueError``.
     """
     if theta.n != pi.n:
         raise ValueError(f"length mismatch: {theta.n} vs {pi.n}")
     if theta.m != pi.m:
         raise ValueError(f"color-count mismatch: {theta.m} vs {pi.m}")
     m, values, colors = theta.m, theta.values, theta.colors
-    check_colors(m, colors + pi.colors)
+    check_element(pi)
+    check_colors(m, colors)
     sources = [s - 1 for s in pi.values]
-    return type(theta)(
+    return ColoredArrangement(
         m,
         tuple([values[s] for s in sources]),
         tuple([(colors[s] + c - 1) % m + 1 for s, c in zip(sources, pi.colors)]),
@@ -207,11 +212,11 @@ class GroupTable:
 
     def basis(self, multiset):
         """The arrangements of a sorted multiset of size n, and its image
-        table: value word -> color index -> position among them (for 1..n,
-        also in ``elements``).  Built once per multiset."""
+        table: value word -> color index -> position among them.  Built once
+        per multiset; for 1..n the arrangements are ``elements`` itself."""
         found = self._bases.get(multiset)
         if found is None:
-            basis, image = _enumerate(self.m, multiset, False), {}
+            basis, image = _enumerate(self.m, multiset), {}
             for i, theta in enumerate(basis):
                 row = image.setdefault(theta.values, [0] * len(self.index))
                 row[self.index[theta.colors]] = i
@@ -401,31 +406,31 @@ def _value_words(multiset):
 
 
 @lru_cache(maxsize=None)
-def _enumerate(m, multiset, as_group):
+def _enumerate(m, multiset):
     n = len(multiset)
     # Counter tuples indexed by slot, slot 1 fastest; each slot's colors run
     # neutral first, then 1..m-1.
     counters = [w[::-1] for w in product((m, *range(1, m)), repeat=n)]
-    cls = ColoredPermutation if as_group else ColoredArrangement
     out = []
     for word in _value_words(multiset):
         slots = _slot_map(word)
         for counter in counters:
             colors = tuple(counter[slots[i] - 1] for i in range(n))
-            out.append(cls(m, word, colors))
+            out.append(ColoredArrangement(m, word, colors))
     return tuple(out)
 
 
 def enumerate_arrangements(m, multiset):
     """All colored arrangements of the multiset, in the canonical order."""
     check_sizes(m)
-    return _enumerate(m, as_multiset(multiset), False)
+    return _enumerate(m, as_multiset(multiset))
 
 
 def enumerate_group(m, n):
-    """All m**n * n! colored permutations on n positions, canonical order."""
+    """All m**n * n! colored permutations on n positions, canonical order:
+    the cached tuple of ``enumerate_arrangements(m, range(1, n + 1))``."""
     check_sizes(m, n)
-    return _enumerate(m, tuple(range(1, n + 1)), True)
+    return _enumerate(m, tuple(range(1, n + 1)))
 
 
 def insertion_cycle(m, n, j, k):
@@ -440,4 +445,4 @@ def insertion_cycle(m, n, j, k):
         raise ValueError(f"need 1 <= k <= j <= n, got k={k}, j={j}, n={n}")
     word = list(range(1, n + 1))
     word[k - 1 : j] = [j] + list(range(k, j))
-    return ColoredPermutation(m, tuple(word), (m,) * n)
+    return ColoredArrangement(m, tuple(word), (m,) * n)

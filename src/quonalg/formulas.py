@@ -34,7 +34,7 @@ from math import factorial
 
 from .exact_arith import Polynomial, RationalFunction, pack_coeffs, power_product
 from .colored_perm import (
-    ColoredPermutation,
+    ColoredArrangement,
     act,
     check_sizes,
     enumerate_group,
@@ -170,7 +170,7 @@ def _inverse_factors(m, n):
     walks its left operand once per term of its right one, so the product
     is folded from the left and the m**n-term color part comes last.
     """
-    e = ColoredPermutation.neutral(m, n)
+    e = ColoredArrangement.neutral(m, n)
     factors = []
     for j in range(2, n + 1):
         for k in range(1, j):

@@ -64,6 +64,20 @@ def build_gram(m, multiset, path="operator"):
 
 @lru_cache(maxsize=None)
 def _build_gram_cached(m, multiset, path):
+    """The block of ``build_gram``; the combinatorial path takes the walked
+    columns as its rows, untransposed.
+
+    Why the block is symmetric.  Entry (i, j) is the sum of q**cinv(pi)
+    over the pi with act(theta_j, pi) = theta_i.  act is a right action,
+    so act(theta_j, pi) = theta_i holds exactly when act(theta_i, pi**-1)
+    = theta_j, and pi -> pi**-1 is a bijection of the group: it maps the
+    terms of entry (i, j) onto those of entry (j, i).  Inversion keeps
+    cinv: the value word of pi**-1 is the inverse permutation, whose
+    inversions are those of pi with positions and values exchanged, and
+    its color at position v is the negative of pi's color at position
+    pi**-1(v), so it has as many non-neutral colors as pi.  So entry
+    (j, i) equals entry (i, j).
+    """
     basis = enumerate_arrangements(m, multiset)
     if path == "operator":
         # A bra's annihilators, innermost first, are its tokens, as are a
@@ -73,10 +87,10 @@ def _build_gram_cached(m, multiset, path):
         zeros = (Polynomial.zero(),) * len(basis)
         entries = tuple(rows.get(word, zeros) for word in words)
     else:
+        # The block is symmetric (see the docstring), so column j is row j.
         seen = {}
         table = group_table(m, len(multiset))
-        columns = table.columns(multiset, lambda ket: _shared(cosym_column(ket), seen))
-        entries = tuple(zip(*columns))
+        entries = tuple(table.columns(multiset, lambda ket: _shared(cosym_column(ket), seen)))
     return Block(m=m, multiset=multiset, basis=basis, entries=entries)
 
 

@@ -1,11 +1,12 @@
 """Group-algebra elements over ZZ[q], their products, and representation
 matrices on arrangement modules.
 
-An element is a finite map from colored permutations (all sharing one color
-count m and one length n) to Polynomial coefficients; ints are coerced.  An
-inverse that needs a denominator is a pair (numerator element, denominator
-Polynomial), and the denominator is a central scalar, so products of such
-pairs multiply numerators and denominators separately.  The module of
+An element is a finite map from colored permutations (the arrangements of
+1..n, ``check_element``, all sharing one color count m and one length n)
+to Polynomial coefficients; ints are coerced.  An inverse that needs a
+denominator is a pair (numerator element, denominator Polynomial), and the
+denominator is a central scalar, so products of such pairs multiply
+numerators and denominators separately.  The module of
 formal combinations of the colored arrangements of a multiset I carries a
 right action of the group; ``rep_matrix`` expands that action in the
 canonical arrangement basis, one column per basis element (walked for one
@@ -32,14 +33,15 @@ from operator import add, lshift
 
 from .exact_arith import Polynomial, pack_coeffs, stride, unpack_int
 from .linalg import split_tree
-from .colored_perm import ColoredPermutation, as_multiset, check_colors, check_sizes
+from .colored_perm import ColoredArrangement, as_multiset, check_element, check_sizes
 from .colored_perm import group_table, insertion_cycle, sized_cache
 
 
 class GroupAlgebraElement:
     """Finite Polynomial-weighted combination of colored permutations.
 
-    Int coefficients are coerced to Polynomials.  Zero coefficients are
+    Int coefficients are coerced to Polynomials.  A key that is not a
+    group element of (m, n) raises ``ValueError``.  Zero coefficients are
     never stored; equality is structural on the term map.  Instances are
     treated as immutable.  The one element with other coefficients is the
     printed inverse of ``formulas.inverse_closed_form``, whose coefficients
@@ -59,7 +61,7 @@ class GroupAlgebraElement:
                     continue
                 if pi.m != m or pi.n != n:
                     raise ValueError(f"term {pi} does not live in ({m}, {n})")
-                check_colors(m, pi.colors)
+                check_element(pi)
                 clean[pi] = coeff
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -70,7 +72,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def identity(cls, m, n):
-        return cls(m, n, {ColoredPermutation.neutral(m, n): 1})
+        return cls(m, n, {ColoredArrangement.neutral(m, n): 1})
 
     @classmethod
     def from_element(cls, pi, coeff=1):
@@ -222,14 +224,14 @@ def _sum_factors(m, n):
     color factor per position).  ``inverts_cinv_sum`` checks the product
     instead of assuming it.
     """
-    e = ColoredPermutation.neutral(m, n)
+    e = ColoredArrangement.neutral(m, n)
     factors = [
         tuple((insertion_cycle(m, n, j, k), j - k) for k in range(1, j + 1))
         for j in range(2, n + 1)
     ]
     for p in range(n if m > 1 else 0):
         words = (e.colors[:p] + (a,) + e.colors[p + 1 :] for a in range(1, m))
-        factors.append(((e, 0), *((ColoredPermutation(m, e.values, w), 1) for w in words)))
+        factors.append(((e, 0), *((ColoredArrangement(m, e.values, w), 1) for w in words)))
     return factors
 
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 
 from quonalg.colored_perm import (
-    ColoredPermutation,
+    ColoredArrangement,
     act,
     cinv,
     enumerate_arrangements,
@@ -64,7 +64,7 @@ def inverse(pi):
     inv_colors = tuple(
         (-pi.colors[inv_values[i] - 1]) % m or m for i in range(n)
     )
-    return ColoredPermutation(m, tuple(inv_values), inv_colors)
+    return ColoredArrangement(m, tuple(inv_values), inv_colors)
 
 
 def decompose(pi):
@@ -76,8 +76,8 @@ def decompose(pi):
     pair.
     """
     m, n = pi.m, pi.n
-    perm_part = ColoredPermutation(m, pi.values, (m,) * n)
-    color_part = ColoredPermutation(m, tuple(range(1, n + 1)), pi.colors)
+    perm_part = ColoredArrangement(m, pi.values, (m,) * n)
+    color_part = ColoredArrangement(m, tuple(range(1, n + 1)), pi.colors)
     return perm_part, color_part
 
 
@@ -106,9 +106,9 @@ def factor_sum(m, n):
 
 def all_shifts_sum(m, z):
     """The cyclic element 1 + z * (sum of all m-1 nontrivial shifts)."""
-    terms = {ColoredPermutation.neutral(m, 1): 1}
+    terms = {ColoredArrangement.neutral(m, 1): 1}
     for k in range(1, m):
-        terms[ColoredPermutation(m, (1,), (k,))] = z
+        terms[ColoredArrangement(m, (1,), (k,))] = z
     return GroupAlgebraElement(m, 1, terms)
 
 
@@ -122,7 +122,7 @@ def single_shift_inverse(m, z):
     terms = {}
     acc = one
     for i in range(m):
-        terms[ColoredPermutation(m, (1,), (i or m,))] = acc
+        terms[ColoredArrangement(m, (1,), (i or m,))] = acc
         acc = acc * z
     return GroupAlgebraElement(m, 1, terms), one - z**m
 
@@ -135,7 +135,7 @@ def at_position(x, n, pos):
         m,
         n,
         {
-            ColoredPermutation(
+            ColoredArrangement(
                 m, tuple(range(1, n + 1)), (m,) * (pos - 1) + pi.colors + (m,) * (n - pos)
             ): c
             for pi, c in x.terms.items()

@@ -34,6 +34,7 @@ T = "tests/test_linalg.py::"
 GA = "tests/test_group_algebra.py::"
 F = "tests/test_formulas.py::"
 ORBITS = "tests/test_gram.py::test_orbit_blocks_match_a_walk_per_column"
+NOT_ELEMENTS = GA + "test_words_that_are_not_group_elements_are_refused"
 
 MUTANTS = [
     (
@@ -228,6 +229,18 @@ MUTANTS = [
         "c % m + 1 if v == a else c for v, c in t.tokens",
         "c % m + 1 if i == t.values.index(a) else c for i, c in enumerate(t.colors)",
         (ORBITS,),
+    ),
+    (
+        ALGEBRA,
+        "                check_element(pi)\n",
+        "",
+        (NOT_ELEMENTS,),
+    ),
+    (
+        COLORED,
+        "    if sorted(pi.values) != list(range(1, pi.n + 1)):",
+        "    if len(set(pi.values)) != pi.n:",
+        (NOT_ELEMENTS,),
     ),
 ]
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from quonalg import linalg
 from quonalg.colored_perm import (
-    ColoredPermutation,
+    ColoredArrangement,
     act,
     cinv,
     enumerate_arrangements,
@@ -137,7 +137,7 @@ def test_criterion_6_cyclic_closed_forms_under_1s():
         inverse, d = _color_part(m, 1), (ONE + (m - 1) * z) * (ONE - z)
         assert ga_mul(all_shifts_sum(m, z), inverse) == e.scale(d)
         assert ga_mul(inverse, all_shifts_sum(m, z)) == e.scale(d)
-        shift = ColoredPermutation(m, (1,), (1,))
+        shift = ColoredArrangement(m, (1,), (1,))
         one_minus_shift = e - GroupAlgebraElement.from_element(shift, z)
         inverse, d = single_shift_inverse(m, z)
         assert ga_mul(one_minus_shift, inverse) == e.scale(d)
@@ -158,7 +158,7 @@ def test_criterion_7_coset_power_law():
         for pos in range(1, n + 1):
             candidates = [all_shifts_sum(m, Q)]
             terms = {
-                ColoredPermutation(m, (1,), (k or m,)): P([rng.randint(-2, 2) for _ in range(2)])
+                ColoredArrangement(m, (1,), (k or m,)): P([rng.randint(-2, 2) for _ in range(2)])
                 for k in range(m)
             }
             candidates.append(GroupAlgebraElement(m, 1, terms))
@@ -203,7 +203,7 @@ def test_criterion_9_property_suites():
             assert len(group) == m**n * math.factorial(n)
             index = {g: i for i, g in enumerate(group)}
             table = [[index[act(g, h)] for h in group] for g in group]
-            neutral_index = index[ColoredPermutation.neutral(m, n)]
+            neutral_index = index[ColoredArrangement.neutral(m, n)]
             for gi, g in enumerate(group):
                 assert table[gi][neutral_index] == gi
                 assert table[neutral_index][gi] == gi

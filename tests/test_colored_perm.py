@@ -8,7 +8,6 @@ import pytest
 from quonalg import colored_perm
 from quonalg.colored_perm import (
     ColoredArrangement,
-    ColoredPermutation,
     GroupTable,
     act,
     as_multiset,
@@ -32,28 +31,28 @@ Q = P.q()
 def random_element(rng, m, n):
     values = tuple(rng.sample(range(1, n + 1), n))
     colors = tuple(rng.randint(1, m) for _ in range(n))
-    return ColoredPermutation(m, values, colors)
+    return ColoredArrangement(m, values, colors)
 
 
 def test_cinv_worked_values():
-    assert cinv(ColoredPermutation(4, (2, 1, 3), (1, 3, 3))) == 4
-    assert cinv(ColoredPermutation(4, (3, 1, 2), (3, 3, 1))) == 5
-    assert cinv(ColoredPermutation.neutral(5, 4)) == 0
+    assert cinv(ColoredArrangement(4, (2, 1, 3), (1, 3, 3))) == 4
+    assert cinv(ColoredArrangement(4, (3, 1, 2), (3, 3, 1))) == 5
+    assert cinv(ColoredArrangement.neutral(5, 4)) == 0
     # one color: plain inversion count
-    assert cinv(ColoredPermutation(1, (3, 2, 1), (1, 1, 1))) == 3
+    assert cinv(ColoredArrangement(1, (3, 2, 1), (1, 1, 1))) == 3
 
 
 def test_act_reproduces_the_worked_bra():
     theta = ColoredArrangement(4, (5, 2, 2), (2, 3, 1))
     target = ColoredArrangement(4, (2, 5, 2), (4, 1, 4))
-    assert act(theta, ColoredPermutation(4, (2, 1, 3), (1, 3, 3))) == target
-    assert act(theta, ColoredPermutation(4, (3, 1, 2), (3, 3, 1))) == target
+    assert act(theta, ColoredArrangement(4, (2, 1, 3), (1, 3, 3))) == target
+    assert act(theta, ColoredArrangement(4, (3, 1, 2), (3, 3, 1))) == target
 
 
 def test_neutral_element_acts_trivially():
     rng = random.Random(7)
     for m, n in [(1, 3), (2, 3), (3, 2), (4, 4)]:
-        e = ColoredPermutation.neutral(m, n)
+        e = ColoredArrangement.neutral(m, n)
         for _ in range(20):
             values = tuple(rng.choice(range(1, 6)) for _ in range(n))
             colors = tuple(rng.randint(1, m) for _ in range(n))
@@ -67,23 +66,32 @@ def test_act_on_identity_embeds_the_permutation():
         m, n = rng.randint(1, 4), rng.randint(1, 5)
         pi = random_element(rng, m, n)
         identity_arr = ColoredArrangement(m, tuple(range(1, n + 1)), (m,) * n)
-        assert act(identity_arr, pi) == ColoredArrangement(m, pi.values, pi.colors)
+        assert act(identity_arr, pi) == pi
 
 
 def test_act_size_mismatch_raises():
     theta = ColoredArrangement(2, (1, 2), (2, 2))
     with pytest.raises(ValueError):
-        act(theta, ColoredPermutation.neutral(2, 3))
+        act(theta, ColoredArrangement.neutral(2, 3))
     with pytest.raises(ValueError):
-        act(theta, ColoredPermutation.neutral(3, 2))
+        act(theta, ColoredArrangement.neutral(3, 2))
 
 
-def test_act_keeps_the_type_of_what_it_acts_on():
-    pi = ColoredPermutation(3, (2, 1), (1, 3))
-    got = act(ColoredPermutation(3, (2, 1), (2, 2)), pi)
-    assert type(got) is ColoredPermutation and got == ColoredPermutation(3, (1, 2), (3, 2))
+def test_act_on_a_group_element_or_an_arrangement_builds_an_arrangement():
+    pi = ColoredArrangement(3, (2, 1), (1, 3))
+    got = act(ColoredArrangement(3, (2, 1), (2, 2)), pi)
+    assert type(got) is ColoredArrangement and got == ColoredArrangement(3, (1, 2), (3, 2))
     got = act(ColoredArrangement(3, (4, 4), (2, 2)), pi)
     assert type(got) is ColoredArrangement and got == ColoredArrangement(3, (4, 4), (3, 2))
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (2, 1), (3, 2), (2, 3), (1, 4)])
+def test_the_group_is_the_cached_arrangements_of_one_to_n(m, n):
+    group = enumerate_group(m, n)
+    assert group is enumerate_arrangements(m, range(1, n + 1))
+    assert group is enumerate_arrangements(m, range(n, 0, -1))
+    table = group_table(m, n)
+    assert table.basis(tuple(range(1, n + 1)))[0] is table.elements is group
 
 
 def test_act_on_one_position_adds_colors():
@@ -91,7 +99,7 @@ def test_act_on_one_position_adds_colors():
         for c in range(1, m + 1):
             for d in range(1, m + 1):
                 theta = ColoredArrangement(m, (7,), (c,))
-                got = act(theta, ColoredPermutation(m, (1,), (d,)))
+                got = act(theta, ColoredArrangement(m, (1,), (d,)))
                 assert got == ColoredArrangement(m, (7,), ((c + d) % m or m,))
 
 
@@ -104,7 +112,7 @@ def test_group_table_compiles_every_element():
         assert len(table.moves) == math.factorial(n)
         assert sorted(c for _, _, cinvs in table.moves for c in cinvs) == sorted(table.cinvs)
         # the identity's images are the group itself, in the order of the moves
-        identity = ColoredPermutation.neutral(m, n)
+        identity = ColoredArrangement.neutral(m, n)
         image = table.basis(tuple(range(1, n + 1)))[1]
         walked = [
             (group[i], c)
@@ -220,11 +228,11 @@ def test_the_symmetries_act_freely_with_orbits_of_the_predicted_size(m, multiset
 
 
 def test_act_rejects_colors_outside_the_range():
-    good = ColoredPermutation(2, (1, 2), (1, 2))
+    good = ColoredArrangement(2, (1, 2), (1, 2))
     for theta, pi in [
-        (ColoredArrangement(2, (1, 2), (0, 1)), ColoredPermutation(2, (1, 2), (5, 1))),
+        (ColoredArrangement(2, (1, 2), (0, 1)), ColoredArrangement(2, (1, 2), (5, 1))),
         (ColoredArrangement(2, (1, 2), (0, 1)), good),
-        (ColoredArrangement(2, (1, 2), (1, 1)), ColoredPermutation(2, (1, 2), (5, 1))),
+        (ColoredArrangement(2, (1, 2), (1, 1)), ColoredArrangement(2, (1, 2), (5, 1))),
     ]:
         with pytest.raises(ValueError, match=r"color (0|5) outside 1\.\.2"):
             act(theta, pi)
@@ -235,20 +243,20 @@ def test_inverse_defining_property():
     for _ in range(100):
         m, n = rng.randint(1, 5), rng.randint(0, 6)
         pi = random_element(rng, m, n)
-        e = ColoredPermutation.neutral(m, n)
+        e = ColoredArrangement.neutral(m, n)
         assert act(pi, inverse(pi)) == e
         assert act(inverse(pi), pi) == e
         assert cinv(inverse(pi)) == cinv(pi)
-    assert inverse(ColoredPermutation.neutral(3, 4)) == ColoredPermutation.neutral(3, 4)
+    assert inverse(ColoredArrangement.neutral(3, 4)) == ColoredArrangement.neutral(3, 4)
 
 
 def test_inverse_two_position_case():
     # colors are forced by composing back to the neutral element
-    pi = ColoredPermutation(2, (2, 1), (1, 2))
+    pi = ColoredArrangement(2, (2, 1), (1, 2))
     got = inverse(pi)
     assert got.values == (2, 1)
     assert got.colors == (2, 1)
-    assert act(pi, got) == ColoredPermutation.neutral(2, 2)
+    assert act(pi, got) == ColoredArrangement.neutral(2, 2)
 
 
 def test_group_axioms_exhaustive():
@@ -258,7 +266,7 @@ def test_group_axioms_exhaustive():
             assert len(group) == m**n * math.factorial(n)
             assert len(set(group)) == len(group)
             index = {g: i for i, g in enumerate(group)}
-            e = ColoredPermutation.neutral(m, n)
+            e = ColoredArrangement.neutral(m, n)
             assert e in index
             # closure + identity + inverse via the multiplication table
             table = [
@@ -302,7 +310,7 @@ def test_cinv_generating_function_factors():
             assert total.evaluate(1) == m**n * math.factorial(n)
             by_brute = P.zero()
             for g in enumerate_group(1, n):
-                by_brute = by_brute + Q ** cinv(ColoredPermutation(1, g.values, g.colors))
+                by_brute = by_brute + Q ** cinv(g)
             assert total == by_brute * (ONE + (m - 1) * Q) ** n
 
 
@@ -313,9 +321,9 @@ def test_decompose_exhaustive_2_3():
         assert cinv(perm_part) + cinv(color_part) == cinv(g)
         assert set(perm_part.colors) <= {2}
         assert color_part.values == (1, 2, 3)
-    e = ColoredPermutation.neutral(2, 3)
+    e = ColoredArrangement.neutral(2, 3)
     assert decompose(e) == (e, e)
-    pure = ColoredPermutation(2, (1, 2, 3), (1, 2, 1))
+    pure = ColoredArrangement(2, (1, 2, 3), (1, 2, 1))
     assert decompose(pure) == (e, pure)
 
 
@@ -327,7 +335,7 @@ def test_enumeration_counts():
     assert len(enumerate_arrangements(2, (2, 2))) == 4
     assert len(enumerate_arrangements(4, (2, 2, 5))) == 192
     assert len(set(enumerate_arrangements(4, (2, 2, 5)))) == 192
-    assert enumerate_group(2, 0) == (ColoredPermutation.neutral(2, 0),)
+    assert enumerate_group(2, 0) == (ColoredArrangement.neutral(2, 0),)
 
 
 def test_enumeration_order_first_row_pattern():
@@ -335,7 +343,7 @@ def test_enumeration_order_first_row_pattern():
     assert exps == [0, 1, 1, 1, 2, 2, 1, 2, 2, 1, 2, 2, 2, 3, 3, 2, 3, 3]
     # neutral element first, identity value word block first
     group = enumerate_group(3, 2)
-    assert group[0] == ColoredPermutation.neutral(3, 2)
+    assert group[0] == ColoredArrangement.neutral(3, 2)
     assert all(g.values == (1, 2) for g in group[:9])
 
 

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 
 from quonalg import formulas, group_algebra, linalg
-from quonalg.colored_perm import ColoredPermutation
+from quonalg.colored_perm import ColoredArrangement
 from quonalg.exact_arith import Polynomial, RationalFunction
 from quonalg.formulas import (
     _color_part,
@@ -124,9 +124,9 @@ def test_factor_sum():
 
 def test_factor_sum_single_position_three_colors():
     _, color_sum = factor_sum(3, 1)
-    assert color_sum.coeff(ColoredPermutation.neutral(3, 1)) == ONE
-    assert color_sum.coeff(ColoredPermutation(3, (1,), (1,))) == Q
-    assert color_sum.coeff(ColoredPermutation(3, (1,), (2,))) == Q
+    assert color_sum.coeff(ColoredArrangement.neutral(3, 1)) == ONE
+    assert color_sum.coeff(ColoredArrangement(3, (1,), (1,))) == Q
+    assert color_sum.coeff(ColoredArrangement(3, (1,), (2,))) == Q
 
 
 @pytest.mark.parametrize(
@@ -304,15 +304,15 @@ def test_inverse_single_position_reduces_to_color_inverse():
     assert inverse_closed_form(1, 1) == GroupAlgebraElement.identity(1, 1)
     for m in (2, 3, 4):
         den = (ONE + (m - 1) * Q) * (ONE - Q)
-        printed = {ColoredPermutation.neutral(m, 1): RF(ONE + (m - 2) * Q, den)}
-        printed.update({ColoredPermutation(m, (1,), (k,)): RF(-Q, den) for k in range(1, m)})
+        printed = {ColoredArrangement.neutral(m, 1): RF(ONE + (m - 2) * Q, den)}
+        printed.update({ColoredArrangement(m, (1,), (k,)): RF(-Q, den) for k in range(1, m)})
         assert inverse_closed_form(m, 1) == GroupAlgebraElement(m, 1, printed)
 
 
 def test_inverse_two_positions_one_color_explicit():
     inv = inverse_closed_form(1, 2)
-    transposition = ColoredPermutation(1, (2, 1), (1, 1))
-    assert inv.coeff(ColoredPermutation.neutral(1, 2)) == RF(ONE, ONE - Q**2)
+    transposition = ColoredArrangement(1, (2, 1), (1, 1))
+    assert inv.coeff(ColoredArrangement.neutral(1, 2)) == RF(ONE, ONE - Q**2)
     assert inv.coeff(transposition) == RF(-Q, ONE - Q**2)
     assert len(inv) == 2
 
@@ -348,8 +348,8 @@ def test_inverse_matches_direct_linear_solve_small():
     # group algebra by iterating over the 2-element group
     m, n = 1, 2
     s = cinv_sum(m, n)
-    e = ColoredPermutation.neutral(1, 2)
-    t = ColoredPermutation(1, (2, 1), (1, 1))
+    e = ColoredArrangement.neutral(1, 2)
+    t = ColoredArrangement(1, (2, 1), (1, 1))
     # S = 1 + q t, so x = (1 - q t)/(1 - q^2) solves both orders
     denom = ONE - Q**2
     numerator = GroupAlgebraElement(1, 2, {e: ONE, t: -Q})

@@ -8,7 +8,7 @@ from math import factorial, prod
 import pytest
 
 from quonalg import colored_perm, quon_engine
-from quonalg.colored_perm import enumerate_group
+from quonalg.colored_perm import act, cinv, enumerate_arrangements, enumerate_group
 from quonalg.exact_arith import Polynomial
 from quonalg.group_algebra import GroupAlgebraElement, cinv_sum, rep_matrix
 from quonalg.gram import (
@@ -22,6 +22,7 @@ from quonalg.gram import (
 from golden_block import GOLDEN_M3_N2_EXPONENTS
 from lemmas import (
     cosym_column_reference,
+    inverse,
     kron,
     parse_rational_function,
     rep_column_reference,
@@ -59,6 +60,24 @@ def test_symmetry_and_identity_at_q0():
             for j in range(block.size):
                 assert block.entries[i][j] == block.entries[j][i]
                 assert block.entries[i][j].evaluate(Fraction(0)) == int(i == j)
+
+
+@pytest.mark.parametrize(
+    "m,multiset", [(1, (1, 2, 3, 4)), (2, (1, 1, 2)), (2, (1, 2, 3)), (3, (1, 2)), (4, (3, 3))]
+)
+def test_inversion_maps_each_entry_onto_its_transpose(m, multiset):
+    # the lemma behind the combinatorial path's rows, over the whole group:
+    # act(theta, pi) = theta' iff act(theta', pi**-1) = theta, and pi**-1
+    # has pi's cinv, so the terms of entry (i, j) are those of (j, i)
+    basis = enumerate_arrangements(m, multiset)
+    for pi in enumerate_group(m, len(multiset)):
+        back = inverse(pi)
+        assert cinv(back) == cinv(pi)
+        for theta in basis:
+            assert act(act(theta, pi), back) == theta
+    block = build_gram(m, multiset, "combinatorial")
+    assert block.symmetric
+    assert block.entries == build_gram(m, multiset, "operator").entries
 
 
 def test_repeated_mode_diagonal_counts_the_stabilizer():

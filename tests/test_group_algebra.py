@@ -6,7 +6,8 @@ import pytest
 
 from quonalg import group_algebra, linalg
 from quonalg.colored_perm import (
-    ColoredPermutation,
+    ColoredArrangement,
+    act,
     cinv,
     enumerate_arrangements,
     enumerate_group,
@@ -72,7 +73,7 @@ def test_size_mismatch_raises():
     with pytest.raises(ValueError):
         ga_mul(GroupAlgebraElement.identity(2, 2), GroupAlgebraElement.identity(2, 3))
     with pytest.raises(ValueError):
-        GroupAlgebraElement(2, 2, {ColoredPermutation.neutral(2, 3): 1})
+        GroupAlgebraElement(2, 2, {ColoredArrangement.neutral(2, 3): 1})
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (1, 4)])
@@ -83,7 +84,7 @@ def test_ga_mul_equals_the_object_level_product(m, n):
         x, y = rand_element(rng, m, n, 6), rand_element(rng, m, n, 6)
         xy = ga_mul(x, y)
         assert xy.terms == ga_mul_reference(x, y).terms
-        assert all(type(pi) is ColoredPermutation for pi in xy.terms)
+        assert {id(pi) for pi in xy.terms} <= {id(pi) for pi in enumerate_group(m, n)}
         noncommuting += xy != ga_mul(y, x)
     assert noncommuting
 
@@ -127,7 +128,7 @@ def edge_products():
     """(x, y, number of terms of the product) at the edges of the packing."""
     rng = random.Random(12)
     e2 = GroupAlgebraElement.identity(1, 2)
-    t = GroupAlgebraElement.from_element(ColoredPermutation(1, (2, 1), (1, 1)))
+    t = GroupAlgebraElement.from_element(ColoredArrangement(1, (2, 1), (1, 1)))
     zero = GroupAlgebraElement(2, 2)
     x = rand_element(rng, 2, 2, 4)
     e3 = GroupAlgebraElement.identity(3, 2)
@@ -187,7 +188,7 @@ def test_rep_matrix_accumulates_terms_that_meet_on_a_repeated_mode():
     # two elements that differ by swapping the equal values send every basis
     # arrangement of (1, 1, 2) to the same place, so their coefficients add
     m = 2
-    pi, swapped = (ColoredPermutation(m, w, (m,) * 3) for w in ((1, 2, 3), (2, 1, 3)))
+    pi, swapped = (ColoredArrangement(m, w, (m,) * 3) for w in ((1, 2, 3), (2, 1, 3)))
     x = GroupAlgebraElement(m, 3, {pi: ONE, swapped: Q})
     entries = rep_matrix(x, (1, 1, 2)).entries
     assert entries == rep_matrix_reference(x, (1, 1, 2))
@@ -226,7 +227,42 @@ def test_rep_matrix_of_signed_and_zero_elements():
 
 def test_terms_with_colors_outside_the_range_are_refused():
     with pytest.raises(ValueError, match=r"color 3 outside 1\.\.2"):
-        GroupAlgebraElement(2, 2, {ColoredPermutation(2, (1, 2), (3, 1)): 1})
+        GroupAlgebraElement(2, 2, {ColoredArrangement(2, (1, 2), (3, 1)): 1})
+
+
+# (m, value word, colors) of arrangements that are not group elements
+NOT_GROUP_ELEMENTS = [
+    (1, (1, 1), (1, 1)),
+    (2, (2, 2), (2, 1)),
+    (1, (1, 3), (1, 1)),
+    (2, (0, 1), (2, 2)),
+    (3, (2,), (3,)),
+    (2, (1, 2, 2), (1, 2, 1)),
+    (2, (2, 3, 4), (2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("m,values,colors", NOT_GROUP_ELEMENTS)
+def test_words_that_are_not_group_elements_are_refused(m, values, colors):
+    # unchecked, ga_mul and rep_matrix would fail on these with KeyError
+    # or IndexError, and act would return another word that is not one
+    pi, n = ColoredArrangement(m, values, colors), len(values)
+    with pytest.raises(ValueError, match="is not a group element"):
+        GroupAlgebraElement(m, n, {pi: 1})
+    with pytest.raises(ValueError, match="is not a group element"):
+        GroupAlgebraElement.from_element(pi, Q)
+    with pytest.raises(ValueError, match="is not a group element"):
+        act(ColoredArrangement(m, (7,) * n, (m,) * n), pi)
+
+
+def test_an_arrangement_of_one_to_n_is_the_group_element():
+    # one class: the word (1,1)(2,1) built by hand is the neutral element
+    x = GroupAlgebraElement(1, 2, {ColoredArrangement(1, (1, 2), (1, 1)): 1})
+    assert x == GroupAlgebraElement.identity(1, 2)
+    total = x + GroupAlgebraElement.identity(1, 2)
+    assert total.terms == {ColoredArrangement.neutral(1, 2): P.constant(2)}
+    arrangements = enumerate_arrangements(2, (1, 2))
+    assert GroupAlgebraElement(2, 2, {t: 1 for t in arrangements}) == group_sum(2, 2, 1)
 
 
 def test_rep_matrix_is_an_algebra_homomorphism():
@@ -261,7 +297,7 @@ def test_rep_of_cinv_sum_column_of_identity():
     multiset = (1, 2)
     rep = rep_matrix(cinv_sum(3, 2), multiset)
     for i, theta in enumerate(rep.basis):
-        assert rep.entries[i][0] == Q ** cinv(ColoredPermutation(3, theta.values, theta.colors))
+        assert rep.entries[i][0] == Q ** cinv(theta)
 
 
 def rep_det(x, multiset):
@@ -297,7 +333,7 @@ def test_cyclic_inverses_by_multiplication():
         xi, d = _color_part(m, 1), (ONE + (m - 1) * Q) * (ONE - Q)
         assert ga_mul(x, xi) == e.scale(d)
         assert ga_mul(xi, x) == e.scale(d)
-        g = e - GroupAlgebraElement.from_element(ColoredPermutation(m, (1,), (1,)), Q)
+        g = e - GroupAlgebraElement.from_element(ColoredArrangement(m, (1,), (1,)), Q)
         gi, d = single_shift_inverse(m, Q)
         assert ga_mul(g, gi) == e.scale(d)
         assert ga_mul(gi, g) == e.scale(d)
@@ -306,8 +342,8 @@ def test_cyclic_inverses_by_multiplication():
 def test_all_shifts_inverse_m2_form():
     xi = _color_part(2, 1)
     assert len(xi) == 2
-    assert xi.coeff(ColoredPermutation.neutral(2, 1)) == ONE
-    assert xi.coeff(ColoredPermutation(2, (1,), (1,))) == -Q
+    assert xi.coeff(ColoredArrangement.neutral(2, 1)) == ONE
+    assert xi.coeff(ColoredArrangement(2, (1,), (1,))) == -Q
     # one color: the numerator is the denominator (1 - q) times the identity
     assert _color_part(1, 1) == GroupAlgebraElement.identity(1, 1).scale(ONE - Q)
 
@@ -316,7 +352,7 @@ def test_single_shift_inverse_m4_z_q2():
     gi, d = single_shift_inverse(4, Q**2)
     assert d == ONE - Q**8
     for i in range(4):
-        assert gi.coeff(ColoredPermutation(4, (1,), (i or 4,))) == Q ** (2 * i)
+        assert gi.coeff(ColoredArrangement(4, (1,), (i or 4,))) == Q ** (2 * i)
     # m = 1: plain geometric scalar 1/(1 - q)
     gi, d = single_shift_inverse(1, Q)
     assert gi == GroupAlgebraElement.identity(1, 1)
@@ -326,8 +362,8 @@ def test_single_shift_inverse_m4_z_q2():
 def test_telescoping_product_on_the_cyclic_algebra():
     m = 3
     e = GroupAlgebraElement.identity(m, 1)
-    g = GroupAlgebraElement.from_element(ColoredPermutation(m, (1,), (1,)))
-    g2 = GroupAlgebraElement.from_element(ColoredPermutation(m, (1,), (2,)))
+    g = GroupAlgebraElement.from_element(ColoredArrangement(m, (1,), (1,)))
+    g2 = GroupAlgebraElement.from_element(ColoredArrangement(m, (1,), (2,)))
     left = e - g.scale(Q)
     right = e + g.scale(Q) + g2.scale(Q**2)
     assert ga_mul(left, right) == e.scale(ONE - Q**3)
@@ -347,7 +383,7 @@ def test_coset_power_law_for_cyclic_subgroups():
                     small = all_shifts_sum(m, Q)
                 else:
                     terms = {
-                        ColoredPermutation(m, (1,), (k or m,)): P(
+                        ColoredArrangement(m, (1,), (k or m,)): P(
                             [rng.randint(-2, 2) for _ in range(2)]
                         )
                         for k in range(m)
@@ -380,7 +416,7 @@ def unpacked(m, n, vector, width):
     blocks = group_algebra._blocks(table)
     colors = list(table.index)
     return GroupAlgebraElement(m, n, {
-        ColoredPermutation(m, v, colors[k]): P(unpack_int(vector[b + k], width))
+        ColoredArrangement(m, v, colors[k]): P(unpack_int(vector[b + k], width))
         for v, b in blocks.items() for k in range(len(colors))
     })
 
@@ -425,7 +461,7 @@ def test_chain_stride_is_tight(m, n, sup):
     group, factors = enumerate_group(m, n), group_algebra._sum_factors(m, n)
     top = max(map(cinv, group))
     x = GroupAlgebraElement(m, n, {h: P.monomial(top - cinv(h), sup) for h in group})
-    s, e = cinv_sum(m, n), ColoredPermutation.neutral(m, n)
+    s, e = cinv_sum(m, n), ColoredArrangement.neutral(m, n)
     width = group_algebra._chain_stride(sup, factors, 0)
     assert group_algebra._chain_stride(sup, factors, 2**width) == width + 2
     for on_left, product in ((True, ga_mul(s, x)), (False, ga_mul(x, s))):
@@ -462,8 +498,8 @@ def test_check_a_decides_a_consistent_wrong_product(monkeypatch):
     # Each wrong product has an exact inverse N over D, so (b) alone holds:
     # at (1, 2), T_2 = e + q**2 t has N = e - q**2 t and D = 1 - q**4; at
     # (2, 1), C_1 without its color is e, with N = e and D = 1.
-    t = ColoredPermutation(1, (2, 1), (1, 1))
-    e12, e21 = ColoredPermutation.neutral(1, 2), ColoredPermutation.neutral(2, 1)
+    t = ColoredArrangement(1, (2, 1), (1, 1))
+    e12, e21 = ColoredArrangement.neutral(1, 2), ColoredArrangement.neutral(2, 1)
     cases = [
         (1, 2, [((t, 2), (e12, 0))], {e12: ONE, t: -Q**2}, ONE - Q**4),
         (2, 1, [((e21, 0),)], {e21: ONE}, ONE),

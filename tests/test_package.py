@@ -48,6 +48,35 @@ def test_every_export_has_a_caller():
     assert uncalled == set(UNCALLED_EXPORTS)
 
 
+SOURCES = MODULES + sorted((ROOT / "tests").glob("*.py")) + DEMOS
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_imported_name_is_loaded(path):
+    # an import that nothing loads is dead, unless its line says it is kept
+    # (# noqa: F401); a name listed in __all__ is loaded by its importers
+    text = path.read_text()
+    lines, tree = text.splitlines(), ast.parse(text)
+    loaded, imported = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            loaded |= {e.value for e in node.value.elts}
+        elif isinstance(node, ast.Import):
+            imported += [(a.asname or a.name.split(".")[0], a.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(a.asname or a.name, a.lineno) for a in node.names]
+    unused = [
+        f"{name}:{line}"
+        for name, line in imported
+        if name not in loaded and "# noqa: F401" not in lines[line - 1]
+    ]
+    assert unused == []
+
+
 def test_no_module_uses_floats():
     floats = []
     for path in MODULES:
